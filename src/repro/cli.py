@@ -164,10 +164,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     spec = spec_factory(duration=args.seconds, intensity=args.intensity)
     schedule = deployment.add_chaos(spec)
     if args.adaptive or args.fixed_recovery:
+        period = max(2.0, args.seconds / 2)
+        if not args.adaptive:
+            # The fixed rotation refuses a period whose per-node slots
+            # cannot fit the reinstalls; stretch it for short runs.
+            period = max(period, 0.5 * len(deployment.network.nodes))
         deployment.add_defense(
-            adaptive=args.adaptive,
-            period=max(2.0, args.seconds / 2),
-            downtime=0.5,
+            adaptive=args.adaptive, period=period, downtime=0.5
         )
     if args.print_schedule:
         print(schedule.describe())
@@ -314,12 +317,16 @@ def cmd_live(args: argparse.Namespace) -> int:
         import dataclasses
 
         # Wall-clock runs last seconds, not the sim's minutes: compress
-        # the rotation cadence and control loop to fit the duration.
+        # the rotation cadence and control loop to fit the duration
+        # (the fixed rotation still needs a reinstall slot per node).
+        period = max(2.0, args.duration / 2)
+        if recovery == "fixed":
+            period = max(period, 0.25 * args.nodes)
         overlay = dataclasses.replace(
             overlay,
             defense=dataclasses.replace(
                 overlay.defense,
-                recovery_period=max(2.0, args.duration / 2),
+                recovery_period=period,
                 recovery_downtime=0.25,
                 belief_half_life=max(2.0, args.duration / 4),
                 action_cooldown=1.0,

@@ -43,6 +43,30 @@ from repro.messaging.priority import MAX_PRIORITY, MIN_PRIORITY
 from repro.overlay.config import DisseminationMethod
 
 
+def zipf_cdf(ranks: int, exponent: float) -> List[float]:
+    """Cumulative Zipf distribution over ``ranks`` ranked destinations
+    (rank r drawn with weight 1 / r**exponent): ``bisect_left`` a uniform
+    draw into it to pick a rank."""
+    weights = [1.0 / ((rank + 1) ** exponent) for rank in range(ranks)]
+    total = sum(weights)
+    cdf, acc = [], 0.0
+    for weight in weights:
+        acc += weight / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def ranked_destinations(sim: Any, nodes: Any, stream: str) -> List[Any]:
+    """``nodes`` in a seed-stable shuffled order, hottest destination
+    first: which nodes run hot varies with the seed, but not between the
+    arms of a sweep, the substrates, or the shards of a cluster (all draw
+    the same named ``stream``)."""
+    ranked = sorted(nodes)
+    sim.rngs.stream(stream).shuffle(ranked)
+    return ranked
+
+
 @dataclass(frozen=True)
 class ClientWorkloadConfig:
     """Shape of the client population's offered load."""
@@ -119,7 +143,7 @@ class ClientTier:
         self.method = method or DisseminationMethod.flooding()
         self.name = name
         self._rng = network.sim.rngs.stream(f"clients:{name}")
-        self._zipf_cdf = self._build_zipf_cdf()
+        self._zipf_cdf = zipf_cdf(len(self.dests), self.config.zipf_exponent)
         self._epoch = 0.0
         self.running = False
         # Offer accounting: every offered message lands in exactly one.
@@ -132,19 +156,6 @@ class ClientTier:
         }
         self.skipped_crashed = 0
         self.unroutable = 0
-
-    def _build_zipf_cdf(self) -> List[float]:
-        weights = [
-            1.0 / ((rank + 1) ** self.config.zipf_exponent)
-            for rank in range(len(self.dests))
-        ]
-        total = sum(weights)
-        cdf, acc = [], 0.0
-        for weight in weights:
-            acc += weight / total
-            cdf.append(acc)
-        cdf[-1] = 1.0
-        return cdf
 
     # ------------------------------------------------------------------
     def start(self) -> None:

@@ -19,10 +19,14 @@ RNG registry) so arms and multipliers cannot perturb one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.clients.generators import ClientTier, ClientWorkloadConfig
+from repro.clients.generators import (
+    ClientTier,
+    ClientWorkloadConfig,
+    ranked_destinations,
+)
 from repro.messaging.admission import AdmissionConfig
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
@@ -93,6 +97,33 @@ OVERLOAD_ADMISSION = AdmissionConfig(
 )
 
 
+# ----------------------------------------------------------------------
+# The sweep driver (shared with repro.clients.slo)
+# ----------------------------------------------------------------------
+def stage_network(
+    *,
+    seed: int,
+    nodes: int,
+    admission: Optional[AdmissionConfig],
+    link_bandwidth_bps: float,
+) -> OverlayNetwork:
+    """A fresh seeded chordal-ring overlay for one sweep stage."""
+    config = OverlayConfig(
+        admission=admission, link_bandwidth_bps=link_bandwidth_bps
+    )
+    topology = generators.chordal_ring(nodes, chords=2, weight=0.001)
+    return OverlayNetwork.build(topology, config, seed=seed)
+
+
+def run_tier(net: OverlayNetwork, tier: Any, duration: float, drain: float) -> None:
+    """Offer ``tier``'s load for ``duration``, then let the network
+    drain with no new offers."""
+    tier.start()
+    net.run(duration)
+    tier.stop()
+    net.run(drain)
+
+
 _ADMISSION_KEYS = (
     "offered",
     "admitted",
@@ -105,103 +136,42 @@ _ADMISSION_KEYS = (
 )
 
 
-def _run_stage(
-    *,
-    seed: int,
-    nodes: int,
-    duration: float,
-    drain: float,
-    multiplier: float,
-    base_rate: float,
-    workload: ClientWorkloadConfig,
-    admission: Optional[AdmissionConfig],
-    method: DisseminationMethod,
-    link_bandwidth_bps: float,
-) -> OverloadStage:
-    config = OverlayConfig(
-        admission=admission, link_bandwidth_bps=link_bandwidth_bps
-    )
-    topology = generators.chordal_ring(nodes, chords=2, weight=0.001)
-    net = OverlayNetwork.build(topology, config, seed=seed)
-
-    # One recorder for the whole client tier, fed by a delivery observer
-    # on every node — client messages are tagged in their payload, so
-    # protocol traffic and any other flows never pollute the numbers.
-    recorder = LatencyRecorder("overload")
-
-    def observe(message: Any, node: Any) -> None:
-        payload = message.payload
-        if isinstance(payload, str) and payload.startswith("clients:"):
-            recorder.record(node.sim.now, node.sim.now - message.sent_at)
-
-    for node in net.nodes.values():
-        node.delivery_observers.append(observe)
-
-    # Rank destinations by a seed-stable shuffle so "which nodes run
-    # hot" varies with the seed but not between the on/off arms.
-    ranked = sorted(net.nodes)
-    net.sim.rngs.stream("overload:dest-rank").shuffle(ranked)
-
-    stage_workload = ClientWorkloadConfig(
-        arrival_rate=base_rate * multiplier,
-        diurnal_amplitude=workload.diurnal_amplitude,
-        diurnal_period=workload.diurnal_period,
-        zipf_exponent=workload.zipf_exponent,
-        burst_shape=workload.burst_shape,
-        burst_max=workload.burst_max,
-        burst_spacing=workload.burst_spacing,
-        clients_per_node=workload.clients_per_node,
-        size_bytes=workload.size_bytes,
-        expire_after=workload.expire_after,
-    )
-    tier = ClientTier(
-        net, sorted(net.nodes), ranked, config=stage_workload, method=method
-    )
-    tier.start()
-    net.run(duration)
-    tier.stop()
-    net.run(drain)
-
+def admission_totals(net: OverlayNetwork) -> Dict[str, int]:
+    """Network-wide offer counters (all zero with admission off)."""
     totals = {key: 0 for key in _ADMISSION_KEYS}
-    if admission is not None:
-        for node in net.nodes.values():
+    for node in net.nodes.values():
+        if node.admission is not None:
             snapshot = node.admission.snapshot()
             for key in _ADMISSION_KEYS:
                 totals[key] += snapshot[key]
-    queue_dropped = sum(
-        link.priority_queue.dropped_for_space
-        for node in net.nodes.values()
-        for link in node.links.values()
-    )
-    queue_expired = sum(
-        link.priority_queue.dropped_expired
-        for node in net.nodes.values()
-        for link in node.links.values()
-    )
-    delivered = recorder.count
-    latencies_ms = sorted(lat * 1000.0 for lat in recorder.latencies())
+    return totals
 
-    def pct(p: float) -> float:
-        if not latencies_ms:
-            return 0.0
-        index = min(len(latencies_ms) - 1, int(round(p / 100.0 * (len(latencies_ms) - 1))))
-        return latencies_ms[index]
 
-    return OverloadStage(
-        multiplier=multiplier,
-        admission=admission is not None,
-        duration=duration,
-        offered=tier.offered,
-        delivered=delivered,
-        goodput_msgs=delivered / duration if duration > 0 else 0.0,
-        p50_ms=pct(50.0),
-        p99_ms=pct(99.0),
-        mean_ms=recorder.mean() * 1000.0,
-        outcomes=dict(tier.outcomes),
-        admission_totals=totals,
-        queue_dropped=queue_dropped,
-        queue_expired=queue_expired,
-    )
+def run_sweep(
+    arms: Sequence[Tuple[str, Any]],
+    multipliers: Sequence[float],
+    run_stage: Callable[[Any, float], Any],
+    progress: Optional[Any] = None,
+) -> List[Any]:
+    """``run_stage(arm, multiplier)`` for every ``(label, arm)`` in
+    ``arms`` x every multiplier, in that order; ``progress`` (if given)
+    is told which stage is about to run."""
+    stages = []
+    for label, arm in arms:
+        for multiplier in multipliers:
+            if progress is not None:
+                progress(f"{label} x{multiplier:g}")
+            stages.append(run_stage(arm, multiplier))
+    return stages
+
+
+def stage_for(stages: Sequence[Any], arm: str, on: bool, multiplier: float) -> Any:
+    """The first stage whose boolean ``arm`` attribute is ``on`` at
+    ``multiplier``, or None."""
+    for stage in stages:
+        if getattr(stage, arm) is on and stage.multiplier == multiplier:
+            return stage
+    return None
 
 
 def run_overload(
@@ -236,60 +206,90 @@ def run_overload(
     )
     admission = admission or OVERLOAD_ADMISSION
     method = DisseminationMethod.k_paths(k)
-    arms: List[Optional[AdmissionConfig]] = [admission]
-    if include_off:
-        arms.append(None)
 
-    stages: List[OverloadStage] = []
-    for arm in arms:
-        for multiplier in multipliers:
-            if progress is not None:
-                progress(
-                    f"admission={'on' if arm is not None else 'off'} "
-                    f"x{multiplier:g}"
-                )
-            stages.append(
-                _run_stage(
-                    seed=seed,
-                    nodes=nodes,
-                    duration=duration,
-                    drain=drain,
-                    multiplier=multiplier,
-                    base_rate=base_rate,
-                    workload=workload,
-                    admission=arm,
-                    method=method,
-                    link_bandwidth_bps=link_bandwidth_bps,
-                )
-            )
+    def run_stage(arm: Optional[AdmissionConfig], multiplier: float) -> OverloadStage:
+        net = stage_network(
+            seed=seed, nodes=nodes, admission=arm,
+            link_bandwidth_bps=link_bandwidth_bps,
+        )
+
+        # One recorder for the whole client tier, fed by a delivery
+        # observer on every node — client messages are tagged in their
+        # payload, so protocol traffic and any other flows never pollute
+        # the numbers.
+        recorder = LatencyRecorder("overload")
+
+        def observe(message: Any, node: Any) -> None:
+            payload = message.payload
+            if isinstance(payload, str) and payload.startswith("clients:"):
+                recorder.record(node.sim.now, node.sim.now - message.sent_at)
+
+        for node in net.nodes.values():
+            node.delivery_observers.append(observe)
+
+        tier = ClientTier(
+            net,
+            sorted(net.nodes),
+            ranked_destinations(net.sim, net.nodes, "overload:dest-rank"),
+            config=replace(workload, arrival_rate=base_rate * multiplier),
+            method=method,
+        )
+        run_tier(net, tier, duration, drain)
+
+        queues = [
+            link.priority_queue
+            for node in net.nodes.values()
+            for link in node.links.values()
+        ]
+        delivered = recorder.count
+        latencies_ms = sorted(lat * 1000.0 for lat in recorder.latencies())
+
+        def pct(p: float) -> float:
+            if not latencies_ms:
+                return 0.0
+            last = len(latencies_ms) - 1
+            return latencies_ms[min(last, int(round(p / 100.0 * last)))]
+
+        return OverloadStage(
+            multiplier=multiplier,
+            admission=arm is not None,
+            duration=duration,
+            offered=tier.offered,
+            delivered=delivered,
+            goodput_msgs=delivered / duration if duration > 0 else 0.0,
+            p50_ms=pct(50.0),
+            p99_ms=pct(99.0),
+            mean_ms=recorder.mean() * 1000.0,
+            outcomes=dict(tier.outcomes),
+            admission_totals=admission_totals(net),
+            queue_dropped=sum(queue.dropped_for_space for queue in queues),
+            queue_expired=sum(queue.dropped_expired for queue in queues),
+        )
+
+    arms: List[Tuple[str, Optional[AdmissionConfig]]] = [("admission=on", admission)]
+    if include_off:
+        arms.append(("admission=off", None))
+    stages: List[OverloadStage] = run_sweep(arms, multipliers, run_stage, progress)
 
     low, high = min(multipliers), max(multipliers)
 
-    def stage_for(arm_on: bool, mult: float) -> Optional[OverloadStage]:
-        for stage in stages:
-            if stage.admission is arm_on and stage.multiplier == mult:
-                return stage
-        return None
-
-    def goodput_ratio(arm_on: bool) -> float:
-        base, peak = stage_for(arm_on, low), stage_for(arm_on, high)
-        if base is None or peak is None or base.goodput_msgs <= 0:
-            return 0.0
-        return peak.goodput_msgs / base.goodput_msgs
-
     def arm_summary(arm_on: bool) -> Dict[str, float]:
-        base, peak = stage_for(arm_on, low), stage_for(arm_on, high)
-        out = {"goodput_ratio": round(goodput_ratio(arm_on), 4)}
-        if base is not None and peak is not None:
-            out["delivery_ratio_at_1x"] = round(
+        base = stage_for(stages, "admission", arm_on, low)
+        peak = stage_for(stages, "admission", arm_on, high)
+        if base is None or peak is None:
+            return {"goodput_ratio": 0.0}
+        ratio = peak.goodput_msgs / base.goodput_msgs if base.goodput_msgs > 0 else 0.0
+        return {
+            "goodput_ratio": round(ratio, 4),
+            "delivery_ratio_at_1x": round(
                 base.delivered / base.offered if base.offered else 0.0, 4
-            )
-            out["delivery_ratio_at_max"] = round(
+            ),
+            "delivery_ratio_at_max": round(
                 peak.delivered / peak.offered if peak.offered else 0.0, 4
-            )
-            out["p50_ms_at_max"] = round(peak.p50_ms, 2)
-            out["p99_ms_at_max"] = round(peak.p99_ms, 2)
-        return out
+            ),
+            "p50_ms_at_max": round(peak.p50_ms, 2),
+            "p99_ms_at_max": round(peak.p99_ms, 2),
+        }
 
     on = arm_summary(True)
     summary: Dict[str, Any] = {

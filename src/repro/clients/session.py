@@ -45,6 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.clients.generators import zipf_cdf
 from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.messaging.admission import AdmissionOutcome, AdmissionState
 from repro.messaging.priority import MAX_PRIORITY, MIN_PRIORITY
@@ -581,15 +582,7 @@ class SessionTier:
         self._arrival_timers: Dict[int, Any] = {}
         self._running = False
         self._rng = net.sim.rngs.stream(f"sessions:{name}")
-        # Zipf CDF over the ranked destinations.
-        exponent = self.workload.zipf_exponent
-        weights = [1.0 / ((rank + 1) ** exponent) for rank in range(len(self.dests))]
-        total = sum(weights)
-        acc, cdf = 0.0, []
-        for weight in weights:
-            acc += weight / total
-            cdf.append(acc)
-        self._zipf_cdf = cdf
+        self._zipf_cdf = zipf_cdf(len(self.dests), self.workload.zipf_exponent)
         # Tier-level outcome accounting.
         self.requests = 0
         self.succeeded = 0

@@ -33,7 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.clients.overload import OVERLOAD_ADMISSION
+from repro.clients.generators import ranked_destinations
+from repro.clients.overload import (
+    OVERLOAD_ADMISSION,
+    admission_totals,
+    run_sweep,
+    run_tier,
+    stage_for,
+    stage_network,
+)
 from repro.clients.session import (
     SessionConfig,
     SessionTier,
@@ -42,9 +50,6 @@ from repro.clients.session import (
 from repro.faults.chaos import ChaosEngine
 from repro.faults.schedule import ChaosSpec
 from repro.messaging.admission import AdmissionConfig
-from repro.overlay.config import OverlayConfig
-from repro.overlay.network import OverlayNetwork
-from repro.topology import generators
 
 #: The SLO sweep's admission tuning: the overload sweep's, but with the
 #: two-key (per-destination) meter enabled — Zipf-hot destinations are
@@ -108,93 +113,6 @@ class SloStage:
         }
 
 
-_ADMISSION_KEYS = (
-    "offered", "admitted", "parked", "rejected",
-    "evicted", "released", "expired", "cleared",
-)
-
-
-def _run_stage(
-    *,
-    seed: int,
-    nodes: int,
-    duration: float,
-    drain: float,
-    multiplier: float,
-    base_rate: float,
-    workload: SessionWorkloadConfig,
-    session: SessionConfig,
-    sessions_on: bool,
-    admission: Optional[AdmissionConfig],
-    intensity: float,
-    link_bandwidth_bps: float,
-) -> SloStage:
-    config = OverlayConfig(
-        admission=admission, link_bandwidth_bps=link_bandwidth_bps
-    )
-    topology = generators.chordal_ring(nodes, chords=2, weight=0.001)
-    net = OverlayNetwork.build(topology, config, seed=seed)
-
-    engine = None
-    if intensity > 0:
-        schedule = ChaosSpec.live_soak(duration, intensity=intensity).generate(
-            topology, seed=seed
-        )
-        engine = ChaosEngine(net, schedule)
-        engine.arm()
-
-    ranked = sorted(net.nodes)
-    net.sim.rngs.stream("slo:dest-rank").shuffle(ranked)
-    stage_workload = SessionWorkloadConfig(
-        arrival_rate=base_rate * multiplier,
-        sessions_per_node=workload.sessions_per_node,
-        zipf_exponent=workload.zipf_exponent,
-        size_bytes=workload.size_bytes,
-        method_k=workload.method_k,
-        session=session,
-    )
-    tier = SessionTier(
-        net, sorted(net.nodes), ranked, workload=stage_workload,
-        name="on" if sessions_on else "off",
-    )
-    tier.start()
-    net.run(duration)
-    tier.stop()
-    net.run(drain)
-    tier.finalize()
-
-    totals = {key: 0 for key in _ADMISSION_KEYS}
-    if admission is not None:
-        for node in net.nodes.values():
-            snap = node.admission.snapshot()
-            for key in _ADMISSION_KEYS:
-                totals[key] += snap[key]
-    snapshot = tier.snapshot()
-    return SloStage(
-        multiplier=multiplier,
-        sessions=sessions_on,
-        duration=duration,
-        requests=snapshot["requests"],
-        succeeded=snapshot["succeeded"],
-        failed=snapshot["failed"],
-        shed=snapshot["shed"],
-        success_ratio=snapshot["success_ratio"],
-        goodput_rps=snapshot["succeeded"] / duration if duration > 0 else 0.0,
-        amplification=snapshot["amplification"],
-        base_offers=snapshot["base_offers"],
-        retry_offers=snapshot["retry_offers"],
-        failovers=snapshot["failovers"],
-        nacks_consumed=snapshot["nacks_consumed"],
-        breaker_opens=snapshot["breaker_opens"],
-        downgraded=snapshot["downgraded"],
-        duplicates_suppressed=snapshot["duplicates_suppressed"],
-        violations=snapshot["invariant_violations"],
-        chaos=dict(engine.counts) if engine is not None else {},
-        tier=snapshot,
-        admission_totals=totals,
-    )
-
-
 def run_slo(
     *,
     seed: int = 0,
@@ -223,45 +141,67 @@ def run_slo(
     workload = workload or SessionWorkloadConfig()
     session = session or workload.session
     admission = admission if admission is not None else SLO_ADMISSION
-    arms: List[bool] = [True]
-    if include_off:
-        arms.append(False)
 
-    stages: List[SloStage] = []
-    for sessions_on in arms:
-        for multiplier in multipliers:
-            if progress is not None:
-                progress(
-                    f"sessions={'on' if sessions_on else 'off'} "
-                    f"x{multiplier:g}"
-                )
-            stages.append(
-                _run_stage(
-                    seed=seed,
-                    nodes=nodes,
-                    duration=duration,
-                    drain=drain,
-                    multiplier=multiplier,
-                    base_rate=base_rate,
-                    workload=workload,
-                    session=session if sessions_on else SESSIONS_OFF,
-                    sessions_on=sessions_on,
-                    admission=admission,
-                    intensity=intensity,
-                    link_bandwidth_bps=link_bandwidth_bps,
-                )
+    def run_stage(sessions_on: bool, multiplier: float) -> SloStage:
+        net = stage_network(
+            seed=seed, nodes=nodes, admission=admission,
+            link_bandwidth_bps=link_bandwidth_bps,
+        )
+        engine = None
+        if intensity > 0:
+            schedule = ChaosSpec.live_soak(duration, intensity=intensity).generate(
+                net.topology, seed=seed
             )
+            engine = ChaosEngine(net, schedule)
+            engine.arm()
+
+        tier = SessionTier(
+            net,
+            sorted(net.nodes),
+            ranked_destinations(net.sim, net.nodes, "slo:dest-rank"),
+            workload=replace(
+                workload,
+                arrival_rate=base_rate * multiplier,
+                session=session if sessions_on else SESSIONS_OFF,
+            ),
+            name="on" if sessions_on else "off",
+        )
+        run_tier(net, tier, duration, drain)
+        tier.finalize()
+
+        snapshot = tier.snapshot()
+        return SloStage(
+            multiplier=multiplier,
+            sessions=sessions_on,
+            duration=duration,
+            requests=snapshot["requests"],
+            succeeded=snapshot["succeeded"],
+            failed=snapshot["failed"],
+            shed=snapshot["shed"],
+            success_ratio=snapshot["success_ratio"],
+            goodput_rps=snapshot["succeeded"] / duration if duration > 0 else 0.0,
+            amplification=snapshot["amplification"],
+            base_offers=snapshot["base_offers"],
+            retry_offers=snapshot["retry_offers"],
+            failovers=snapshot["failovers"],
+            nacks_consumed=snapshot["nacks_consumed"],
+            breaker_opens=snapshot["breaker_opens"],
+            downgraded=snapshot["downgraded"],
+            duplicates_suppressed=snapshot["duplicates_suppressed"],
+            violations=snapshot["invariant_violations"],
+            chaos=dict(engine.counts) if engine is not None else {},
+            tier=snapshot,
+            admission_totals=admission_totals(net),
+        )
+
+    arms = [("sessions=on", True)]
+    if include_off:
+        arms.append(("sessions=off", False))
+    stages: List[SloStage] = run_sweep(arms, multipliers, run_stage, progress)
 
     low, high = min(multipliers), max(multipliers)
-
-    def stage_for(on: bool, mult: float) -> Optional[SloStage]:
-        for stage in stages:
-            if stage.sessions is on and stage.multiplier == mult:
-                return stage
-        return None
-
-    on_base = stage_for(True, low)
-    on_peak = stage_for(True, high)
+    on_base = stage_for(stages, "sessions", True, low)
+    on_peak = stage_for(stages, "sessions", True, high)
     on_stages = [s for s in stages if s.sessions]
     budget = session.retry_budget
     summary: Dict[str, Any] = {
@@ -286,7 +226,7 @@ def run_slo(
         "retries_on": sum(s.retry_offers for s in on_stages),
     }
     if include_off:
-        off_base = stage_for(False, low)
+        off_base = stage_for(stages, "sessions", False, low)
         summary["success_off_at_1x"] = round(
             off_base.success_ratio if off_base else 0.0, 4
         )

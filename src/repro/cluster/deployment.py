@@ -48,11 +48,11 @@ from repro.cluster.membership import (
     next_join_record,
 )
 from repro.cluster.spec import ClusterConfig, ShardSpec, partition_topology
-from repro.cluster.worker import worker_main
+from repro.cluster.worker import _node, worker_main
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import ConfigurationError, LiveRuntimeError
 from repro.faults.schedule import FaultSchedule
-from repro.runtime.live import CHAOS_PRESETS
+from repro.runtime.live import preset_schedule
 from repro.topology.disjoint import max_node_disjoint_paths
 from repro.topology.generators import large_overlay
 from repro.topology.graph import NodeId, Topology
@@ -67,13 +67,6 @@ JOIN_ANCHOR_WEIGHT = 0.01
 
 #: Disjoint-path spot checks on the generated topology: sampled pairs.
 VALIDATE_PAIR_SAMPLES = 6
-
-
-def _node(value: Any) -> Any:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return value
 
 
 class _ShardHandle:
@@ -373,14 +366,7 @@ class ClusterDeployment:
         )
         control_port = self._server.sockets[0].getsockname()[1]
 
-        if config.chaos_preset is not None:
-            spec = CHAOS_PRESETS[config.chaos_preset](
-                duration=config.inject_seconds,
-                intensity=config.chaos_intensity,
-            )
-            self.chaos_schedule = spec.generate(
-                self.topology, seed=config.seed
-            )
+        self.chaos_schedule = preset_schedule(config, self.topology)
 
         # One shared monotonic epoch: every shard's scheduler measures
         # time as CLOCK_MONOTONIC minus this, so a latency stamp written

@@ -125,16 +125,19 @@ class ClusterConfig:
 
 
 def partition_topology(topology: Topology, shards: int) -> List[ShardSpec]:
-    """Contiguous slices of the sorted node list, one per shard.
+    """Contiguous slices of the node list in its natural order
+    (``sorted(topology.nodes)``, the order the runtime boots and plans
+    flows in), one per shard.
 
     Contiguity matters for generated overlays: the circulant core of
     :func:`repro.topology.generators.large_overlay` links ring
     neighbors, so contiguous slices keep most edges shard-internal and
-    only the slice boundaries (plus chords) cross processes.
+    only the slice boundaries (plus chords) cross processes.  A
+    lexicographic order (1, 10, 11, ...) would scatter ring neighbors.
     """
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
-    nodes = sorted(topology.nodes, key=str)
+    nodes = sorted(topology.nodes)
     if shards > len(nodes):
         raise ConfigurationError(
             f"cannot split {len(nodes)} nodes into {shards} shards"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.clients.session import SessionWorkloadConfig
 from repro.cluster.control import control_key, read_frame, write_frame
 from repro.cluster.discovery import SeedDirectory, query_addresses
 from repro.cluster.membership import (
@@ -31,23 +32,15 @@ from repro.cluster.membership import (
     MembershipRecord,
     membership_key,
 )
-from repro.crypto.pki import Pki
 from repro.errors import LiveRuntimeError
-from repro.faults.invariants import InvariantMonitor
 from repro.faults.schedule import FaultSchedule
-from repro.link.por import PorEndpoint
 from repro.messaging.message import Semantics
 from repro.overlay.config import DisseminationMethod
-from repro.overlay.node import OverlayNode
-from repro.runtime.chaos import ChaosUdpTransport, DatagramFaultInjector, LiveChaosEngine
-from repro.runtime.live import LiveConfig, LiveDeployment, NodeProcess, flow_plan
-from repro.runtime.scheduler import AsyncioScheduler
-from repro.runtime.supervision import NodeSupervisor, SupervisionConfig
-from repro.runtime.transport import AsyncioUdpTransport
+from repro.runtime.live import LiveConfig, LiveDeployment
+from repro.runtime.supervision import SupervisionConfig
 from repro.runtime.wire import AddrAnnounce, encode_datagram
-from repro.sim.stats import StatsRegistry
 from repro.topology.graph import NodeId, Topology
-from repro.topology.mtmw import Mtmw, MtmwUpdateResult
+from repro.topology.mtmw import MtmwUpdateResult
 
 #: Seconds between a LEAVE's traffic stop and the node's final kill, so
 #: in-flight messages drain before the socket disappears.
@@ -76,6 +69,13 @@ def _worker_live_config(payload: Dict[str, Any]) -> LiveConfig:
     chaos = (
         FaultSchedule.from_dict(payload["chaos"]) if payload.get("chaos") else None
     )
+    # The shard hosts the session-tier slice homed on its local nodes,
+    # offering its node-share of the cluster-wide rate; destinations
+    # span the full overlay.  Requests to remote destinations are
+    # answered by that destination's own shard's tier — responders only
+    # need the local dedup state.
+    session_rate = float(payload.get("session_rate", 0.0))
+    share = session_rate * len(payload["nodes"]) / len(payload["all_nodes"])
     return LiveConfig(
         nodes=int(payload["total_nodes"]),
         duration=float(payload["duration"]),
@@ -85,6 +85,7 @@ def _worker_live_config(payload: Dict[str, Any]) -> LiveConfig:
         size_bytes=int(payload["size_bytes"]),
         host=str(payload["host"]),
         drain=float(payload["drain"]),
+        sessions=SessionWorkloadConfig(arrival_rate=share) if share > 0 else None,
         chaos=chaos,
         supervision=SupervisionConfig(**payload.get("supervision", {})),
         monitor_invariants=bool(payload.get("monitor_invariants", True)),
@@ -97,7 +98,12 @@ class ShardDeployment(LiveDeployment):
     ``processes`` holds only the shard's local nodes; ``topology``,
     ``pki``, and ``mtmw`` cover the *full* overlay (regenerated
     deterministically), so routing, chaos partitions, and membership
-    updates see the same world every other shard sees.
+    updates see the same world every other shard sees.  Assembly is
+    :class:`LiveDeployment`'s; the shard adds only what crosses the
+    process boundary — the control-plane boot barrier (HELLO ->
+    ADDR_MAP on :meth:`_after_bind`, READY -> START on
+    :meth:`_before_traffic`), the shared clock epoch, seed-node
+    discovery, signed JOIN/LEAVE, and restart re-announcement.
     """
 
     def __init__(
@@ -108,18 +114,17 @@ class ShardDeployment(LiveDeployment):
     ):
         super().__init__(_worker_live_config(payload))
         self.shard_id = int(payload["shard_id"])
-        self.local_nodes: List[NodeId] = [_node(n) for n in payload["nodes"]]
-        self.local_set = set(self.local_nodes)
+        self.local_nodes = [_node(n) for n in payload["nodes"]]
+        self.epoch = float(payload["epoch"])
+        self.tier_name = f"shard{self.shard_id}"
         topo = Topology()
         for node in payload["all_nodes"]:
             topo.add_node(_node(node))
         for a, b, weight in payload["edges"]:
             topo.add_edge(_node(a), _node(b), float(weight))
         self.topology = topo
-        self._epoch = float(payload["epoch"])
         self._key = control_key(int(payload["seed"]))
-        self._mkey = membership_key(int(payload["seed"]))
-        self.ledger = MembershipLedger(self._mkey)
+        self.ledger = MembershipLedger(membership_key(int(payload["seed"])))
         self._reader = reader
         self._writer = writer
         #: shard id -> that shard's bootstrap seed node.
@@ -128,43 +133,21 @@ class ShardDeployment(LiveDeployment):
             for shard, node in payload.get("seed_nodes", {}).items()
         }
         self.heartbeat_interval = float(payload.get("heartbeat_interval", 0.5))
-        self._flow_stride = max(1, int(payload.get("flow_stride", 1)))
-        self._session_rate = float(payload.get("session_rate", 0.0))
-        #: node -> (host, port) for every node in the cluster (from the
-        #: coordinator's address map; updated by announces/joins).
-        self.addresses: Dict[NodeId, Tuple[str, int]] = {}
+        self.flow_stride = max(1, int(payload.get("flow_stride", 1)))
         self.joined: List[NodeId] = []
         self.departed: List[NodeId] = []
+        #: Set once the address map is known; membership and restart
+        #: handlers only run after that.
         self.directory: Optional[SeedDirectory] = None
-        self._flow_meta: List[Dict[str, Any]] = []
         self._join_nonce = 0
 
     # ------------------------------------------------------------------
     # Boot (control-plane two-phase: HELLO -> ADDR_MAP -> READY -> START)
     # ------------------------------------------------------------------
-    async def _boot(self) -> None:
-        config = self.config
-        loop = asyncio.get_event_loop()
-        loop.set_exception_handler(self._on_loop_exception)
-        self.scheduler = AsyncioScheduler(
-            seed=config.seed, loop=loop, epoch=self._epoch
-        )
-        self.pki = Pki(mode=config.overlay.crypto.pki_mode, seed=config.seed)
-        for node_id in self.topology.nodes:
-            self.pki.register(node_id)
-        self.mtmw = Mtmw.create(self.topology, self.pki)
-        self.chaos_schedule = self._resolve_chaos()
-        if self.chaos_schedule is not None:
-            self.injector = DatagramFaultInjector(
-                self.scheduler.rngs.stream("live-chaos")
-            )
-
-        # Phase 1: bind the *local* nodes only.
-        for node_id in sorted(self.local_nodes):
-            await self._boot_node(node_id, self.mtmw)
-
-        # Control-plane handshake: tell the coordinator where our nodes
-        # landed; learn where everyone else's landed.
+    async def _after_bind(self) -> None:
+        """Tell the coordinator where our nodes landed; learn where
+        everyone else's landed (``addresses`` then covers the cluster
+        and is kept current by announces/joins)."""
         await self._send(
             {
                 "kind": "hello",
@@ -175,157 +158,27 @@ class ShardDeployment(LiveDeployment):
                 },
             }
         )
-        frame = await read_frame(self._reader, self._key)
-        if frame.get("kind") != "addr_map":
-            raise LiveRuntimeError(
-                f"expected addr_map, got {frame.get('kind')!r}"
-            )
+        frame = await self._expect("addr_map")
         self.addresses = {
             _node(node): (addr[0], int(addr[1]))
             for node, addr in frame["addresses"].items()
         }
-
-        # Phase 2: one PoR half per (local endpoint, MTMW edge) — the
-        # remote half lives in whichever process hosts the other end.
-        for a, b in self.topology.edges():
-            if a in self.local_set:
-                self._wire_half(a, b)
-            if b in self.local_set:
-                self._wire_half(b, a)
-        for process in self.processes.values():
-            process.overlay.start()
-
         # The shard's first node doubles as its bootstrap seed node.
         self.directory = SeedDirectory(
             self.processes[self.local_nodes[0]].transport, self.addresses
         )
 
-        if config.monitor_invariants:
-            self.monitor = InvariantMonitor(
-                self, check_interval=config.invariant_check_interval
-            )
-            self.monitor.arm()
-        self.supervisor = NodeSupervisor(self, config.supervision)
-        self.supervisor.arm()
-        if self.chaos_schedule is not None:
-            assert self.injector is not None
-            self.chaos_engine = LiveChaosEngine(
-                self, self.chaos_schedule, self.injector, self.supervisor
-            )
-
+    async def _before_traffic(self) -> None:
+        """Cluster-wide barrier: no shard arms chaos or offers traffic
+        until every shard is wired."""
         await self._send({"kind": "ready", "shard": self.shard_id})
+        await self._expect("start")
+
+    async def _expect(self, kind: str) -> Dict[str, Any]:
         frame = await read_frame(self._reader, self._key)
-        if frame.get("kind") != "start":
-            raise LiveRuntimeError(f"expected start, got {frame.get('kind')!r}")
-
-        if self.chaos_engine is not None:
-            self.chaos_engine.arm()
-        self._started_at = loop.time()
-        self._start_traffic()
-
-    async def _boot_node(self, node_id: NodeId, mtmw: Mtmw) -> None:
-        """Bind one local node's socket and build its protocol stack."""
-        config = self.config
-        stats = StatsRegistry(self.scheduler)
-        if not self.processes:
-            self.pki.attach_metrics(stats.metrics)
-        if self.injector is not None:
-            transport: AsyncioUdpTransport = await ChaosUdpTransport.open(
-                node_id, host=config.host, metrics=stats.metrics,
-                injector=self.injector,
-            )
-        else:
-            transport = await AsyncioUdpTransport.open(
-                node_id, host=config.host, metrics=stats.metrics
-            )
-        transport.on_dispatch_error = (
-            lambda exc, _node=node_id: self._on_dispatch_error(_node, exc)
-        )
-        overlay = OverlayNode(
-            self.scheduler, node_id, mtmw, self.pki, config.overlay, stats
-        )
-        self.processes[node_id] = NodeProcess(
-            node_id, self.scheduler, transport, overlay, stats
-        )
-
-    def _wire_half(self, local: NodeId, remote: NodeId) -> None:
-        """This process's half of the PoR link ``local <-> remote``.
-
-        Both halves derive the same link secret from the seed, so each
-        side establishing out-of-band independently yields a working
-        authenticated link — no cross-process handshake needed at boot.
-        """
-        process = self.processes[local]
-        process.transport.register_peer(remote, self.addresses[remote])
-        endpoint = PorEndpoint(
-            self.scheduler,
-            local,
-            remote,
-            process.transport.send_channel(remote, coalesce=True),
-            process.transport.receive_channel(remote),
-            self.pki,
-            config=self.config.overlay.por,
-        )
-        endpoint.establish_out_of_band()
-        endpoint.attach_mac_counters(process.stats.metrics)
-        process.overlay.attach_link(remote, endpoint)
-
-    def _start_traffic(self) -> None:
-        """The global flow plan, thinned by ``flow_stride`` (every shard
-        computes the same plan, so the stride selects the same flows
-        everywhere), then filtered to locally sourced flows (the
-        destination may be remote; delivery lands in its shard's stats)."""
-        plan = flow_plan(sorted(self.topology.nodes))
-        for index, (source, dest, semantics) in enumerate(plan):
-            if index % self._flow_stride:
-                continue
-            if source in self.local_set:
-                self._launch_flow(source, dest, semantics, post_join=False)
-        if self._session_rate > 0:
-            from repro.clients.session import SessionTier, SessionWorkloadConfig
-
-            # The shard hosts the tier slice homed on its local nodes;
-            # destinations span the full overlay (ranked with the same
-            # seed-stable stream as every other shard, so all slices
-            # agree on which destinations are hot).  Requests to remote
-            # destinations are answered by that destination's own
-            # shard's tier — responders only need the local dedup state.
-            all_nodes = sorted(self.topology.nodes)
-            ranked = list(all_nodes)
-            self.sim.rngs.stream("slo:dest-rank").shuffle(ranked)
-            share = self._session_rate * len(self.local_nodes) / len(all_nodes)
-            self.session_tier = SessionTier(
-                self,
-                sorted(self.local_nodes),
-                ranked,
-                workload=SessionWorkloadConfig(arrival_rate=share),
-                name=f"shard{self.shard_id}",
-            )
-            self.session_tier.start()
-
-    def _launch_flow(
-        self,
-        source: NodeId,
-        dest: NodeId,
-        semantics: Semantics,
-        post_join: bool,
-    ) -> None:
-        from repro.workloads.traffic import CbrTraffic
-
-        config = self.config
-        generator = CbrTraffic(
-            self,
-            source,
-            dest,
-            rate_bps=config.rate_msgs_per_sec * config.size_bytes * 8.0,
-            size_bytes=config.size_bytes,
-            semantics=semantics,
-            method=config.method,
-        )
-        self.traffic.append(generator)
-        self._flow_specs.append((source, dest, semantics))
-        self._flow_meta.append({"post_join": post_join})
-        generator.start()
+        if frame.get("kind") != kind:
+            raise LiveRuntimeError(f"expected {kind}, got {frame.get('kind')!r}")
+        return frame
 
     # ------------------------------------------------------------------
     # Run loop: serve control frames until STOP
@@ -340,15 +193,12 @@ class ShardDeployment(LiveDeployment):
         deadline = loop.time() + config.duration + STOP_DEADLINE_SLACK
         try:
             while True:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    self._record_error(
-                        "control plane: no STOP before deadline; self-stopping"
-                    )
-                    return
                 try:
+                    # A non-positive timeout (deadline already passed)
+                    # times out at once.
                     frame = await asyncio.wait_for(
-                        read_frame(self._reader, self._key), timeout
+                        read_frame(self._reader, self._key),
+                        deadline - loop.time(),
                     )
                 except asyncio.TimeoutError:
                     self._record_error(
@@ -371,12 +221,6 @@ class ShardDeployment(LiveDeployment):
         finally:
             heartbeats.cancel()
 
-    def _stop_injection(self) -> None:
-        for generator in self.traffic:
-            generator.stop()
-        if self.session_tier is not None:
-            self.session_tier.stop()
-
     async def _heartbeats(self) -> None:
         try:
             while True:
@@ -388,8 +232,6 @@ class ShardDeployment(LiveDeployment):
                         "now": self.scheduler.now if self.scheduler else 0.0,
                     }
                 )
-        except asyncio.CancelledError:
-            raise
         except (ConnectionError, OSError):
             return
 
@@ -401,13 +243,6 @@ class ShardDeployment(LiveDeployment):
     # ------------------------------------------------------------------
     async def _handle_join(self, frame: Dict[str, Any]) -> None:
         record = MembershipRecord.from_dict(frame["record"])
-        record = MembershipRecord(
-            record.action,
-            _node(record.node),
-            record.seqno,
-            tuple((_node(peer), weight) for peer, weight in record.links),
-            record.signature,
-        )
         hosting = int(frame.get("host_shard", -1)) == self.shard_id
         result = self.ledger.consider(record)
         if result is not MtmwUpdateResult.ACCEPTED:
@@ -442,32 +277,31 @@ class ShardDeployment(LiveDeployment):
         # MTMW over existing links — remote nodes converge both ways).
         for node_id, process in list(self.processes.items()):
             process.overlay.adopt_mtmw(self.mtmw)
-        if self.directory is not None and record.node in self.addresses:
+        if record.node in self.addresses:
             self.directory.update(record.node, self.addresses[record.node])
 
         if hosting:
             await self._boot_joiner(record)
         elif record.node in self.addresses:
             # Wire the local halves of the joiner's anchor links.
-            joiner_address = self.addresses[record.node]
+            # (A departed local node keeps its ``processes`` entry for
+            # the report, but its transport is gone.)
             for peer, _weight in record.links:
-                if peer in self.local_set:
-                    process = self.processes[peer]
-                    process.transport.register_peer(record.node, joiner_address)
-                    self._wire_half(peer, record.node)
+                if peer in self.processes and peer not in self.departed:
+                    self._wire_half(
+                        peer, record.node, self.addresses[record.node]
+                    )
 
     async def _boot_joiner(self, record: MembershipRecord) -> None:
         """Boot the joining node in this shard and report its address."""
         node_id = record.node
-        await self._boot_node(node_id, self.mtmw)
+        await self._boot_node(node_id)
         process = self.processes[node_id]
-        self.local_set.add(node_id)
         self.local_nodes.append(node_id)
         self.joined.append(node_id)
         address = process.address
         self.addresses[node_id] = address
-        if self.directory is not None:
-            self.directory.update(node_id, address)
+        self.directory.update(node_id, address)
 
         # Bootstrap discovery: resolve anchor addresses through the
         # shard's seed node over the UDP data plane (the address map is
@@ -493,27 +327,13 @@ class ShardDeployment(LiveDeployment):
                     f"join: no address for anchor {peer!r}; link skipped"
                 )
                 continue
-            process.transport.register_peer(peer, peer_address)
-            endpoint = PorEndpoint(
-                self.scheduler,
-                node_id,
-                peer,
-                process.transport.send_channel(peer, coalesce=True),
-                process.transport.receive_channel(peer),
-                self.pki,
-                config=self.config.overlay.por,
-            )
-            endpoint.establish_out_of_band()
-            endpoint.attach_mac_counters(process.stats.metrics)
-            process.overlay.attach_link(peer, endpoint)
+            self._wire_half(node_id, peer, peer_address)
             # Anchor peers hosted in this shard wire their halves now;
             # remote anchors wire theirs when the broadcast reaches them.
-            if peer in self.local_set:
-                self.processes[peer].transport.register_peer(node_id, address)
-                self._wire_half(peer, node_id)
+            if peer in self.processes and peer not in self.departed:
+                self._wire_half(peer, node_id, address)
         process.overlay.start()
-        if self.supervisor is not None:
-            self.supervisor.adopt(node_id)
+        self.supervisor.adopt(node_id)
         if self.monitor is not None:
             self.monitor.watch(process.overlay)
 
@@ -521,12 +341,8 @@ class ShardDeployment(LiveDeployment):
         # reliable flow aimed across the overlay (gated as post-join).
         others = [n for n in sorted(self.topology.nodes) if n != node_id]
         if others:
-            self._launch_flow(
-                node_id, others[len(others) // 2], Semantics.PRIORITY, True
-            )
-            self._launch_flow(
-                node_id, others[len(others) // 3], Semantics.RELIABLE, True
-            )
+            self._launch_flow(node_id, others[len(others) // 2], Semantics.PRIORITY)
+            self._launch_flow(node_id, others[len(others) // 3], Semantics.RELIABLE)
         await self._send(
             {
                 "kind": "join_ack",
@@ -539,58 +355,39 @@ class ShardDeployment(LiveDeployment):
 
     def _handle_leave(self, frame: Dict[str, Any]) -> None:
         record = MembershipRecord.from_dict(frame["record"])
-        record = MembershipRecord(
-            record.action,
-            _node(record.node),
-            record.seqno,
-            (),
-            record.signature,
-        )
         if self.ledger.consider(record) is not MtmwUpdateResult.ACCEPTED:
             return
         node = record.node
-        new_topo = Topology()
-        for n in self.topology.nodes:
-            if n != node:
-                new_topo.add_node(n)
-        for a, b in self.topology.edges():
-            if node not in (a, b):
-                new_topo.add_edge(a, b, self.topology.weight(a, b))
+        new_topo = self.topology.copy()
+        new_topo.remove_node(node)
         self.topology = new_topo
         self.mtmw = self.mtmw.successor(new_topo, self.pki)
         # Flows touching the leaver stop everywhere: its own sources
         # drain out, and remote sources must not keep offering traffic
         # to a destination the successor MTMW no longer routes to.
-        for generator, (source, dest, _sem) in zip(
-            self.traffic, self._flow_specs
-        ):
-            if node in (source, dest):
+        for generator in self.traffic:
+            if node in (generator.source, generator.dest):
                 generator.stop()
-        if node in self.local_set:
+        if node in self.processes:
             # Drain discipline: traffic stopped above; let in-flight
             # messages land, then retire the node for good.
             self.departed.append(node)
-            self.local_set.discard(node)
-            self.scheduler.schedule(LEAVE_DRAIN_GRACE, self._retire, node)
-        if self.directory is not None:
-            self.directory.forget(node)
+            self.scheduler.schedule(
+                LEAVE_DRAIN_GRACE, self.supervisor.retire, node
+            )
+        self.directory.forget(node)
         self.addresses.pop(node, None)
         for node_id, process in self.processes.items():
             if node_id != node:
                 process.overlay.adopt_mtmw(self.mtmw)
 
-    def _retire(self, node: NodeId) -> None:
-        if self.supervisor is not None:
-            self.supervisor.retire(node)
-
     # ------------------------------------------------------------------
     # Cross-shard restart re-announcement
     # ------------------------------------------------------------------
     def announce_restart(self, node_id: NodeId, address: Any) -> None:
-        address = (address[0], int(address[1]))
-        self.addresses[node_id] = address
-        if self.directory is not None:
-            self.directory.update(node_id, address)
+        super().announce_restart(node_id, address)
+        address = self.addresses[node_id]
+        self.directory.update(node_id, address)
         # Reliable path: the coordinator relays a peer_update to every
         # other shard.
         asyncio.get_event_loop().create_task(
@@ -626,8 +423,7 @@ class ShardDeployment(LiveDeployment):
         node = _node(frame["node"])
         address = (frame["address"][0], int(frame["address"][1]))
         self.addresses[node] = address
-        if self.directory is not None:
-            self.directory.update(node, address)
+        self.directory.update(node, address)
         for process in self.processes.values():
             try:
                 process.transport.update_peer_address(node, address)
@@ -650,79 +446,30 @@ class ShardDeployment(LiveDeployment):
         so flows carry only the send side; the coordinator joins them
         against every shard's per-node latency recorders.
         """
-        flows = [
-            {
-                "source": source,
-                "dest": dest,
-                "semantics": semantics.value,
-                "sent": generator.messages_sent,
-                "post_join": meta["post_join"],
-            }
-            for generator, (source, dest, semantics), meta in zip(
-                self.traffic, self._flow_specs, self._flow_meta
-            )
-        ]
-        transport_totals = {
-            "datagrams_received": 0,
-            "bytes_received": 0,
-            "decode_errors": 0,
-            "misdirected": 0,
-            "unknown_sender": 0,
-            "encode_errors": 0,
-            "dispatch_errors": 0,
-            "send_errors": 0,
-            "send_retries": 0,
-            "send_drops": 0,
-            "datagrams_drained": 0,
-        }
-        for process in self.processes.values():
-            transport = process.transport
-            for key in transport_totals:
-                transport_totals[key] += getattr(transport, key)
-        runtime_errors = list(self._runtime_errors)
-        if self._errors_dropped:
-            runtime_errors.append(
-                f"... {self._errors_dropped} further runtime error(s) dropped"
-            )
-        chaos_summary = None
-        if self.chaos_engine is not None:
-            chaos_summary = self.chaos_engine.summary()
-            chaos_summary["injector"] = self.injector.summary()
-            chaos_summary["schedule_counts"] = self.chaos_schedule.counts()
         return {
             "shard": self.shard_id,
             "nodes": [n for n in sorted(self.local_nodes, key=str)],
             "joined": list(self.joined),
             "departed": list(self.departed),
             "wall_seconds": self.scheduler.now if self.scheduler else 0.0,
-            "flows": flows,
-            "per_node": {
-                str(node_id): process.snapshot()
-                for node_id, process in sorted(
-                    self.processes.items(), key=lambda item: str(item[0])
-                )
-            },
-            "transport": transport_totals,
-            "runtime_errors": runtime_errors,
-            "chaos": chaos_summary,
-            "supervision": (
-                self.supervisor.summary() if self.supervisor is not None else None
-            ),
-            "invariants": (
-                self.monitor.summary() if self.monitor is not None else None
-            ),
+            "flows": [
+                {
+                    "source": generator.source,
+                    "dest": generator.dest,
+                    "semantics": generator.semantics.value,
+                    "sent": generator.messages_sent,
+                    # Joiners (fresh ids, never boot-plan sources) are
+                    # gated separately by the coordinator.
+                    "post_join": generator.source in self.joined,
+                }
+                for generator in self.traffic
+            ],
             "membership": self.ledger.summary(),
-            "sessions": (
-                self.session_tier.snapshot()
-                if self.session_tier is not None
-                else None
-            ),
-            "failed": self._failed,
+            **self._report_sections(),
         }
 
 
 async def _worker(payload: Dict[str, Any]) -> None:
-    key = control_key(int(payload["seed"]))
     reader, writer = await asyncio.open_connection(
         payload["control_host"], int(payload["control_port"])
     )
@@ -739,14 +486,12 @@ async def _worker(payload: Dict[str, Any]) -> None:
         finally:
             await deployment.stop()
         try:
-            await write_frame(
-                writer,
-                key,
+            await deployment._send(
                 {
                     "kind": "report",
                     "shard": deployment.shard_id,
                     "report": deployment.shard_report(),
-                },
+                }
             )
         except (ConnectionError, OSError):
             pass  # coordinator gone; exit code still tells the story

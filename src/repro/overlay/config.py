@@ -68,11 +68,8 @@ class DefenseConfig:
     Everything that decides *when the overlay defends itself* lives
     here: link-quarantine probing and probation, the proactive-recovery
     rotation, and the knobs of the adaptive two-level feedback
-    controller (:mod:`repro.resilience.adaptive`).  Before this block
-    existed the quarantine constants were flat ``OverlayConfig`` fields
-    and the recovery cadence was passed ad hoc to
-    :class:`~repro.resilience.recovery.ProactiveRecovery`; unifying them
-    keeps sim and live substrates reading the same validated numbers.
+    controller (:mod:`repro.resilience.adaptive`), so the sim and live
+    substrates read the same validated numbers.
     """
 
     # Liveness probing and link quarantine (self-healing).  A link whose

@@ -16,7 +16,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.byzantine.behaviors import Behavior
 from repro.crypto.pki import Pki
 from repro.errors import TopologyError
-from repro.link.por import connect_por_pair
 from repro.messaging.message import Message
 from repro.overlay.config import OverlayConfig
 from repro.overlay.node import OverlayNode
@@ -123,13 +122,8 @@ class OverlayNetwork:
             ba = Channel(sim, channel_config, name=f"{b}->{a}")
             channels[(a, b)] = ab
             channels[(b, a)] = ba
-            end_a, end_b = connect_por_pair(
-                sim, a, b, ab, ba, pki, config=config.por
-            )
-            end_a.attach_mac_counters(stats.metrics)
-            end_b.attach_mac_counters(stats.metrics)
-            nodes[a].attach_link(b, end_a)
-            nodes[b].attach_link(a, end_b)
+            nodes[a].connect(b, ab, ba)
+            nodes[b].connect(a, ba, ab)
         network = cls(sim, topology, mtmw, pki, config, stats, nodes, channels)
         for node in nodes.values():
             node.start()

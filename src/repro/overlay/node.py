@@ -383,8 +383,29 @@ class OverlayNode:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+    def connect(self, neighbor: NodeId, tx: Any, rx: Any) -> LinkSender:
+        """Build this node's half of the PoR link to ``neighbor`` over
+        the ``tx``/``rx`` transport halves, and attach it.
+
+        The one link-half recipe every substrate shares: the endpoint is
+        keyed out of band from the PKI (both halves derive the same link
+        secret from the seed, so each side keys itself — no cross-process
+        handshake at boot) and its MAC operations count into this node's
+        registry.  ``tx``/``rx`` are simulated channels or UDP halves.
+        Raises :class:`ConfigurationError` for a non-neighbor.
+        """
+        por = PorEndpoint(
+            self.sim, self.node_id, neighbor, tx, rx, self.pki,
+            config=self.config.por,
+        )
+        por.establish_out_of_band()
+        por.attach_mac_counters(self.stats.metrics)
+        return self.attach_link(neighbor, por)
+
     def attach_link(self, neighbor: NodeId, por: PorEndpoint) -> LinkSender:
-        """Wire a PoR endpoint to an MTMW neighbor as an outgoing link."""
+        """Wire a pre-built PoR endpoint to an MTMW neighbor as an
+        outgoing link (tests and microbenchmarks inject their own
+        endpoints; deployments use :meth:`connect`)."""
         if not self.mtmw.are_neighbors(self.node_id, neighbor):
             raise ConfigurationError(
                 f"{self.node_id!r} and {neighbor!r} are not MTMW neighbors"

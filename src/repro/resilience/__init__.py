@@ -13,11 +13,11 @@ The overlay's channels ride on an *underlay* of multiple ISP networks:
 * :mod:`repro.resilience.variants` — diverse software-variant assignment
   (Newell et al., DSN'13) maximizing connectivity when one variant is
   compromised;
-* :mod:`repro.resilience.recovery` — proactive recovery: periodically
-  restore each node from a clean state with a fresh variant;
-* :mod:`repro.resilience.adaptive` — feedback-controlled defense:
-  telemetry-driven compromise beliefs steering recovery timing and
-  quarantine vigilance under a global downtime budget.
+* :mod:`repro.resilience.adaptive` — proactive recovery (periodically
+  restore each node from a clean state with a fresh variant) under a
+  feedback-controlled defense: telemetry-driven compromise beliefs
+  steering recovery timing and quarantine vigilance under a global
+  downtime budget; ``adaptive=False`` is the paper's fixed rotation.
 """
 
 from repro.resilience.adaptive import (
@@ -29,7 +29,6 @@ from repro.resilience.adaptive import (
 )
 from repro.resilience.bgp import BgpHijack
 from repro.resilience.ddos import RotatingLinkAttack
-from repro.resilience.recovery import ProactiveRecovery
 from repro.resilience.underlay import Underlay
 from repro.resilience.variants import (
     assign_variants,
@@ -40,7 +39,6 @@ __all__ = [
     "Underlay",
     "BgpHijack",
     "RotatingLinkAttack",
-    "ProactiveRecovery",
     "AdaptiveDefense",
     "BeliefEstimator",
     "GlobalBudget",

@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.byzantine.behaviors import HonestBehavior
 from repro.errors import ConfigurationError
 from repro.overlay.config import DefenseConfig
-from repro.resilience.recovery import record_recovery_downtime
 from repro.resilience.variants import VariantPool
 from repro.sim.engine import PeriodicTimer
 
@@ -251,8 +250,8 @@ class SimRecoveryActuator:
     """Recovery actuation on the simulated substrate: crash/restore via
     :class:`~repro.overlay.network.OverlayNetwork`, assigning a fresh
     software variant and clearing any installed Byzantine behaviour on
-    every reinstall — the same semantics as
-    :class:`~repro.resilience.recovery.ProactiveRecovery`."""
+    every reinstall (Section V-D: a recovered node is honest, on a
+    never-used build, until compromised again)."""
 
     def __init__(
         self,
@@ -352,6 +351,14 @@ class AdaptiveDefense:
         if not self._order:
             raise ConfigurationError("deployment has no nodes to defend")
         self.slot = self.period / len(self._order)
+        if not adaptive and self.downtime > self.slot:
+            # The fixed rotation takes a node down every slot; reinstalls
+            # longer than a slot would overlap, and the budget would then
+            # serialize them into a rotation slower than the stated period.
+            raise ConfigurationError(
+                "period too short: reinstalls would overlap in downtime "
+                f"(need period >= downtime * {len(self._order)})"
+            )
         self.estimator = BeliefEstimator(self.config)
         self.budget = GlobalBudget(
             self.config.max_concurrent_down, self.config.max_tightened_nodes
@@ -612,8 +619,14 @@ class AdaptiveDefense:
         self.recoveries_completed += 1
         down_at = self._down_at.pop(node_id, None)
         if down_at is not None:
-            self.total_downtime_seconds += now - down_at
-        record_recovery_downtime(self.stats, node_id, down_at, now)
+            # One completed reinstall's downtime: a per-node series plus
+            # the aggregate gauge and counter that ``repro stats``
+            # reports downtime budgets from.
+            downtime = now - down_at
+            self.total_downtime_seconds += downtime
+            self.stats.series(f"recovery-downtime:{node_id}").record(now, downtime)
+            self.stats.metrics.gauge("recovery.downtime_seconds_total").add(downtime)
+            self.stats.counter("recovery.completed").add()
         self.stats.metrics.trace.event(now, "defense.restore", str(node_id))
         self.stats.metrics.gauge("defense.concurrent_down").set(
             len(self.budget.down)

@@ -29,13 +29,16 @@ import signal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.clients.generators import ClientTier, ClientWorkloadConfig
+from repro.clients.generators import (
+    ClientTier,
+    ClientWorkloadConfig,
+    ranked_destinations,
+)
 from repro.clients.session import SessionTier, SessionWorkloadConfig
 from repro.crypto.pki import Pki
 from repro.errors import ConfigurationError, LiveRuntimeError
 from repro.faults.invariants import InvariantMonitor
 from repro.faults.schedule import ChaosSpec, FaultSchedule
-from repro.link.por import PorEndpoint
 from repro.messaging.message import Semantics
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.node import OverlayNode
@@ -56,6 +59,21 @@ from repro.workloads.traffic import CbrTraffic
 #: Cap on recorded runtime errors: a poisoned receive handler fires per
 #: datagram, and an unbounded error list would dwarf the report.
 MAX_RUNTIME_ERRORS = 50
+
+#: Per-socket transport counters summed into a report's ``transport`` row.
+TRANSPORT_COUNTERS = (
+    "datagrams_received",
+    "bytes_received",
+    "decode_errors",
+    "misdirected",
+    "unknown_sender",
+    "encode_errors",
+    "dispatch_errors",
+    "send_errors",
+    "send_retries",
+    "send_drops",
+    "datagrams_drained",
+)
 
 #: ``LiveConfig.chaos_preset`` values -> schedule factories.
 CHAOS_PRESETS = {
@@ -371,6 +389,18 @@ def live_topology(n: int) -> Topology:
     return generators.chordal_ring(n, chords=2, weight=0.001)
 
 
+def preset_schedule(config: Any, topology: Topology) -> Optional[FaultSchedule]:
+    """The named ``config.chaos_preset`` generated over the run's inject
+    window from the run seed (None without a preset).  ``config`` is a
+    :class:`LiveConfig` or a cluster's ``ClusterConfig``."""
+    if config.chaos_preset is None:
+        return None
+    spec = CHAOS_PRESETS[config.chaos_preset](
+        duration=config.inject_seconds, intensity=config.chaos_intensity
+    )
+    return spec.generate(topology, seed=config.seed)
+
+
 class LiveDeployment:
     """A fully wired live overlay on localhost (see module docstring).
 
@@ -393,9 +423,29 @@ class LiveDeployment:
         self.scheduler: Optional[AsyncioScheduler] = None
         self.pki: Optional[Pki] = None
         self.mtmw: Optional[Mtmw] = None
+        #: The nodes this deployment binds sockets and runs stacks for;
+        #: None means every topology node, resolved in :meth:`start`
+        #: (callers assign ``topology`` after construction).  A cluster
+        #: shard hosts a slice; ``topology``/``pki``/``mtmw`` always
+        #: cover the full overlay.
+        self.local_nodes: Optional[List[NodeId]] = None
+        #: Shared clock origin (None: this loop's "now"); cluster shards
+        #: set the coordinator-distributed epoch.
+        self.epoch: Optional[float] = None
+        #: Source every Nth flow of the plan (every process hosting part
+        #: of the overlay computes the same plan, so a stride selects the
+        #: same flows everywhere).
+        self.flow_stride = 1
+        #: Names the session tier's RNG stream and idempotency keys;
+        #: distinct per shard of a cluster.
+        self.tier_name = "sessions"
         self.processes: Dict[NodeId, NodeProcess] = {}
+        #: node -> (host, port) of every node this deployment wires
+        #: links to: the local binds, plus whatever :meth:`_after_bind`
+        #: learned about remote ones.
+        self.addresses: Dict[NodeId, Tuple[str, int]] = {}
+        self._stats: Optional[StatsRegistry] = None
         self.traffic: List[CbrTraffic] = []
-        self._flow_specs: List[Tuple[NodeId, NodeId, Semantics]] = []
         self.client_tier: Optional[ClientTier] = None
         self.session_tier: Optional[SessionTier] = None
         self._interrupted = False
@@ -437,10 +487,10 @@ class LiveDeployment:
     @property
     def stats(self) -> StatsRegistry:
         """The deployment-wide registry (ChaosEngine duck-typing): the
-        first node's, by the same convention the shared PKI uses."""
-        if not self.processes:
+        one the shared PKI's crypto counters were attached to."""
+        if self._stats is None:
             raise LiveRuntimeError("deployment not started")
-        return self.processes[min(self.processes, key=str)].stats
+        return self._stats
 
     def crash(self, node_id: NodeId) -> None:
         """Lose a node's overlay soft state (supervisor kill path).
@@ -456,8 +506,9 @@ class LiveDeployment:
         """Supervisor hook after a node rebinds.  All neighbors live in
         this process for a single-loop deployment, so the supervisor's
         direct re-pointing already covered them; a sharded cluster
-        deployment overrides this to relay the new address to remote
+        deployment extends this to relay the new address to remote
         shards over the control plane."""
+        self.addresses[node_id] = (address[0], int(address[1]))
 
     # ------------------------------------------------------------------
     # Boot
@@ -482,78 +533,44 @@ class LiveDeployment:
         config = self.config
         loop = asyncio.get_event_loop()
         loop.set_exception_handler(self._on_loop_exception)
-        self.scheduler = AsyncioScheduler(seed=config.seed, loop=loop)
+        self.scheduler = AsyncioScheduler(
+            seed=config.seed, loop=loop, epoch=self.epoch
+        )
         self.pki = Pki(mode=config.overlay.crypto.pki_mode, seed=config.seed)
         for node_id in self.topology.nodes:
             self.pki.register(node_id)
         self.mtmw = Mtmw.create(self.topology, self.pki)
-        self.chaos_schedule = self._resolve_chaos()
+        # The run's fault schedule: explicit, from a preset, or none.
+        self.chaos_schedule = config.chaos
+        if self.chaos_schedule is None:
+            self.chaos_schedule = preset_schedule(config, self.topology)
         if self.chaos_schedule is not None:
             self.injector = DatagramFaultInjector(
                 self.scheduler.rngs.stream("live-chaos")
             )
+        if self.local_nodes is None:
+            self.local_nodes = sorted(self.topology.nodes)
 
-        # Phase 1: bind every node's socket (ephemeral ports: the OS
-        # guarantees no collisions, and the MTMW does not care about
+        # Phase 1: bind every local node's socket (ephemeral ports: the
+        # OS guarantees no collisions, and the MTMW does not care about
         # port numbers).
-        for node_id in sorted(self.topology.nodes):
-            stats = StatsRegistry(self.scheduler)
-            if not self.processes:
-                # The PKI is shared process-wide, so its crypto-op
-                # counters can only live in one registry; credit them to
-                # the first node (attach_metrics replaces, not adds).
-                self.pki.attach_metrics(stats.metrics)
-            if self.injector is not None:
-                transport: AsyncioUdpTransport = await ChaosUdpTransport.open(
-                    node_id, host=config.host, metrics=stats.metrics,
-                    injector=self.injector,
-                )
-            else:
-                transport = await AsyncioUdpTransport.open(
-                    node_id, host=config.host, metrics=stats.metrics
-                )
-            transport.on_dispatch_error = (
-                lambda exc, _node=node_id: self._on_dispatch_error(_node, exc)
-            )
-            overlay = OverlayNode(
-                self.scheduler, node_id, self.mtmw, self.pki, config.overlay, stats
-            )
-            self.processes[node_id] = NodeProcess(
-                node_id, self.scheduler, transport, overlay, stats
-            )
+        for node_id in sorted(self.local_nodes):
+            await self._boot_node(node_id)
+        self.addresses = {
+            node_id: process.address
+            for node_id, process in self.processes.items()
+        }
+        await self._after_bind()
 
-        # Phase 2: now that every address is known, wire a PoR link pair
-        # per MTMW edge, exactly as the simulator's builder does — only
-        # the channels are UDP halves instead of simulated pipes.
+        # Phase 2: now that every address is known, wire one PoR half per
+        # (local endpoint, MTMW edge), exactly as the simulator's builder
+        # does — only the channels are UDP halves instead of simulated
+        # pipes, and a remote half lives in whichever process hosts the
+        # other end.
         for a, b in self.topology.edges():
-            proc_a, proc_b = self.processes[a], self.processes[b]
-            proc_a.transport.register_peer(b, proc_b.address)
-            proc_b.transport.register_peer(a, proc_a.address)
-            end_a = PorEndpoint(
-                self.scheduler,
-                a,
-                b,
-                proc_a.transport.send_channel(b, coalesce=True),
-                proc_a.transport.receive_channel(b),
-                self.pki,
-                config=config.overlay.por,
-            )
-            end_b = PorEndpoint(
-                self.scheduler,
-                b,
-                a,
-                proc_b.transport.send_channel(a, coalesce=True),
-                proc_b.transport.receive_channel(a),
-                self.pki,
-                config=config.overlay.por,
-            )
-            end_a.establish_out_of_band()
-            end_b.establish_out_of_band()
-            end_a.attach_mac_counters(proc_a.stats.metrics)
-            end_b.attach_mac_counters(proc_b.stats.metrics)
-            proc_a.overlay.attach_link(b, end_a)
-            proc_b.overlay.attach_link(a, end_b)
-
+            for local, remote in ((a, b), (b, a)):
+                if local in self.processes:
+                    self._wire_half(local, remote, self.addresses[remote])
         for process in self.processes.values():
             process.overlay.start()
 
@@ -572,6 +589,8 @@ class LiveDeployment:
             self.chaos_engine = LiveChaosEngine(
                 self, self.chaos_schedule, self.injector, self.supervisor
             )
+        await self._before_traffic()
+        if self.chaos_engine is not None:
             self.chaos_engine.arm()
         if config.recovery is not None:
             # The feedback-controlled defense runs the proactive-recovery
@@ -595,6 +614,59 @@ class LiveDeployment:
 
         self._started_at = loop.time()
         self._start_traffic()
+
+    async def _after_bind(self) -> None:
+        """Boot hook: the local sockets are bound and ``addresses`` holds
+        them; nothing is wired yet.  A cluster shard trades addresses
+        with the other shards here."""
+
+    async def _before_traffic(self) -> None:
+        """Boot hook: every node is wired, started and supervised; chaos
+        is not armed and no traffic flows yet.  A cluster shard waits
+        here for the cluster-wide START."""
+
+    async def _boot_node(self, node_id: NodeId) -> None:
+        """Bind one local node's socket and build its protocol stack."""
+        config = self.config
+        stats = StatsRegistry(self.scheduler)
+        if self._stats is None:
+            # The PKI is shared process-wide, so its crypto-op counters
+            # can only live in one registry; credit them to the first
+            # node booted (attach_metrics replaces, not adds) and make
+            # that registry the deployment-wide one.
+            self._stats = stats
+            self.pki.attach_metrics(stats.metrics)
+        if self.injector is not None:
+            transport: AsyncioUdpTransport = await ChaosUdpTransport.open(
+                node_id, host=config.host, metrics=stats.metrics,
+                injector=self.injector,
+            )
+        else:
+            transport = await AsyncioUdpTransport.open(
+                node_id, host=config.host, metrics=stats.metrics
+            )
+        transport.on_dispatch_error = (
+            lambda exc, _node=node_id: self._on_dispatch_error(_node, exc)
+        )
+        overlay = OverlayNode(
+            self.scheduler, node_id, self.mtmw, self.pki, config.overlay, stats
+        )
+        self.processes[node_id] = NodeProcess(
+            node_id, self.scheduler, transport, overlay, stats
+        )
+
+    def _wire_half(
+        self, local: NodeId, remote: NodeId, address: Tuple[str, int]
+    ) -> None:
+        """This process's half of the PoR link ``local <-> remote``,
+        with ``remote`` reachable at ``address``."""
+        process = self.processes[local]
+        process.transport.register_peer(remote, address)
+        process.overlay.connect(
+            remote,
+            process.transport.send_channel(remote, coalesce=True),
+            process.transport.receive_channel(remote),
+        )
 
     def _defense_signals(self, node_id: NodeId) -> Dict[str, float]:
         """Live-only belief signals for one node: transport-level drops
@@ -622,58 +694,64 @@ class LiveDeployment:
                 )
         return signals
 
-    def _resolve_chaos(self) -> Optional[FaultSchedule]:
-        """The run's fault schedule: explicit, from a preset, or none."""
-        config = self.config
-        if config.chaos is not None:
-            return config.chaos
-        if config.chaos_preset is None:
-            return None
-        spec = CHAOS_PRESETS[config.chaos_preset](
-            duration=config.inject_seconds, intensity=config.chaos_intensity
-        )
-        return spec.generate(self.topology, seed=config.seed)
-
     def _start_traffic(self) -> None:
         """One CBR flow per node; alternating priority/reliable semantics.
-        A client-tier population workload rides on top when configured."""
+        Client- and session-tier population workloads ride on top when
+        configured.  Only locally hosted sources are driven (a flow's
+        destination may be remote; delivery lands in its host's stats),
+        while destination rankings span the full overlay."""
         config = self.config
         if config.flow_traffic:
-            rate_bps = config.rate_msgs_per_sec * config.size_bytes * 8.0
-            for source, dest, semantics in flow_plan(sorted(self.topology.nodes)):
-                generator = CbrTraffic(
-                    self,  # duck-typed: CbrTraffic uses only .sim and .node()
-                    source,
-                    dest,
-                    rate_bps=rate_bps,
-                    size_bytes=config.size_bytes,
-                    semantics=semantics,
-                    method=config.method,
-                    max_messages=config.messages_per_flow,
-                )
-                self.traffic.append(generator)
-                self._flow_specs.append((source, dest, semantics))
-                generator.start()
+            plan = flow_plan(sorted(self.topology.nodes))
+            for source, dest, semantics in plan[:: self.flow_stride]:
+                if source in self.processes:
+                    self._launch_flow(source, dest, semantics)
+        local = sorted(self.local_nodes)
         if config.clients is not None:
-            nodes = sorted(self.topology.nodes)
-            ranked = list(nodes)
-            # Seed-stable hot-destination ranking, same stream name the
-            # sim-side overload sweep uses.
-            self.sim.rngs.stream("overload:dest-rank").shuffle(ranked)
             self.client_tier = ClientTier(
-                self, nodes, ranked, config=config.clients, method=config.method
+                self,
+                local,
+                ranked_destinations(
+                    self.sim, self.topology.nodes, "overload:dest-rank"
+                ),
+                config=config.clients,
+                method=config.method,
             )
             self.client_tier.start()
         if config.sessions is not None:
-            nodes = sorted(self.topology.nodes)
-            ranked = list(nodes)
-            # Seed-stable hot-destination ranking, same stream name the
-            # sim-side SLO sweep uses.
-            self.sim.rngs.stream("slo:dest-rank").shuffle(ranked)
             self.session_tier = SessionTier(
-                self, nodes, ranked, workload=config.sessions
+                self,
+                local,
+                ranked_destinations(self.sim, self.topology.nodes, "slo:dest-rank"),
+                workload=config.sessions,
+                name=self.tier_name,
             )
             self.session_tier.start()
+
+    def _launch_flow(
+        self, source: NodeId, dest: NodeId, semantics: Semantics
+    ) -> None:
+        config = self.config
+        generator = CbrTraffic(
+            self,  # duck-typed: CbrTraffic uses only .sim and .node()
+            source,
+            dest,
+            rate_bps=config.rate_msgs_per_sec * config.size_bytes * 8.0,
+            size_bytes=config.size_bytes,
+            semantics=semantics,
+            method=config.method,
+            max_messages=config.messages_per_flow,
+        )
+        self.traffic.append(generator)
+        generator.start()
+
+    def _stop_injection(self) -> None:
+        for generator in self.traffic:
+            generator.stop()
+        if self.client_tier is not None:
+            self.client_tier.stop()
+        if self.session_tier is not None:
+            self.session_tier.stop()
 
     # ------------------------------------------------------------------
     # Run
@@ -692,12 +770,7 @@ class LiveDeployment:
             pass  # platform without signal support; timeout still applies
         try:
             self._interrupted = await self._wait(stop_event, config.inject_seconds)
-            for generator in self.traffic:
-                generator.stop()
-            if self.client_tier is not None:
-                self.client_tier.stop()
-            if self.session_tier is not None:
-                self.session_tier.stop()
+            self._stop_injection()
             if not self._interrupted:
                 drain = config.duration - config.inject_seconds
                 self._interrupted = await self._wait(stop_event, drain)
@@ -726,12 +799,8 @@ class LiveDeployment:
         if self._stopped:
             return
         self._stopped = True
-        for generator in self.traffic:
-            generator.stop()
-        if self.client_tier is not None:
-            self.client_tier.stop()
+        self._stop_injection()
         if self.session_tier is not None:
-            self.session_tier.stop()
             self.session_tier.finalize()
         if self.defense is not None:
             self.defense.stop()
@@ -787,52 +856,15 @@ class LiveDeployment:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(self) -> LiveReport:
-        """Build the run report from per-node telemetry registries."""
-        if self.scheduler is None or self._started_at is None:
-            raise LiveRuntimeError("deployment never started")
-        flows: List[FlowOutcome] = []
-        for generator, (source, dest, semantics) in zip(
-            self.traffic, self._flow_specs
-        ):
-            dest_stats = self.processes[dest].stats
-            recorder = dest_stats.latency(f"latency:{source}->{dest}")
-            flows.append(
-                FlowOutcome(
-                    source=source,
-                    dest=dest,
-                    semantics=semantics.value,
-                    sent=generator.messages_sent,
-                    delivered=recorder.count,
-                    mean_latency=recorder.mean() if recorder.count else None,
-                )
-            )
-        transport_totals = {
-            "datagrams_received": 0,
-            "bytes_received": 0,
-            "decode_errors": 0,
-            "misdirected": 0,
-            "unknown_sender": 0,
-            "encode_errors": 0,
-            "dispatch_errors": 0,
-            "send_errors": 0,
-            "send_retries": 0,
-            "send_drops": 0,
-            "datagrams_drained": 0,
-        }
+    def _report_sections(self) -> Dict[str, Any]:
+        """The report sections every live substrate shares — per-node
+        snapshots, transport totals, capped runtime errors, and the
+        chaos/supervision/invariant/session summaries — keyed as both
+        :class:`LiveReport` and a cluster shard report name them."""
+        transport_totals = dict.fromkeys(TRANSPORT_COUNTERS, 0)
         for process in self.processes.values():
-            transport = process.transport
-            transport_totals["datagrams_received"] += transport.datagrams_received
-            transport_totals["bytes_received"] += transport.bytes_received
-            transport_totals["decode_errors"] += transport.decode_errors
-            transport_totals["misdirected"] += transport.misdirected
-            transport_totals["unknown_sender"] += transport.unknown_sender
-            transport_totals["encode_errors"] += transport.encode_errors
-            transport_totals["dispatch_errors"] += transport.dispatch_errors
-            transport_totals["send_errors"] += transport.send_errors
-            transport_totals["send_retries"] += transport.send_retries
-            transport_totals["send_drops"] += transport.send_drops
-            transport_totals["datagrams_drained"] += transport.datagrams_drained
+            for key in transport_totals:
+                transport_totals[key] += getattr(process.transport, key)
         runtime_errors = list(self._runtime_errors)
         if self._errors_dropped:
             runtime_errors.append(
@@ -843,6 +875,50 @@ class LiveDeployment:
             chaos_summary = self.chaos_engine.summary()
             chaos_summary["injector"] = self.injector.summary()
             chaos_summary["schedule_counts"] = self.chaos_schedule.counts()
+        return {
+            "per_node": {
+                str(node_id): process.snapshot()
+                for node_id, process in sorted(
+                    self.processes.items(), key=lambda item: str(item[0])
+                )
+            },
+            "transport": transport_totals,
+            "runtime_errors": runtime_errors,
+            "chaos": chaos_summary,
+            "supervision": (
+                self.supervisor.summary() if self.supervisor is not None else None
+            ),
+            "invariants": (
+                self.monitor.summary() if self.monitor is not None else None
+            ),
+            "sessions": (
+                self.session_tier.snapshot()
+                if self.session_tier is not None
+                else None
+            ),
+            "failed": self._failed,
+        }
+
+    def report(self) -> LiveReport:
+        """Build the run report from per-node telemetry registries."""
+        if self.scheduler is None or self._started_at is None:
+            raise LiveRuntimeError("deployment never started")
+        flows: List[FlowOutcome] = []
+        for generator in self.traffic:
+            source, dest = generator.source, generator.dest
+            recorder = self.processes[dest].stats.latency(
+                f"latency:{source}->{dest}"
+            )
+            flows.append(
+                FlowOutcome(
+                    source=source,
+                    dest=dest,
+                    semantics=generator.semantics.value,
+                    sent=generator.messages_sent,
+                    delivered=recorder.count,
+                    mean_latency=recorder.mean() if recorder.count else None,
+                )
+            )
         admission_summary: Optional[Dict[str, Any]] = None
         per_node_admission = {
             str(node_id): process.overlay.admission.snapshot()
@@ -871,31 +947,11 @@ class LiveDeployment:
             interrupted=self._interrupted,
             wall_seconds=self.scheduler.now,
             flows=flows,
-            per_node={
-                str(node_id): process.snapshot()
-                for node_id, process in sorted(
-                    self.processes.items(), key=lambda item: str(item[0])
-                )
-            },
-            transport=transport_totals,
-            runtime_errors=runtime_errors,
-            chaos=chaos_summary,
-            supervision=(
-                self.supervisor.summary() if self.supervisor is not None else None
-            ),
-            invariants=(
-                self.monitor.summary() if self.monitor is not None else None
-            ),
             adaptive=(
                 self.defense.summary() if self.defense is not None else None
             ),
             admission=admission_summary,
-            sessions=(
-                self.session_tier.snapshot()
-                if self.session_tier is not None
-                else None
-            ),
-            failed=self._failed,
+            **self._report_sections(),
         )
 
 

@@ -35,6 +35,7 @@ from repro.cluster.spec import ClusterConfig, ShardSpec, partition_topology
 from repro.errors import ConfigurationError, LiveRuntimeError
 from repro.topology.generators import large_overlay
 from repro.topology.mtmw import MtmwUpdateResult
+from tests.test_runtime_live import PARENT_REPORT_KEYS
 
 
 # ----------------------------------------------------------------------
@@ -65,8 +66,17 @@ def test_partition_topology_contiguous_and_complete():
     assert sum(sizes) == 23
     assert max(sizes) - min(sizes) <= 1
     covered = [n for s in shards for n in s.nodes]
-    assert sorted(covered, key=str) == sorted(topo.nodes, key=str)
-    assert covered == sorted(topo.nodes, key=str)  # contiguous slices
+    assert covered == sorted(topo.nodes)  # complete, numerically contiguous
+    for spec in shards:
+        assert list(spec.nodes) == list(
+            range(spec.nodes[0], spec.nodes[0] + len(spec.nodes))
+        )
+    # Contiguity is what keeps the circulant ring shard-internal: only
+    # slice boundaries and chords cross processes (a lexicographic order
+    # — 1, 10, 11, ... — cuts 21 of this overlay's 49 edges).
+    home = {n: s.shard_id for s in shards for n in s.nodes}
+    crossing = sum(home[a] != home[b] for a, b in topo.edges())
+    assert crossing <= 16
     # Seed node = first node of each slice, stable across processes.
     for spec in shards:
         assert spec.seed_node == spec.nodes[0]
@@ -252,6 +262,7 @@ def test_cluster_report_gates_and_dict_shape():
     assert report.violations == 1
     assert not report.failed and not report.ok  # violations fail ok
     data = report.to_dict()
+    assert sorted(data) == PARENT_REPORT_KEYS["cluster"]
     assert data["excluded_nodes"] == ["2", "4", "5"]
     json.dumps(data)  # JSON-serializable end to end
 

@@ -31,9 +31,11 @@ from repro.cluster.membership import (
 from repro.cluster.worker import ShardDeployment, _node, _worker_live_config
 from repro.errors import LiveRuntimeError
 from repro.overlay.config import DisseminationMethod
+from repro.runtime.live import LiveDeployment
 from repro.runtime.transport import AsyncioUdpTransport
 from repro.runtime.wire import AddrAnnounce, encode_datagram
 from repro.topology.generators import large_overlay
+from tests.test_runtime_live import PARENT_REPORT_KEYS
 
 SEED = 29
 
@@ -303,6 +305,17 @@ def test_worker_survives_lost_coordinator_and_announces_restarts():
     assert report["shard"] == 0
     assert report["failed"] is False
     assert report["transport"]["datagrams_received"] > 0
+    # Shape contract: the parent commit's keys, with every section a
+    # shard shares with a live report coming from the one builder.
+    assert sorted(report) == PARENT_REPORT_KEYS["shard"]
+    assert sorted(report["flows"][0]) == PARENT_REPORT_KEYS["shard_flow"]
+    assert ShardDeployment._report_sections is LiveDeployment._report_sections
+    shared = deployment._report_sections()
+    assert set(shared) < set(report) and set(shared) < set(PARENT_REPORT_KEYS["live"])
+    assert all(report[key] == shared[key] for key in shared)
+    # A shard adds cluster mechanics only; assembly is LiveDeployment's.
+    for name in ("_boot", "_boot_node", "_wire_half", "_launch_flow"):
+        assert name not in vars(ShardDeployment)
 
 
 def test_worker_live_config_flooding_and_node_coercion():

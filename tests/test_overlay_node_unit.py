@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.messaging.message import Hello, Message, Semantics
 from repro.overlay.config import CryptoMode, DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
+from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.cpu import CpuCosts
 from repro.topology.generators import line, ring
 
@@ -18,6 +19,33 @@ class TestWiring:
         node = net.node(1)
         with pytest.raises(ConfigurationError):
             node.attach_link(3, node.links[2].por)  # 1 and 3 not adjacent
+
+    def test_connect_rejects_non_neighbors(self):
+        net = OverlayNetwork.build(ring(4), FAST)
+        node = net.node(1)
+        tx, rx = (Channel(net.sim, ChannelConfig(latency=0.001)) for _ in "ab")
+        with pytest.raises(ConfigurationError):
+            node.connect(3, tx, rx)  # 1 and 3 not adjacent
+        assert 3 not in node.links
+
+    def test_connect_builds_keys_counts_and_attaches_the_link_half(self):
+        """The one link-half recipe: both halves built independently by
+        ``connect`` form a working authenticated, MAC-counted link."""
+        net = OverlayNetwork.build(ring(4), FAST)
+        ab, ba = (Channel(net.sim, ChannelConfig(latency=0.001)) for _ in "ab")
+        link = net.node(1).connect(2, ab, ba)
+        peer = net.node(2).connect(1, ba, ab)
+        assert net.node(1).links[2] is link
+        assert link.por.established and peer.por.established
+        assert link.por.config is net.config.por
+        signed = net.stats.metrics.counter("crypto.mac_sign")
+        verified = net.stats.metrics.counter("crypto.mac_verify")
+        assert link.por._mac_counters == (signed, verified)
+        before = signed.value, verified.value, net.delivered_count(1, 2)
+        net.node(1).send_priority(2)
+        net.run(1.0)
+        assert net.delivered_count(1, 2) == before[2] + 1
+        assert signed.value > before[0] and verified.value > before[1]
 
     def test_links_match_topology(self):
         net = OverlayNetwork.build(ring(5), FAST)

@@ -1,4 +1,5 @@
-"""Unit tests for variant assignment and proactive recovery."""
+"""Unit tests for variant assignment and proactive recovery (the
+fixed rotation: ``AdaptiveDefense(..., adaptive=False)``)."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro.byzantine.behaviors import DroppingBehavior, HonestBehavior
 from repro.errors import ConfigurationError
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.resilience.recovery import ProactiveRecovery
+from repro.resilience.adaptive import AdaptiveDefense, SimRecoveryActuator
 from repro.resilience.variants import (
     VariantPool,
     assign_variants,
@@ -110,10 +111,18 @@ class TestVariantPool:
             VariantPool(families=0)
 
 
+def fixed_rotation(net, period, downtime):
+    """The paper's open-loop proactive recovery on the simulator."""
+    return AdaptiveDefense(
+        net, SimRecoveryActuator(net), adaptive=False,
+        period=period, downtime=downtime,
+    )
+
+
 class TestProactiveRecovery:
     def test_every_node_recovered_once_per_period(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.start()
         net.run(8.6)
         assert recovery.recoveries_completed == 4
@@ -121,25 +130,25 @@ class TestProactiveRecovery:
     def test_recovery_cleans_compromise(self):
         net = OverlayNetwork.build(clique(4), FAST)
         net.compromise(2, DroppingBehavior())
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.start()
         net.run(8.6)
-        assert recovery.compromises_cleaned == 1
+        assert recovery.actuator.compromises_cleaned == 1
         assert isinstance(net.node(2).behavior, HonestBehavior)
 
     def test_fresh_variant_each_recovery(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
-        before = dict(recovery.current_variant)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
+        before = dict(recovery.actuator.current_variant)
         recovery.start()
         net.run(8.6)
-        after = recovery.current_variant
+        after = recovery.actuator.current_variant
         assert all(before[n] != after[n] for n in before)
 
     def test_network_stays_live_during_staggered_recovery(self):
         """Flooding delivers even while one node at a time reboots."""
         net = OverlayNetwork.build(clique(5), FAST)
-        recovery = ProactiveRecovery(net, period=10.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=10.0, downtime=0.5)
         recovery.start()
         delivered_expected = 0
         for i in range(20):
@@ -152,13 +161,26 @@ class TestProactiveRecovery:
         assert net.delivered_count(1, 5) >= delivered_expected - 2
 
     def test_overlapping_downtime_rejected(self):
+        """A rotation whose slots cannot fit the reinstalls (4 nodes,
+        0.25 s slots, 0.5 s reinstalls) is refused outright, as is a
+        period a single reinstall cannot fit in; an exactly-fitting
+        cadence is accepted and never takes two nodes down at once."""
         net = OverlayNetwork.build(clique(4), FAST)
         with pytest.raises(ConfigurationError):
-            ProactiveRecovery(net, period=1.0, downtime=0.5)
+            fixed_rotation(net, period=1.0, downtime=0.5)
+        with pytest.raises(ConfigurationError):
+            fixed_rotation(net, period=0.5, downtime=0.5)
+        recovery = fixed_rotation(net, period=2.0, downtime=0.5)
+        recovery.start()
+        for _ in range(40):
+            net.run(0.25)
+            assert sum(node.crashed for node in net.nodes.values()) <= 1
+        assert recovery.budget.peak_down == 1
+        assert recovery.recoveries_completed >= 4
 
     def test_stop_halts_schedule(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.start()
         net.run(2.5)
         recovery.stop()
@@ -168,13 +190,13 @@ class TestProactiveRecovery:
 
     def test_stop_cancels_queued_events(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.start()
         net.run(2.5)
         recovery.stop()
-        # The queued take-down (and any queued restore) was cancelled, not
+        # The control timer (and any queued restore) was cancelled, not
         # left in the heap as a latent no-op.
-        assert recovery._next_event is None
+        assert recovery._timer is None
         assert recovery._restore_events == {}
         after_count = recovery.recoveries_completed
         net.run(20.0)
@@ -182,7 +204,7 @@ class TestProactiveRecovery:
 
     def test_stop_mid_downtime_restores_node_immediately(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=1.0)
+        recovery = fixed_rotation(net, period=8.0, downtime=1.0)
         recovery.start()
         net.run(2.2)  # first node (id 1) was taken down at t=2.0
         assert net.node(1).crashed
@@ -190,17 +212,20 @@ class TestProactiveRecovery:
         # stop() must never strand a node in its reinstall downtime.
         assert not net.node(1).crashed
         assert recovery.recoveries_completed == 1
+        # The cut-short reinstall is still accounted, per node.
+        series = net.stats.series("recovery-downtime:1")
+        assert [round(v, 6) for v in series.values()] == [0.2]
 
     def test_stop_before_start_is_harmless(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.stop()
         net.run(10.0)
         assert recovery.recoveries_completed == 0
 
     def test_restart_after_stop(self):
         net = OverlayNetwork.build(clique(4), FAST)
-        recovery = ProactiveRecovery(net, period=8.0, downtime=0.5)
+        recovery = fixed_rotation(net, period=8.0, downtime=0.5)
         recovery.start()
         net.run(2.5)
         recovery.stop()

@@ -10,6 +10,8 @@ on real sockets.
 from __future__ import annotations
 
 import asyncio
+import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,14 @@ from repro.runtime.transport import AsyncioUdpTransport
 from repro.runtime.wire import encode_datagram
 from repro.sim.channel import Channel, ChannelConfig, SimTransport
 from repro.sim.engine import PeriodicTimer, Simulator
+from repro.topology.graph import Topology
+
+
+#: Report key sets captured from the commit before ``ShardDeployment``
+#: stopped forking ``LiveDeployment`` (shared with the cluster tests).
+PARENT_REPORT_KEYS = json.loads(
+    (Path(__file__).parent / "data" / "report_keys_parent.json").read_text()
+)
 
 
 def run(coro):
@@ -281,6 +291,9 @@ def test_live_deployment_delivers_both_semantics():
     assert as_dict["nodes"] == 4
     assert len(as_dict["per_node"]) == 4
     assert as_dict["delivery_ratio"] == 1.0
+    # The JSON shape is a contract (CI gates and artifacts read it).
+    assert sorted(as_dict) == PARENT_REPORT_KEYS["live"]
+    assert sorted(as_dict["flows"][0]) == PARENT_REPORT_KEYS["live_flow"]
 
 
 def test_live_deployment_collects_per_node_telemetry():
@@ -296,6 +309,73 @@ def test_live_deployment_collects_per_node_telemetry():
         for snapshot in report.per_node.values()
     ]
     assert all(count > 0 for count in rx)
+
+
+def test_boot_hooks_run_between_bind_wire_and_traffic():
+    """The two seams a cluster shard hangs its control-plane barrier on:
+    after the local sockets are bound (nothing wired yet), and once
+    everything is wired but before chaos arms and traffic starts."""
+    seen = {}
+
+    class Hooked(LiveDeployment):
+        async def _after_bind(self):
+            seen["bind"] = (
+                sorted(self.addresses),
+                [len(p.overlay.links) for p in self.processes.values()],
+            )
+
+        async def _before_traffic(self):
+            seen["traffic"] = (
+                [len(p.overlay.links) for p in self.processes.values()],
+                self.supervisor is not None,
+                self.chaos_engine._armed,
+                list(self.traffic),
+            )
+
+    async def check():
+        deployment = Hooked(
+            LiveConfig(nodes=3, duration=1.0, chaos_preset="link", seed=2)
+        )
+        assert deployment.local_nodes is None  # resolved in start()
+        await deployment.start()
+        try:
+            assert deployment.local_nodes == [1, 2, 3]
+            assert deployment.chaos_engine._armed and deployment.traffic
+        finally:
+            await deployment.stop()
+
+    run(check())
+    assert seen["bind"] == ([1, 2, 3], [0, 0, 0])
+    assert seen["traffic"] == ([2, 2, 2], True, False, [])
+
+
+def test_deployment_registry_is_the_one_holding_the_pki_counters():
+    """``deployment.stats`` (where chaos counters and trace events land)
+    must be the registry the shared PKI's crypto counters were attached
+    to — the first node *booted* — also when node ids sort differently
+    as strings ('10' < '7'), as in a cluster shard hosting 7..12."""
+    topology = Topology()
+    ids = list(range(7, 13))
+    for a, b in zip(ids, ids[1:] + ids[:1]):
+        topology.add_edge(a, b, 0.001)
+
+    async def check():
+        deployment = LiveDeployment(
+            LiveConfig(nodes=6, duration=1.0, flow_traffic=False)
+        )
+        deployment.topology = topology
+        with pytest.raises(LiveRuntimeError):
+            deployment.stats  # not started
+        await deployment.start()
+        try:
+            assert deployment.stats is deployment.processes[7].stats
+            assert deployment.pki._ops["sign"] is (
+                deployment.stats.metrics.counter("crypto.sign")
+            )
+        finally:
+            await deployment.stop()
+
+    run(check())
 
 
 def test_live_deployment_double_start_rejected():

@@ -21,7 +21,6 @@ import pytest
 
 from repro.byzantine.behaviors import DroppingBehavior
 from repro.overlay.config import DisseminationMethod, OverlayConfig
-from repro.resilience.recovery import ProactiveRecovery
 from repro.workloads.experiment import SCALED_LINK_BPS, Deployment
 from repro.workloads.monitoring import MonitoringWorkload
 from repro.workloads.traffic import ReliableBacklogTraffic
@@ -47,8 +46,7 @@ def test_soak_ten_simulated_minutes():
     )
     monitoring.start()
 
-    recovery = ProactiveRecovery(net, period=120.0, downtime=2.0)
-    recovery.start()
+    recovery = deployment.add_defense(adaptive=False, period=120.0, downtime=2.0)
 
     control = ReliableBacklogTraffic(net, 4, 9, count=2000, size_bytes=600)
     control.start()
@@ -90,7 +88,7 @@ def test_soak_ten_simulated_minutes():
 
     # --- Every node cycled through proactive recovery at least twice.
     assert recovery.recoveries_completed >= 2 * len(net.nodes)
-    assert recovery.compromises_cleaned >= 1
+    assert recovery.actuator.compromises_cleaned >= 1
 
     # --- Soft state stayed bounded (metadata expires; buffers bounded).
     for node in net.nodes.values():
