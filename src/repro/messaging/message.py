@@ -20,11 +20,16 @@ object with *empty* caches (``init=False`` fields are reinitialized, not
 copied), so a modified copy can never inherit a stale "verified" verdict.
 The verify cache additionally records the PKI instance and its key
 ``epoch``, so rotating a key invalidates every previously cached verdict.
+
+The live wire codec keeps a fourth slot on the same terms: the message's
+encoded payload section, so one node serialises a message once however
+many out-links it floods it to (``runtime/wire.py``, DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -49,6 +54,24 @@ class Semantics(enum.Enum):
 
     PRIORITY = "priority"
     RELIABLE = "reliable"
+
+
+def _payload_marker(payload: Any) -> bytes:
+    """What the source signature covers of the application payload.
+
+    A payload the live codec can carry (``bytes`` or ``str``) is bound
+    by a type byte plus its SHA-256 digest, so a forwarder cannot swap
+    the bytes the destination delivers.  The digest, not the payload,
+    goes into the canonical tuple because verification memos retain
+    that tuple.  ``None`` and simulator-only objects (which never cross
+    a real wire) map to a fixed marker — never ``None`` itself, see
+    :meth:`Message.signed_fields`.
+    """
+    if isinstance(payload, (bytes, bytearray)):
+        return b"B" + hashlib.sha256(payload).digest()
+    if isinstance(payload, str):
+        return b"S" + hashlib.sha256(payload.encode("utf-8", "surrogatepass")).digest()
+    return b"-"
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +103,8 @@ class Message:
     payload:
         Opaque application data (not interpreted by the overlay).
     signature:
-        Source signature over every semantic field above.
+        Source signature over every semantic field above (the payload
+        by its SHA-256 digest).
     """
 
     source: NodeId
@@ -108,6 +132,13 @@ class Message:
     _verify_cache: Optional[Tuple[Any, int, bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The encoded payload section as ``(head, body, tail)``: the bytes
+    #: before the application payload, the payload ``bytes`` object
+    #: itself (``b""`` when the payload is not ``bytes``), the bytes
+    #: after it.  Written and read only by ``repro.runtime.wire``.
+    _wire_cache: Optional[Tuple[bytes, bytes, bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def signed_fields(self) -> Tuple[Any, ...]:
@@ -131,6 +162,7 @@ class Message:
             self.flooding,
             tuple(tuple(str(n) for n in p) for p in self.paths) if self.paths else (),
             self.sent_at,
+            _payload_marker(self.payload),
         )
         object.__setattr__(self, "_signed_fields_cache", fields)
         return fields

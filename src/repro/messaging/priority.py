@@ -108,6 +108,13 @@ class PriorityLinkQueue:
         self._rr = RoundRobinQueue()
         self._index: Dict[Tuple, _Entry] = {}
         self._live_total = 0
+        buckets = self._buckets
+
+        def has_work(source: Hashable) -> bool:
+            bucket = buckets.get(source)
+            return bucket is not None and bucket.live > 0
+
+        self._has_work = has_work  # built once, not per poll
         # Observability.
         self.dropped_for_space = 0
         self.dropped_expired = 0
@@ -173,9 +180,7 @@ class PriorityLinkQueue:
     def next_message(self, now: float) -> Optional[Message]:
         """Round-robin source selection; oldest highest-priority message."""
         while True:
-            source = self._rr.select(
-                lambda s: self._buckets.get(s) is not None and self._buckets[s].live > 0
-            )
+            source = self._rr.select(self._has_work)
             if source is None:
                 return None
             message = self._buckets[source].pop_best(now, self._note_expired)
@@ -183,6 +188,22 @@ class PriorityLinkQueue:
                 self._live_total -= 1
                 self._index.pop(message.uid, None)
                 return message
+
+    def served_directly(self, source: Hashable, polled_again: bool) -> None:
+        """Round-robin bookkeeping for a message of ``source`` that met
+        an *empty* queue and was transmitted without being stored.
+
+        :meth:`offer` + :meth:`next_message` would have activated the
+        source, dropped the workless sources ahead of it and moved it to
+        the back; a further :meth:`next_message` poll of the still-empty
+        queue (``polled_again``) then drops every source.  Sources the
+        first step leaves in place keep their turn -- ahead of ``source``
+        -- when a backlog forms later, exactly as on the stored path.
+        """
+        if polled_again:
+            self._rr.clear()
+        else:
+            self._rr.serve_alone(source)
 
     def cancel(self, uid: Tuple) -> bool:
         """Neighbor feedback: the peer already has this message; un-queue it."""
@@ -296,7 +317,7 @@ class PriorityEngine:
         links = node.links
         for neighbor in targets:
             link = links.get(neighbor)
-            if link is None:
+            if link is None or link.send_if_idle(message, now):
                 continue
             queue = link.priority_queue
             had_backlog = queue._live_total != 0

@@ -303,11 +303,7 @@ class ReliableEngine:
     # ------------------------------------------------------------------
     def next_for_link(self, link: "LinkSender") -> Optional[Message]:  # noqa: F821
         """The next in-order message for the round-robin-selected flow."""
-
-        def has_work(flow: Flow) -> bool:
-            return self._link_has_work(link, flow)
-
-        flow = link.reliable.rr.select(has_work)
+        flow = link.reliable.rr.select(link.reliable_has_work)
         if flow is None:
             return None
         state = self.flows[flow]

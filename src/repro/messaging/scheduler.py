@@ -55,6 +55,26 @@ class RoundRobinQueue:
             self._members.discard(key)
         return None
 
+    def serve_alone(self, key: Hashable) -> None:
+        """:meth:`activate` ``key``, then :meth:`select` when ``key`` is
+        the only key with work: the keys ahead of it are removed and it
+        moves to the back."""
+        queue = self._queue
+        if key not in self._members:
+            # A newcomer joins at the end, so every other key is ahead.
+            self.clear()
+            self._members.add(key)
+            queue.append(key)
+            return
+        while queue[0] != key:
+            self._members.discard(queue.popleft())
+        queue.rotate(-1)
+
+    def clear(self) -> None:
+        """Remove every key (what :meth:`select` does when none has work)."""
+        self._queue.clear()
+        self._members.clear()
+
     def keys(self) -> list:
         """Snapshot of the queued keys, front first."""
         return list(self._queue)

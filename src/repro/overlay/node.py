@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.byzantine.behaviors import Behavior, HonestBehavior
@@ -90,6 +91,9 @@ class LinkSender:
         self.control: Deque[Tuple[Any, int]] = deque()
         self.priority_queue = PriorityLinkQueue(node.config.priority_queue_capacity)
         self.reliable = ReliableLinkState(node.config.reliable_buffer)
+        #: ``flow -> bool`` for the reliable round-robin on this link,
+        #: bound once (``ReliableEngine.next_for_link`` polls with it).
+        self.reliable_has_work = partial(node.reliable._link_has_work, self)
         self._serve_reliable_next = False
         self._pump_event: Optional[CancellableHandle] = None
         # Link monitoring / quarantine state.  ``monitor_up`` False means
@@ -199,6 +203,48 @@ class LinkSender:
             delay = self.por.time_until_ready()
             if delay is not None and self._has_backlog():
                 self._pump_event = node.sim.schedule(max(delay, 1e-5), self._pump_retry)
+
+    def send_if_idle(self, message: Message, now: float) -> bool:
+        """Transmit a priority ``message`` at once when nothing on this
+        link is waiting and the PoR link accepts; True when it was dealt
+        with (sent, or dropped as expired).
+
+        On an idle link ``priority_queue.offer`` + :meth:`pump` hand the
+        message straight back; this does what they do -- the queue's
+        round-robin bookkeeping, ``pump``'s accounting -- without the
+        queue round trip.  False leaves everything untouched for that
+        path: a backlog, queued control frames or reliable flows, a
+        Byzantine behaviour or CPU model that ``pump`` must apply, a
+        crashed node, a removed neighbour, a closed window.
+        """
+        node = self.node
+        queue = self.priority_queue
+        por = self.por
+        if (
+            queue._live_total
+            or self.control
+            or len(self.reliable.rr)
+            or not node._behavior_passthrough
+            or node.cpu.enabled
+            or node.crashed
+            or self.neighbor not in node._neighbor_set
+            or not por.can_accept()
+        ):
+            return False
+        if message.is_expired(now):
+            queue.dropped_expired += 1
+            return True
+        self._serve_reliable_next = True
+        self.data_transmissions += 1
+        self._data_tx_counter.add()
+        size = message.wire_size(node.signature_size)
+        tx_messages, tx_bytes = node.stats.tx_counters("priority")
+        tx_messages.add()
+        tx_bytes.add(size)
+        por.send(message, size)
+        # pump() polls the queue once more only while the link accepts.
+        queue.served_directly(message.source, polled_again=por.can_accept())
+        return True
 
     def _pump_retry(self) -> None:
         self._pump_event = None

@@ -58,6 +58,7 @@ from repro.runtime.wire import (
     AddrAnnounce,
     AddrQuery,
     AddrReply,
+    MessageMemo,
     decode_datagram,
     encode_batch_datagram,
     encode_datagram,
@@ -277,6 +278,9 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
         self._peers: Dict[Any, Address] = {}
         self._inbound: Dict[Any, UdpReceiveChannel] = {}
         self._socket: Any = None
+        #: This node's memo of recently decoded flooded messages: a
+        #: repeated copy is recognised before it is decoded again.
+        self._decode_memo = MessageMemo()
         # Chaos (and other) subclasses interpose on per-datagram sendto;
         # the kernel-batching fast path must not route around them.
         self._sendto_plain = type(self).sendto is AsyncioUdpTransport.sendto
@@ -401,6 +405,9 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
             self._transport.close()
             self._transport = None
             self._socket = None
+        # A killed node keeps no soft state: what it decodes after a
+        # restart starts cold.
+        self._decode_memo.clear()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -598,7 +605,7 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
             self._counters["rx"].add()
             self._counters["rx_bytes"].add(len(data))
         try:
-            datagram = decode_datagram(data)
+            datagram = decode_datagram(data, self._decode_memo)
         except WireDecodeError:
             self.decode_errors += 1
             self._note_drop("drop_decode")

@@ -56,6 +56,13 @@ Zero-copy discipline:
   exactly one encode call and is returned to the pool before the call
   returns; the caller only ever sees the immutable copy.
 
+Encode once, recognise a repeat: a :class:`Message`'s payload section is
+cached on the message as three pieces (``Message._wire_cache``), filled by
+the first encode or by the decoder from the received bytes, so further
+out-links and relays copy bytes instead of walking fields; and a
+per-node :class:`MessageMemo` lets the decoder hand back the *same*
+``Message`` object for a byte-identical flooded copy (DESIGN.md §13).
+
 Malformed input *never* escapes as ``struct.error`` / ``IndexError`` /
 ``UnicodeDecodeError``: :func:`decode_datagram` raises
 :class:`repro.errors.WireDecodeError` for anything truncated, corrupted,
@@ -74,8 +81,9 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.crypto.nonces import NONCE_SIZE, PROOF_SIZE
 from repro.crypto.simulated import SimulatedSignature
 from repro.errors import TopologyError, WireDecodeError, WireEncodeError
 from repro.link.por import PorAck, PorData, PorHandshake, _HelloWrapper
@@ -152,6 +160,14 @@ _S_I64 = struct.Struct(">q")
 _S_F64 = struct.Struct(">d")
 _S_VLF = struct.Struct(">BBI")  # version, flags, body_len
 _S_HDR = struct.Struct(">BBII")  # version, flags, body_len, crc
+# The two envelopes nearly every frame carries, in the shape the PoR link
+# gives them in SIMULATED crypto mode (standard nonce/proof size, no MAC
+# bytes, no NACK list): the whole head in one pack/unpack.  Same bytes as
+# the field-by-field path, which still serves every other shape.
+#   tag, epoch, seq, len(nonce), nonce, wire_size, _SIG_NONE
+_S_POR_DATA = struct.Struct(f">BqqH{NONCE_SIZE}sIB")
+#   tag, epoch, cum_seq, len(proof), proof, len(missing) = 0, _SIG_NONE
+_S_POR_ACK = struct.Struct(f">BqqH{PROOF_SIZE}sHB")
 
 _crc32 = zlib.crc32
 
@@ -270,6 +286,27 @@ class _Writer:
     def boolean(self, value: bool) -> None:
         self.u8(1 if value else 0)
 
+    def pack(self, layout: struct.Struct, *values: Any) -> None:
+        """Write several fixed-width fields through one precompiled layout."""
+        pos = self.pos
+        end = pos + layout.size
+        if end > len(self.buf):
+            self._grow(end)
+        try:
+            layout.pack_into(self.buf, pos, *values)
+        except struct.error as exc:
+            raise WireEncodeError(f"field out of range: {exc}") from None
+        self.pos = end
+
+    def put(self, value: bytes) -> None:
+        """Copy already-encoded bytes in as they are (no length prefix)."""
+        pos = self.pos
+        end = pos + len(value)
+        if end > len(self.buf):
+            self._grow(end)
+        self.buf[pos:end] = value
+        self.pos = end
+
     def raw(self, value: bytes) -> None:
         if not isinstance(value, (bytes, bytearray)):
             raise WireEncodeError(f"expected bytes, got {type(value).__name__}")
@@ -277,12 +314,7 @@ class _Writer:
         if length > 0xFFFF:
             raise WireEncodeError(f"bytes field too long ({length})")
         self.u16(length)
-        pos = self.pos
-        end = pos + length
-        if end > len(self.buf):
-            self._grow(end)
-        self.buf[pos:end] = value
-        self.pos = end
+        self.put(value)
 
     def text(self, value: str) -> None:
         self.raw(value.encode("utf-8"))
@@ -442,14 +474,50 @@ class _Reader:
             raise WireDecodeError(f"invalid optional flag {flag}")
         return self.f64()
 
-    def subview(self, count: int):
-        """A zero-copy sub-view of the next ``count`` bytes."""
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
+    def peek_tagged(self, layout: struct.Struct) -> Optional[Tuple[Any, ...]]:
+        """Unpack ``layout`` from the byte just read (an envelope tag)
+        onwards without consuming anything; None when it does not fit.
+        The caller checks the length and kind fields it finds before it
+        :meth:`skip`s ``layout.size - 1`` bytes and trusts the rest."""
+        start = self._pos - 1
+        if start + layout.size > self._len:
+            return None
+        return layout.unpack_from(self._data, start)
+
+    def skip(self, count: int) -> None:
+        """Consume ``count`` bytes already bounds-checked by a peek."""
+        self._pos += count
+
+    def next_is(self, byte: int) -> bool:
+        """Whether the next unread byte exists and equals ``byte``."""
+        return self._pos < self._len and self._data[self._pos] == byte
+
+    def rest(self):
+        """A zero-copy view of every byte not yet read (not consumed)."""
+        return self._data[self._pos:self._len]
+
+    def skip_rest(self) -> None:
+        """Consume every remaining byte."""
+        self._pos = self._len
+
+    def copy(self, start: int, end: int) -> bytes:
+        """An owned copy of bytes ``start``..``end`` of the underlying
+        data (which may be a receive buffer that is reused)."""
+        return bytes(self._data[start:end])
+
+    def enter_frame(self, count: int) -> int:
+        """Confine reading to the next ``count`` bytes (one batch frame);
+        returns the limit to hand back to :meth:`leave_frame`."""
+        outer = self._len
+        end = self._pos + count
+        if end > outer:
             raise self._short(count)
-        self._pos = end
-        return self._data[pos:end]
+        self._len = end
+        return outer
+
+    def leave_frame(self, outer: int) -> None:
+        """Restore the limit :meth:`enter_frame` replaced."""
+        self._len = outer
 
     # Domain types --------------------------------------------------------
     def node_id(self) -> Any:
@@ -510,30 +578,54 @@ class AddrAnnounce:
 # ----------------------------------------------------------------------
 # Overlay payloads (carried inside PorData)
 # ----------------------------------------------------------------------
+def _encode_message(writer: _Writer, message: Message) -> None:
+    """A data message's payload section: copied from the pieces cached on
+    the message when it was encoded or decoded before, else written field
+    by field and cached for the next out-link."""
+    pieces = message._wire_cache
+    if pieces is not None:
+        writer.put(pieces[0])
+        writer.put(pieces[1])
+        writer.put(pieces[2])
+        return
+    start = writer.pos
+    writer.u8(_PL_MESSAGE)
+    writer.node_id(message.source)
+    writer.node_id(message.dest)
+    writer.i64(message.seq)
+    writer.u8(1 if message.semantics is Semantics.PRIORITY else 2)
+    writer.i64(message.priority)
+    writer.opt_f64(message.expiration)
+    writer.u32(message.size_bytes)
+    writer.boolean(message.flooding)
+    if message.paths is None:
+        writer.u16(0xFFFF)
+    else:
+        if len(message.paths) >= 0xFFFF:
+            raise WireEncodeError("too many paths")
+        writer.u16(len(message.paths))
+        for path in message.paths:
+            writer.u16(len(path))
+            for hop in path:
+                writer.node_id(hop)
+    writer.f64(message.sent_at)
+    app_payload = message.payload
+    _encode_app_payload(writer, app_payload)
+    # A ``bytes`` payload is the middle piece itself, never a second copy.
+    body = app_payload if type(app_payload) is bytes else b""
+    tail_start = writer.pos
+    writer.signature(message.signature)
+    buf = writer.buf
+    object.__setattr__(message, "_wire_cache", (
+        bytes(buf[start:tail_start - len(body)]),
+        body,
+        bytes(buf[tail_start:writer.pos]),
+    ))
+
+
 def _encode_payload(writer: _Writer, payload: Any) -> None:
     if isinstance(payload, Message):
-        writer.u8(_PL_MESSAGE)
-        writer.node_id(payload.source)
-        writer.node_id(payload.dest)
-        writer.i64(payload.seq)
-        writer.u8(1 if payload.semantics is Semantics.PRIORITY else 2)
-        writer.i64(payload.priority)
-        writer.opt_f64(payload.expiration)
-        writer.u32(payload.size_bytes)
-        writer.boolean(payload.flooding)
-        if payload.paths is None:
-            writer.u16(0xFFFF)
-        else:
-            if len(payload.paths) >= 0xFFFF:
-                raise WireEncodeError("too many paths")
-            writer.u16(len(payload.paths))
-            for path in payload.paths:
-                writer.u16(len(path))
-                for hop in path:
-                    writer.node_id(hop)
-        writer.f64(payload.sent_at)
-        _encode_app_payload(writer, payload.payload)
-        writer.signature(payload.signature)
+        _encode_message(writer, payload)
     elif isinstance(payload, E2eAck):
         writer.u8(_PL_E2E_ACK)
         writer.node_id(payload.dest)
@@ -638,6 +730,7 @@ def _decode_app_payload(reader: _Reader) -> Any:
 def _decode_payload(reader: _Reader) -> Any:
     tag = reader.u8()
     if tag == _PL_MESSAGE:
+        start = reader._pos - 1
         source = reader.node_id()
         dest = reader.node_id()
         seq = reader.i64()
@@ -670,8 +763,10 @@ def _decode_payload(reader: _Reader) -> Any:
             paths = tuple(paths_list)
         sent_at = reader.f64()
         app_payload = _decode_app_payload(reader)
+        body = app_payload if type(app_payload) is bytes else b""
+        tail_start = reader._pos
         signature = reader.signature()
-        return Message(
+        message = Message(
             source=source,
             dest=dest,
             seq=seq,
@@ -685,6 +780,15 @@ def _decode_payload(reader: _Reader) -> Any:
             payload=app_payload,
             signature=signature,
         )
+        # The received bytes are this message's encoding: a relay copies
+        # them out again (owned copies -- the datagram may sit in a
+        # receive buffer that is reused).
+        object.__setattr__(message, "_wire_cache", (
+            reader.copy(start, tail_start - len(body)),
+            body,
+            reader.copy(tail_start, reader._pos),
+        ))
+        return message
     if tag == _PL_E2E_ACK:
         dest = reader.node_id()
         stamp = reader.i64()
@@ -749,27 +853,113 @@ def _decode_payload(reader: _Reader) -> Any:
     raise WireDecodeError(f"unknown payload tag {tag}")
 
 
+class MessageMemo:
+    """One node's memo of the flooded messages it decoded last.
+
+    Constrained flooding hands a node the same signed message once per
+    in-link, byte for byte.  The decoder looks the frame's payload
+    section up here by checksum and, only when the cached pieces *equal*
+    the received bytes, returns the ``Message`` object it built for the
+    first copy -- with the uid, signed tuple and per-PKI-epoch verify
+    verdict that object has cached since.  Identical bytes decode to
+    identical fields, so they share one verdict; a copy that differs in
+    any byte misses and is decoded into a fresh, cold object.
+
+    Owned by one :class:`~repro.runtime.transport.AsyncioUdpTransport`
+    (a node never shares it), bounded at :data:`SIZE` entries evicted
+    oldest first, and limited to ``flooding=True`` messages: a K-paths
+    message reaches a node once per path, so memoising it retains its
+    payload without ever being hit.
+    """
+
+    #: Enough for every repeat on the saturated 12-node cloud to hit (one
+    #: cold verification per node per message); a constant, not a setting.
+    SIZE = 64
+
+    __slots__ = ("_by_checksum",)
+
+    def __init__(self) -> None:
+        self._by_checksum: Dict[int, Message] = {}
+
+    def __len__(self) -> int:
+        return len(self._by_checksum)
+
+    def messages(self) -> List[Message]:
+        """The memoised messages, oldest first."""
+        return list(self._by_checksum.values())
+
+    def clear(self) -> None:
+        """Forget every message (the owning transport closed)."""
+        self._by_checksum.clear()
+
+    def decode(self, reader: _Reader) -> Message:
+        """Decode the data message that fills the rest of ``reader``."""
+        memo = self._by_checksum
+        section = reader.rest()
+        checksum = None
+        if memo:  # nothing to recognise while no flooded message was seen
+            checksum = _crc32(section)
+            known = memo.get(checksum)
+            if known is not None:
+                head, body, tail = known._wire_cache
+                received = bytes(section)
+                if (
+                    len(head) + len(body) + len(tail) == len(received)
+                    and received.startswith(head)
+                    and received.startswith(body, len(head))
+                    and received.endswith(tail)
+                ):
+                    reader.skip_rest()
+                    return known
+        message = _decode_payload(reader)
+        if message.flooding and reader.exhausted:
+            if checksum is None:
+                checksum = _crc32(section)
+            memo.pop(checksum, None)  # a colliding entry: newest wins
+            memo[checksum] = message
+            if len(memo) > self.SIZE:
+                del memo[next(iter(memo))]
+        return message
+
+
 # ----------------------------------------------------------------------
 # Link envelopes
 # ----------------------------------------------------------------------
 def _encode_envelope(writer: _Writer, packet: Any) -> None:
     if isinstance(packet, PorData):
-        writer.u8(_ENV_POR_DATA)
-        writer.i64(packet.epoch)
-        writer.i64(packet.seq)
-        writer.raw(packet.nonce)
-        writer.u32(packet.wire_size)
-        writer.signature(packet.mac)
+        nonce, mac = packet.nonce, packet.mac
+        if mac is None and type(nonce) is bytes and len(nonce) == NONCE_SIZE:
+            writer.pack(
+                _S_POR_DATA, _ENV_POR_DATA, packet.epoch, packet.seq,
+                NONCE_SIZE, nonce, packet.wire_size, _SIG_NONE,
+            )
+        else:
+            writer.u8(_ENV_POR_DATA)
+            writer.i64(packet.epoch)
+            writer.i64(packet.seq)
+            writer.raw(nonce)
+            writer.u32(packet.wire_size)
+            writer.signature(mac)
         _encode_payload(writer, packet.payload)
     elif isinstance(packet, PorAck):
-        writer.u8(_ENV_POR_ACK)
-        writer.i64(packet.epoch)
-        writer.i64(packet.cum_seq)
-        writer.raw(packet.proof)
-        writer.u16(len(packet.missing))
-        for seq in packet.missing:
-            writer.i64(seq)
-        writer.signature(packet.mac)
+        proof, mac = packet.proof, packet.mac
+        if (
+            mac is None and not packet.missing
+            and type(proof) is bytes and len(proof) == PROOF_SIZE
+        ):
+            writer.pack(
+                _S_POR_ACK, _ENV_POR_ACK, packet.epoch, packet.cum_seq,
+                PROOF_SIZE, proof, 0, _SIG_NONE,
+            )
+        else:
+            writer.u8(_ENV_POR_ACK)
+            writer.i64(packet.epoch)
+            writer.i64(packet.cum_seq)
+            writer.raw(proof)
+            writer.u16(len(packet.missing))
+            for seq in packet.missing:
+                writer.i64(seq)
+            writer.signature(mac)
     elif isinstance(packet, PorHandshake):
         writer.u8(_ENV_POR_HANDSHAKE)
         writer.node_id(packet.sender)
@@ -809,26 +999,47 @@ def _encode_envelope(writer: _Writer, packet: Any) -> None:
         )
 
 
-def _decode_envelope(reader: _Reader) -> Any:
+def _decode_envelope(reader: _Reader, memo: Optional[MessageMemo] = None) -> Any:
     tag = reader.u8()
     if tag == _ENV_POR_DATA:
-        epoch = reader.i64()
-        seq = reader.i64()
-        nonce = reader.raw()
-        wire_size = reader.u32()
-        mac = reader.signature()
-        payload = _decode_payload(reader)
+        head = reader.peek_tagged(_S_POR_DATA)
+        if head is not None and head[3] == NONCE_SIZE and head[6] == _SIG_NONE:
+            reader.skip(_S_POR_DATA.size - 1)
+            _, epoch, seq, _, nonce, wire_size, _ = head
+            mac = None
+        else:
+            epoch = reader.i64()
+            seq = reader.i64()
+            nonce = reader.raw()
+            wire_size = reader.u32()
+            mac = reader.signature()
+        # The payload is the last field of the envelope and the envelope
+        # the last of its frame, so the payload section is the rest.
+        if memo is not None and reader.next_is(_PL_MESSAGE):
+            payload = memo.decode(reader)
+        else:
+            payload = _decode_payload(reader)
         packet = PorData(epoch, seq, nonce, payload, wire_size)
         packet.mac = mac
         return packet
     if tag == _ENV_POR_ACK:
-        epoch = reader.i64()
-        cum_seq = reader.i64()
-        proof = reader.raw()
-        count = reader.u16()
-        reader.budget(count, 8, "missing-seq")
-        missing = tuple(reader.i64() for _ in range(count))
-        mac = reader.signature()
+        head = reader.peek_tagged(_S_POR_ACK)
+        if (
+            head is not None and head[3] == PROOF_SIZE
+            and head[5] == 0 and head[6] == _SIG_NONE
+        ):
+            reader.skip(_S_POR_ACK.size - 1)
+            _, epoch, cum_seq, _, proof, _, _ = head
+            mac = None
+            missing: Tuple[int, ...] = ()
+        else:
+            epoch = reader.i64()
+            cum_seq = reader.i64()
+            proof = reader.raw()
+            count = reader.u16()
+            reader.budget(count, 8, "missing-seq")
+            missing = tuple(reader.i64() for _ in range(count))
+            mac = reader.signature()
         packet = PorAck(epoch, cum_seq, proof, missing)
         packet.mac = mac
         return packet
@@ -937,8 +1148,12 @@ def batch_fits(encoded_sizes: Sequence[int], overhead_per_frame: int = 4) -> boo
     return total <= MAX_BODY
 
 
-def decode_datagram(data) -> Datagram:
+def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
     """Decode one datagram; raises :class:`WireDecodeError` on any defect.
+
+    With the receiving node's ``memo``, a flooded data message whose
+    bytes repeat a recently decoded one comes back as that same object
+    (see :class:`MessageMemo`); every check below runs either way.
 
     Accepts ``bytes``, ``bytearray``, or ``memoryview`` (the batched
     receive path hands in views of a reusable receive buffer).  Rejects
@@ -984,15 +1199,15 @@ def decode_datagram(data) -> Datagram:
             reader.budget(count, 5, "batch frame")
             frames = []
             for _ in range(count):
-                frame_len = reader.u32()
-                frame_reader = _Reader(reader.subview(frame_len))
-                frames.append(_decode_envelope(frame_reader))
-                if not frame_reader.exhausted:
+                outer = reader.enter_frame(reader.u32())
+                frames.append(_decode_envelope(reader, memo))
+                if not reader.exhausted:
                     raise WireDecodeError("trailing bytes after envelope")
+                reader.leave_frame(outer)
             packet = frames[0]
             packets = tuple(frames)
         else:
-            packet = _decode_envelope(reader)
+            packet = _decode_envelope(reader, memo)
             packets = (packet,)
     except WireDecodeError:
         raise

@@ -213,3 +213,55 @@ class TestPriorityTampering:
         # Delivered copies kept their original (signed) priority.
         recorder = net.stats.series("priority-count:1->3:2")
         assert len(recorder.samples) == 5
+
+
+class TestPayloadTampering:
+    """A Byzantine relay substituting the application payload.  The uid
+    is unchanged, so before the payload was signed whichever copy reached
+    the destination first won dedup and was delivered."""
+
+    class _SwappingRelay:
+        def __init__(self):
+            self.tampered = 0
+
+        def filter_incoming(self, payload, neighbor, node):
+            return payload
+
+        def filter_outgoing(self, payload, neighbor, node):
+            import dataclasses
+
+            from repro.messaging.message import Message
+
+            if isinstance(payload, Message) and payload.source != node.node_id:
+                self.tampered += 1
+                return dataclasses.replace(payload, payload=b"EVIL")
+            return payload
+
+    def test_tampered_payload_is_rejected_at_the_next_honest_hop(self):
+        net = OverlayNetwork.build(ring(4), PACED, seed=2)
+        relays = {}
+        for attacker in (2, 4):  # both relays of the 1 -> 3 ring
+            relays[attacker] = self._SwappingRelay()
+            net.compromise(attacker, relays[attacker])
+        delivered = []
+        net.node(3).on_deliver = delivered.append
+        for _ in range(5):
+            net.client(1).send_priority(3, payload=b"genuine")
+        net.run(5.0)
+        assert sum(b.tampered for b in relays.values()) > 0
+        assert delivered == []
+        assert net.node(3).invalid_messages_rejected > 0
+        assert net.stats.counter("invalid_signatures").value > 0
+
+    def test_the_honest_copy_is_the_one_delivered(self):
+        net = OverlayNetwork.build(ring(4), PACED, seed=2)
+        behavior = self._SwappingRelay()
+        net.compromise(2, behavior)
+        delivered = []
+        net.node(3).on_deliver = delivered.append
+        for _ in range(5):
+            net.client(1).send_priority(3, payload=b"genuine")
+        net.run(5.0)
+        assert behavior.tampered > 0
+        assert [m.payload for m in delivered] == [b"genuine"] * 5
+        assert net.stats.counter("invalid_signatures").value > 0

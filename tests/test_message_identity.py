@@ -65,6 +65,23 @@ def test_replace_preserves_identity_and_resets_caches():
     assert copy.uid == original.uid
 
 
+def test_wire_cache_slot_is_invisible_and_never_copied():
+    from repro.link.por import PorData
+    from repro.runtime.wire import decode_datagram, encode_datagram
+
+    sent, cold = _msg(payload=b"bytes"), _msg(payload=b"bytes")
+    datagram = encode_datagram("s", "d", PorData(0, 0, b"", sent, 64))
+    received = decode_datagram(datagram).packet.payload
+    # Filled by the encoder on one side and by the decoder on the other.
+    assert sent._wire_cache is not None and sent._wire_cache == received._wire_cache
+    assert cold._wire_cache is None
+    assert sent == received == cold
+    assert hash(sent) == hash(received) == hash(cold)
+    # ``replace`` reinitialises the slot, tampering or not.
+    assert dataclasses.replace(received)._wire_cache is None
+    assert dataclasses.replace(received, payload=b"EVIL")._wire_cache is None
+
+
 def test_tampered_copy_is_unequal_and_reverifies_cold():
     from repro.crypto.pki import Pki, PkiMode
 

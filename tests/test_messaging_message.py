@@ -66,11 +66,36 @@ class TestMessageSignatures:
         rerouted = dataclasses.replace(signed, paths=((1, 3),))
         assert not rerouted.verify(pki)
 
-    def test_payload_is_not_signed_but_size_is(self, pki):
-        """The overlay signs sizes and headers; payload integrity is the
-        application's concern in the simulator (real Spines signs bytes)."""
-        signed = msg(payload=b"a").sign(pki)
-        assert dataclasses.replace(signed, payload=b"b").verify(pki)
+    def test_payload_tamper_breaks_signature(self, pki):
+        """The source signs the bytes it sends (as real Spines does): a
+        forwarder that swaps the payload -- same uid, so the first copy to
+        arrive would win dedup -- no longer verifies."""
+        for original, swapped in [
+            (b"a", b"b"), (b"a", "a"), ("a", "b"), (b"a", None), (None, b""), (b"", ""),
+        ]:
+            signed = msg(payload=original).sign(pki)
+            assert signed.verify(pki)
+            tampered = dataclasses.replace(signed, payload=swapped)
+            assert tampered.uid == signed.uid
+            assert not tampered.verify(pki), (original, swapped)
+
+    def test_payload_is_signed_in_real_mode_too(self):
+        """REAL mode signs ``canonical_bytes`` of the same tuple."""
+        from repro.crypto.pki import PkiMode
+
+        real = Pki(mode=PkiMode.REAL, seed=1, rsa_bits=512)
+        real.register(1)
+        for payload in (b"bytes", "text", None):
+            signed = msg(payload=payload).sign(real)
+            assert signed.verify(real)
+            assert not dataclasses.replace(signed, payload=b"EVIL").verify(real)
+
+    def test_simulator_only_payloads_share_one_marker(self, pki):
+        """Objects the live codec cannot carry never cross a real wire;
+        they (and ``None``) sign as one fixed marker, never as ``None``."""
+        signed = msg(payload={"report": 1}).sign(pki)
+        assert dataclasses.replace(signed, payload=None).verify(pki)
+        assert None not in signed.signed_fields()
         assert not dataclasses.replace(signed, size_bytes=801).verify(pki)
 
 

@@ -1,6 +1,8 @@
 """Unit tests for OverlayNode internals: dispatch, guards, CPU model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.messaging.message import Hello, Message, Semantics
@@ -242,3 +244,231 @@ class TestRealCryptoMode:
         net.run(2.0)
         assert net.delivered_count(1, 3) == 0
         assert net.node(3).invalid_messages_rejected > 0
+
+
+# ----------------------------------------------------------------------
+# LinkSender.send_if_idle: the direct send is the queue path, minus the queue
+# ----------------------------------------------------------------------
+class FakePor:
+    """A PoR endpoint reduced to what ``LinkSender`` drives: a send
+    window, optional pacing (busy for ``tx_time`` after every send, like
+    a simulated channel), and a record of what was transmitted."""
+
+    def __init__(self, sim, window, tx_time):
+        self.sim, self.window, self.tx_time = sim, window, tx_time
+        self.in_flight = 0
+        self.busy_until = 0.0
+        self.sent = []
+        self.on_deliver = self.on_ready = self.on_hello = None
+
+    def can_accept(self):
+        return self.in_flight < self.window and self.sim.now >= self.busy_until
+
+    def time_until_ready(self):
+        if self.in_flight >= self.window:
+            return None
+        return max(0.0, self.busy_until - self.sim.now)
+
+    def send(self, payload, size):
+        assert self.can_accept()
+        self.sent.append((getattr(payload, "uid", payload), size))
+        self.in_flight += 1
+        self.busy_until = self.sim.now + self.tx_time
+
+    def ack(self):
+        if self.in_flight:
+            self.in_flight -= 1
+            self.on_ready()
+
+
+class DirectSendHarness:
+    """Node 1 of a 3-clique with fake links to 2 (window-limited only,
+    like a live link) and 3 (also paced, like a simulated one)."""
+
+    def __init__(self, direct, capacity=4, config=None):
+        from repro.crypto.pki import Pki
+        from repro.overlay.node import OverlayNode
+        from repro.sim.engine import Simulator
+        from repro.sim.stats import StatsRegistry
+        from repro.topology.generators import clique
+        from repro.topology.mtmw import Mtmw
+
+        config = config or OverlayConfig(
+            link_bandwidth_bps=None, priority_queue_capacity=capacity
+        )
+        self.sim = Simulator(seed=0)
+        self.stats = StatsRegistry(self.sim)
+        pki = Pki(mode=config.crypto.pki_mode, seed=0)
+        topology = clique(3)
+        for node_id in topology.nodes:
+            pki.register(node_id)
+        self.node = OverlayNode(
+            self.sim, 1, Mtmw.create(topology, pki), pki, config, self.stats
+        )
+        self.links = {
+            2: self.node.attach_link(2, FakePor(self.sim, window=2, tx_time=0.0)),
+            3: self.node.attach_link(3, FakePor(self.sim, window=3, tx_time=0.01)),
+        }
+        if not direct:
+            for link in self.links.values():
+                link.send_if_idle = lambda message, now: False
+        self.seqs = {}
+
+    def message(self, source, priority=1, lifetime=1.0):
+        seq = self.seqs[source] = self.seqs.get(source, 0) + 1
+        return Message(
+            source=source, dest=99, seq=seq, semantics=Semantics.PRIORITY,
+            priority=priority, expiration=self.sim.now + lifetime, size_bytes=100,
+            flooding=True, sent_at=self.sim.now,
+        )
+
+    def forward(self, source, priority, lifetime):
+        self.node.priority._forward(self.message(source, priority, lifetime), None)
+
+    def cancel_oldest(self, neighbor):
+        queue = self.links[neighbor].priority_queue
+        if queue._index:
+            queue.cancel(next(iter(queue._index)))
+
+    def snapshot(self):
+        state = {}
+        for neighbor, link in self.links.items():
+            queue = link.priority_queue
+            state[neighbor] = (
+                list(link.por.sent), link.por.in_flight, queue._rr.keys(),
+                len(queue), sorted(queue._index), sorted(queue.active_sources()),
+                queue.dropped_expired, queue.dropped_for_space,
+                queue.cancelled_by_feedback, link.data_transmissions,
+                link._serve_reliable_next, link._pump_event is not None,
+            )
+        state["counters"] = {
+            name: self.stats.counter(name).value
+            for name in ("data_transmissions", "tx.priority.messages", "tx.priority.bytes")
+        }
+        return state
+
+
+DIRECT_SEND_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("forward"), st.sampled_from(["a", "b", "c"]),
+            st.integers(1, 3), st.sampled_from([-1.0, 0.015, 1.0]),
+        ),
+        st.tuples(st.just("ack"), st.sampled_from([2, 3])),
+        st.tuples(st.just("cancel"), st.sampled_from([2, 3])),
+        st.tuples(st.just("wait"), st.sampled_from([0.004, 0.02])),
+    ),
+    max_size=60,
+)
+
+
+class TestDirectSend:
+    @given(ops=DIRECT_SEND_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_direct_send_is_state_equivalent_to_offer_then_pump(self, ops):
+        """Random forwards, ACKs, full windows, pacing, expiry and
+        cancels: after every step the node that sends directly and the
+        node forced through ``offer`` + ``pump`` have transmitted the same
+        messages in the same order and hold the same queue state."""
+        direct, queued = DirectSendHarness(True), DirectSendHarness(False)
+        for op in ops:
+            for harness in (direct, queued):
+                if op[0] == "forward":
+                    harness.forward(*op[1:])
+                elif op[0] == "ack":
+                    harness.links[op[1]].por.ack()
+                elif op[0] == "cancel":
+                    harness.cancel_oldest(op[1])
+                else:
+                    harness.sim.run(until=harness.sim.now + op[1])
+            assert direct.snapshot() == queued.snapshot(), op
+
+    def test_a_stale_source_keeps_the_front_when_the_link_went_busy(self):
+        """What the direct send must reproduce on a paced link (and what
+        a plain 'clear the round-robin' would not): a source served while
+        the link then turned busy is not pruned, so it is served first
+        once a backlog forms.  ROADMAP records this as a fidelity
+        follow-up; the simulator's output depends on it."""
+        harness = DirectSendHarness(True)
+        link = harness.links[3]
+        harness.forward("a", 1, 1.0)  # direct; link 3 is now busy (paced)
+        assert link.priority_queue._rr.keys() == ["a"]
+        harness.forward("b", 1, 1.0)
+        harness.forward("a", 1, 1.0)
+        assert link.priority_queue._rr.keys() == ["a", "b"]
+        harness.sim.run(until=harness.sim.now + 0.05)
+        assert [uid[1] for uid, _ in link.por.sent] == ["a", "a", "b"]
+        # On the unpaced link the poll after the send pruned it.
+        assert [uid[1] for uid, _ in harness.links[2].por.sent] == ["a", "b"]
+
+    def test_direct_send_accounts_like_pump(self):
+        harness = DirectSendHarness(True)
+        harness.forward("a", 1, 1.0)
+        link = harness.links[2]
+        size = 100 + 64 + harness.node.signature_size
+        assert link.por.sent == [(("priority", "a", "99", 1), size)]
+        assert link.data_transmissions == 1 and len(link.priority_queue) == 0
+        assert harness.stats.counter("tx.priority.bytes").value == 2 * size
+        harness.forward("a", 1, -1.0)  # already expired: counted, not sent
+        assert link.priority_queue.dropped_expired == 1
+        assert len(link.por.sent) == 1
+
+    @pytest.mark.parametrize("block", [
+        "byzantine", "cpu", "crashed", "not-neighbor", "control", "reliable",
+        "backlog", "window",
+    ])
+    def test_direct_send_is_not_taken(self, block):
+        from repro.byzantine.behaviors import Behavior
+        from repro.messaging.message import StateRequest
+
+        config = None
+        if block == "cpu":
+            config = OverlayConfig(
+                link_bandwidth_bps=None, cpu_costs=CpuCosts(tx_packet=1e-4)
+            )
+        harness = DirectSendHarness(True, config=config)
+        node, link = harness.node, harness.links[2]
+        if block == "byzantine":
+            class Dropper(Behavior):
+                def filter_outgoing(self, payload, neighbor, node):
+                    return None
+
+            node.behavior = Dropper()
+        elif block == "crashed":
+            node.crashed = True
+        elif block == "not-neighbor":
+            # The administrator removes the 1-2 edge from the MTMW.
+            topology = node.mtmw.topology.copy()
+            topology.remove_edge(1, 2)
+            node.adopt_mtmw(node.mtmw.successor(topology, node.pki))
+            for other in harness.links.values():
+                other.por.sent.clear()  # the MTMW itself was flooded
+                other.por.in_flight = 0
+                other.control.clear()
+        elif block == "control":
+            link.enqueue_control(StateRequest(1), StateRequest.WIRE_SIZE)
+        elif block == "reliable":
+            link.reliable.rr.activate(("x", "y"))
+        elif block == "backlog":
+            link.por.in_flight = link.por.window
+            harness.forward("z", 1, 1.0)
+            assert len(link.priority_queue) == 1
+        elif block == "window":
+            link.por.in_flight = link.por.window
+        sent_before = list(link.por.sent)
+        message = harness.message("a")
+        assert link.send_if_idle(message, harness.sim.now) is False
+        assert link.por.sent == sent_before and link.data_transmissions == 0
+        # ...and the queue path then applies what the direct send skipped.
+        node.priority._forward(message, None)
+        if block == "backlog":
+            link.por.in_flight = 1
+            link.por.ack()  # the wake-up a backlogged link waits for
+        harness.sim.run(until=harness.sim.now + 0.01)
+        uids = [uid for uid, _ in link.por.sent]
+        if block in ("byzantine", "crashed", "not-neighbor", "window"):
+            assert message.uid not in uids
+        else:
+            assert message.uid in uids
+        if block in ("crashed", "not-neighbor", "window"):
+            assert len(link.priority_queue) == 1  # stored, waiting

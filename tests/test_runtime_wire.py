@@ -13,6 +13,7 @@ Two contracts, driven by Hypothesis:
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.pki import Pki, PkiMode
 from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError, WireEncodeError
 from repro.link.por import PorAck, PorData, PorHandshake, _HelloWrapper
@@ -39,7 +41,9 @@ from repro.runtime.wire import (
     MAX_BODY,
     VERSION,
     Datagram,
+    MessageMemo,
     decode_datagram,
+    encode_batch_datagram,
     encode_datagram,
 )
 
@@ -336,3 +340,118 @@ def test_oversized_body_raises_encode_error():
     packet = PorData(epoch=0, seq=0, nonce=b"", payload=message, wire_size=1)
     with pytest.raises(WireEncodeError, match="max"):
         encode_datagram("a", "b", packet)
+
+
+# ----------------------------------------------------------------------
+# Encode once: the payload section cached on the message
+# ----------------------------------------------------------------------
+def _por(message, nonce=b"n" * 8, mac=None) -> PorData:
+    packet = PorData(epoch=1, seq=2, nonce=nonce, payload=message, wire_size=64)
+    packet.mac = mac
+    return packet
+
+
+def _cold_copy(message: Message) -> Message:
+    copy = dataclasses.replace(message)
+    assert copy._wire_cache is None
+    return copy
+
+
+@given(message=MESSAGES, sender=NODE_IDS, receiver=NODE_IDS)
+@settings(max_examples=200)
+def test_cached_encode_equals_cold_encode(message, sender, receiver):
+    assert message._wire_cache is None
+    cold = encode_datagram(sender, receiver, _por(message))
+    head, body, tail = message._wire_cache
+    # A ``bytes`` payload is the middle piece itself, never a second copy.
+    if type(message.payload) is bytes:
+        assert body is message.payload
+    else:
+        assert body == b""
+    assert cold.endswith(head + body + tail)
+    # Every further out-link copies the pieces: same bytes.
+    assert encode_datagram(sender, receiver, _por(message)) == cold
+    assert encode_batch_datagram(
+        sender, receiver, [_por(message), _por(message)]
+    ) == encode_batch_datagram(
+        sender, receiver, [_por(_cold_copy(message)), _por(_cold_copy(message))]
+    )
+    # A relay re-encodes what it decoded from the bytes it received.
+    relayed = decode_datagram(cold).packet.payload
+    assert relayed == message
+    assert relayed._wire_cache == (head, body, tail)
+    assert encode_datagram(sender, receiver, _por(relayed)) == cold
+
+
+@given(message=MESSAGES, data=st.data())
+@settings(max_examples=100)
+def test_replace_and_sign_copies_encode_their_own_fields(message, data):
+    encode_datagram(1, 2, _por(message))  # warm the original
+    changed = dataclasses.replace(
+        message, seq=data.draw(I64), payload=data.draw(st.binary(max_size=16))
+    )
+    assert changed._wire_cache is None
+    decoded = decode_datagram(encode_datagram(1, 2, _por(changed))).packet.payload
+    assert decoded == changed
+    assert (decoded.seq, decoded.payload) == (changed.seq, changed.payload)
+
+
+def test_sign_starts_the_wire_cache_cold():
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register("a")
+    unsigned = Message(source="a", dest="b", seq=1, semantics=Semantics.PRIORITY,
+                       payload=b"data")
+    encode_datagram("a", "b", _por(unsigned))
+    assert unsigned._wire_cache is not None
+    signed = unsigned.sign(pki)
+    assert signed._wire_cache is None
+    decoded = decode_datagram(encode_datagram("a", "b", _por(signed))).packet.payload
+    assert decoded.signature == signed.signature
+    assert decoded.verify(pki)
+
+
+@given(message=MESSAGES)
+@settings(max_examples=100)
+def test_nothing_cached_aliases_the_receive_buffer(message):
+    """The batched receive path decodes views of a buffer it reuses."""
+    encoded = encode_datagram("a", "b", _por(_cold_copy(message)))
+    buffer = bytearray(encoded)
+    memo = MessageMemo()
+    decoded = decode_datagram(memoryview(buffer), memo).packet.payload
+    buffer[:] = bytes(len(buffer))  # the next datagram overwrites it
+    assert decoded == message
+    assert encode_datagram("a", "b", _por(decoded)) == encoded
+    if message.flooding:
+        assert decode_datagram(encoded, memo).packet.payload is decoded
+
+
+# ----------------------------------------------------------------------
+# Envelope heads: the one-struct path writes and reads the same bytes
+# ----------------------------------------------------------------------
+@given(epoch=I64, seq=I64, wire_size=U32, nonce=st.binary(min_size=8, max_size=8),
+       payload=PAYLOADS)
+@settings(max_examples=100)
+def test_por_data_head_fast_path_matches_field_path(epoch, seq, wire_size, nonce, payload):
+    def build(nonce_value):
+        return PorData(epoch, seq, nonce_value, payload, wire_size)
+
+    fast = encode_datagram(1, 2, build(nonce))
+    # A ``bytearray`` nonce is not eligible and is written field by field.
+    assert encode_datagram(1, 2, build(bytearray(nonce))) == fast
+    assert_packets_equal(decode_datagram(fast).packet, build(nonce))
+    for cut in range(HEADER_SIZE, len(fast)):
+        with pytest.raises(WireDecodeError):
+            decode_datagram(fast[:cut])
+
+
+@given(epoch=I64, cum_seq=I64, proof=st.binary(min_size=16, max_size=16))
+@settings(max_examples=100)
+def test_por_ack_head_fast_path_matches_field_path(epoch, cum_seq, proof):
+    fast = encode_datagram(1, 2, PorAck(epoch, cum_seq, proof))
+    assert encode_datagram(1, 2, PorAck(epoch, cum_seq, bytearray(proof))) == fast
+    assert_packets_equal(decode_datagram(fast).packet, PorAck(epoch, cum_seq, proof))
+    # Same sizes but a NACK list or a MAC: the field path, both ways.
+    for other in (PorAck(epoch, cum_seq, proof, (cum_seq,)), PorAck(epoch, cum_seq, proof)):
+        if not other.missing:
+            other.mac = 7
+        assert_packets_equal(decode_datagram(encode_datagram(1, 2, other)).packet, other)

@@ -20,6 +20,9 @@ robustness contract end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +30,9 @@ from hypothesis import strategies as st
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import WireDecodeError
 from repro.link.por import PorData, _HelloWrapper, connect_por_pair
-from repro.messaging.message import Hello
+from repro.messaging.message import Hello, Message, Semantics
 from repro.runtime.transport import AsyncioUdpTransport
-from repro.runtime.wire import MAX_BODY, decode_datagram, encode_datagram
+from repro.runtime.wire import MAX_BODY, MessageMemo, decode_datagram, encode_datagram
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.engine import Simulator
 
@@ -274,3 +277,159 @@ def test_por_rejects_sequence_numbers_beyond_reorder_horizon():
     end_b._on_data(ahead)
     assert end_b.out_of_window_dropped == 1
     assert expected + window in end_b._reorder
+
+
+# ----------------------------------------------------------------------
+# The per-node memo of decoded flooded messages
+# ----------------------------------------------------------------------
+def flooded(seq=1, payload=b"p" * 48, flooding=True, **fields):
+    pki = fields.pop("pki", None)
+    message = Message(
+        source="src", dest="dst", seq=seq, semantics=Semantics.PRIORITY,
+        priority=3, expiration=50.0, size_bytes=len(payload), flooding=flooding,
+        paths=None if flooding else (("src", "n", "dst"),), sent_at=1.0,
+        payload=payload, **fields,
+    )
+    return message.sign(pki) if pki is not None else message
+
+
+def data_datagram(message, seq=0):
+    packet = PorData(epoch=1, seq=seq, nonce=bytes(8), payload=message, wire_size=64)
+    return encode_datagram("peer", "n", packet)
+
+
+def payload_section_start(message):
+    """Offset of the payload section: it is the datagram's tail."""
+    head, body, tail = message._wire_cache
+    return len(data_datagram(message)) - len(head) - len(body) - len(tail)
+
+
+def with_crc(datagram: bytearray) -> bytes:
+    """Re-seal a tampered datagram (an on-path attacker can)."""
+    datagram[8:12] = zlib.crc32(datagram[12:], zlib.crc32(datagram[:8])).to_bytes(4, "big")
+    return bytes(datagram)
+
+
+def test_memo_hit_returns_the_identical_object_with_its_verdict():
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register("src")
+    message = flooded(pki=pki)
+    memo = MessageMemo()
+    # The same payload section arrives over two in-links (different PoR seq).
+    first = decode_datagram(data_datagram(message, seq=4), memo).packet.payload
+    assert first == message and first is not message
+    assert first.verify(pki)
+    second = decode_datagram(data_datagram(message, seq=9), memo).packet.payload
+    assert second is first
+    assert second._verify_cache == (pki, pki.epoch, True)
+    # Without a memo (and with a fresh one) the fields are the same.
+    assert decode_datagram(data_datagram(message)).packet.payload == first
+    assert decode_datagram(data_datagram(message), MessageMemo()).packet.payload == first
+    # Identical bytes share one verdict, but a key rotation still re-verifies.
+    pki.rotate("src")
+    assert not second.verify(pki)
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_one_changed_byte_in_the_payload_section_misses_the_memo(data):
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register("src")
+    message = flooded(pki=pki)
+    memo = MessageMemo()
+    genuine = decode_datagram(data_datagram(message), memo).packet.payload
+    assert genuine.verify(pki)
+    tampered = bytearray(data_datagram(message))
+    position = data.draw(st.integers(payload_section_start(message), len(tampered) - 1))
+    tampered[position] ^= data.draw(st.integers(1, 255))
+    try:
+        decoded = decode_datagram(with_crc(tampered), memo).packet.payload
+    except WireDecodeError:
+        return  # no longer well-formed: rejected outright
+    assert decoded is not genuine
+    assert decoded._verify_cache is None  # starts cold: nothing inherited
+    assert not decoded.verify(pki)
+    # The genuine copy is still recognised afterwards.
+    assert decode_datagram(data_datagram(message), memo).packet.payload == genuine
+
+
+def _same_crc_payload(message, target_crc):
+    """A payload that starts ``EVIL`` where ``message``'s does not, with
+    the next four bytes chosen so that the payload section's CRC-32 is
+    ``target_crc`` (CRC-32 is affine over GF(2): solve for the 32 free
+    bits by elimination)."""
+    def section_crc(free4: bytes) -> int:
+        candidate = dataclasses.replace(
+            message, payload=b"EVIL" + free4 + message.payload[8:]
+        )
+        datagram = data_datagram(candidate)
+        return zlib.crc32(datagram[payload_section_start(candidate):])
+
+    base = section_crc(bytes(4))
+    want = target_crc ^ base
+    rows = []  # (crc contribution, which free bit) per free bit
+    for bit in range(32):
+        rows.append((section_crc((1 << bit).to_bytes(4, "big")) ^ base, 1 << bit))
+    solution = 0
+    for column in range(32):
+        mask = 1 << column
+        pivot = next(i for i, (value, _) in enumerate(rows) if value & mask)
+        value, combo = rows.pop(pivot)
+        rows = [(v ^ value, c ^ combo) if v & mask else (v, c) for v, c in rows]
+        if want & mask:
+            want ^= value
+            solution ^= combo
+    assert want == 0
+    return b"EVIL" + solution.to_bytes(4, "big") + message.payload[8:]
+
+
+def test_a_checksum_collision_is_not_a_memo_hit():
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register("src")
+    message = flooded(pki=pki)
+    datagram = data_datagram(message)
+    key = zlib.crc32(datagram[payload_section_start(message):])
+    forged = dataclasses.replace(message, payload=_same_crc_payload(message, key))
+    forged_datagram = data_datagram(forged)
+    assert forged.payload != message.payload
+    assert zlib.crc32(forged_datagram[payload_section_start(forged):]) == key
+
+    memo = MessageMemo()
+    genuine = decode_datagram(datagram, memo).packet.payload
+    assert genuine.verify(pki)
+    decoded = decode_datagram(forged_datagram, memo).packet.payload
+    assert decoded is not genuine and decoded == forged
+    assert decoded._verify_cache is None
+    assert not decoded.verify(pki)
+    assert len(memo) == 1  # one key: the newest decode holds it
+    again = decode_datagram(datagram, memo).packet.payload
+    assert again is not genuine and again == genuine and again.verify(pki)
+
+
+def test_memo_is_bounded_flooded_only_and_dies_with_the_transport():
+    transport = AsyncioUdpTransport("n")
+    transport.register_peer("peer", ("127.0.0.1", 9))
+    received = []
+    transport.receive_channel("peer").on_receive = received.append
+    memo = transport._decode_memo
+    for seq in range(1, 101):
+        transport.datagram_received(data_datagram(flooded(seq)), ("127.0.0.1", 9))
+        transport.datagram_received(
+            data_datagram(flooded(seq, flooding=False)), ("127.0.0.1", 9)
+        )
+        assert len(memo) <= MessageMemo.SIZE == 64
+    assert [m.seq for m in memo.messages()] == list(range(37, 101))
+    assert all(m.flooding for m in memo.messages())
+    # A repeat of a memoised flooded message is the same object; a K-paths
+    # repeat is decoded afresh.
+    transport.datagram_received(data_datagram(flooded(100)), ("127.0.0.1", 9))
+    assert received[-1].payload is received[-3].payload
+    transport.datagram_received(
+        data_datagram(flooded(100, flooding=False)), ("127.0.0.1", 9)
+    )
+    assert received[-1].payload is not received[-3].payload
+    assert received[-1].payload == received[-3].payload
+    # Each node owns its memo; a supervised kill (close) empties it.
+    assert AsyncioUdpTransport("m")._decode_memo is not memo
+    transport.close()
+    assert len(memo) == 0
