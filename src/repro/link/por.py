@@ -303,6 +303,13 @@ class PorEndpoint:
         # heap churn (one timer event can cover many flush cycles).
         self._ack_pending = 0
         self._ack_timer_armed = False
+        # One ACK per received datagram (live substrate): between
+        # begin_datagram and end_datagram a requested ACK is only noted,
+        # and end_datagram sends the one cumulative ACK that covers them
+        # all.  The simulator delivers packet by packet and never opens
+        # a datagram.
+        self._in_datagram = False
+        self._ack_due = False
 
         # Counters.
         self.data_sent = 0
@@ -497,6 +504,7 @@ class PorEndpoint:
         # A live flush timer is left to fire; with pending zeroed it
         # disarms without sending.
         self._ack_pending = 0
+        self._ack_due = False
 
     # ------------------------------------------------------------------
     # Receive path
@@ -624,14 +632,39 @@ class PorEndpoint:
         if self._ack_pending:
             self._flush_ack()
 
+    def begin_datagram(self) -> None:
+        """The packets up to :meth:`end_datagram` arrived in one datagram:
+        acknowledge them together.
+
+        Of the ACKs one datagram's frames would trigger -- one per
+        ``ack_coalesce`` in-order packets, one per gap or duplicate --
+        only the last carries information, because ACKs are cumulative
+        and the NACK list is rebuilt from the reorder buffer each time.
+        Nothing waits longer for it: the frames are processed back to
+        back, and the ACK leaves with the datagram that caused it.
+        """
+        self._in_datagram = True
+
+    def end_datagram(self) -> None:
+        """Send the one ACK the datagram's packets asked for, if any.  A
+        tail below ``ack_coalesce`` stays with the ``ack_delay`` timer."""
+        self._in_datagram = False
+        if self._ack_due:
+            self._ack_due = False
+            self._flush_ack()
+
     def _flush_ack(self) -> None:
-        """Send the cumulative ACK now, clearing any deferred-ACK state.
+        """Send the cumulative ACK now, clearing any deferred-ACK state
+        (inside a datagram: at its end, see :meth:`begin_datagram`).
 
         A live flush timer is left alone: it fires later and disarms as a
         no-op (pending is zero), which is cheaper than cancelling it.
         Any packet deferred while the timer is live still flushes no
         later than the pending fire, so the ack_delay bound holds.
         """
+        if self._in_datagram:
+            self._ack_due = True
+            return
         self._ack_pending = 0
         self._send_ack()
 
@@ -680,10 +713,16 @@ class PorEndpoint:
         # Karn's algorithm: sample RTT only from never-retransmitted packets.
         if record is not None and not record.retransmitted:
             self._sample_rtt(self.sim.now - record.first_sent)
-        had_no_room = len(self._unacked) >= self._window
-        for seq in list(self._unacked):
-            if seq <= ack.cum_seq:
-                del self._unacked[seq]
+        unacked = self._unacked
+        had_no_room = len(unacked) >= self._window
+        # Filled in seq order and never re-inserted: the covered records
+        # are exactly the leading keys.
+        cum_seq = ack.cum_seq
+        while unacked:
+            seq = next(iter(unacked))
+            if seq > cum_seq:
+                break
+            del unacked[seq]
         # The retransmission timer is deliberately NOT re-armed here.  The
         # pending fire may now be early (its record was just acked), but a
         # stale fire is a no-op scan in _on_timeout that then re-arms at

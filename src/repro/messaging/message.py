@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from sys import intern
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -205,7 +206,15 @@ class Message:
         cached = self._uid_cache
         if cached is not None:
             return cached
-        uid = (self.semantics.value, str(self.source), str(self.dest), self.seq)
+        # Every node keeps the uid of every message until it expires
+        # (MetadataStore): the two id strings are interned so those
+        # tuples share them instead of holding a fresh copy each.
+        uid = (
+            self.semantics.value,
+            intern(str(self.source)),
+            intern(str(self.dest)),
+            self.seq,
+        )
         object.__setattr__(self, "_uid_cache", uid)
         return uid
 

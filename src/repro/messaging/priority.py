@@ -21,7 +21,7 @@ Guaranteed Throughput"; reproduced by Figures 5-7 benchmarks).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.dissemination import flood_targets, path_successors
 from repro.errors import ConfigurationError
@@ -230,6 +230,28 @@ class PriorityLinkQueue:
         return [s for s, b in self._buckets.items() if b.live > 0]
 
 
+class ParkedFlood:
+    """A new flooded message whose forwarding waits for the end of the
+    receive wakeup it arrived in (live substrate only; see
+    :meth:`repro.overlay.node.OverlayNode.begin_wakeup`), and the
+    neighbours heard sending a verified copy of it meanwhile."""
+
+    __slots__ = ("message", "from_neighbor", "has_it")
+
+    def __init__(self, message: Message, from_neighbor: Optional[NodeId]):
+        self.message = message
+        self.from_neighbor = from_neighbor
+        #: Allocated with the first such neighbour: most wakeups see none.
+        self.has_it: Optional[Set[NodeId]] = None
+
+    def heard_from(self, neighbor: NodeId) -> None:
+        """``neighbor`` sent a verified copy: it needs none from us."""
+        if self.has_it is None:
+            self.has_it = {neighbor}
+        else:
+            self.has_it.add(neighbor)
+
+
 class PriorityEngine:
     """Node-level Priority Messaging logic: dedup, delivery, forwarding."""
 
@@ -278,6 +300,13 @@ class PriorityEngine:
                 link = node.links.get(from_neighbor)
                 if link is not None:
                     link.priority_queue.cancel(message.uid)
+                if node.parked:
+                    # Same feedback for a copy not queued yet.  Only a
+                    # verified copy gets here, so a neighbor can take
+                    # none but itself off the target list.
+                    parked = node.parked.get(message.uid)
+                    if parked is not None:
+                        parked.heard_from(from_neighbor)
             return
         if message.dest == node.node_id:
             self.messages_delivered += 1
@@ -289,10 +318,33 @@ class PriorityEngine:
             if message.flooding and node.config.naive_flooding:
                 self._forward(message, from_neighbor, now)
             return
+        if (
+            node.parked is not None
+            and message.flooding
+            and not node.config.naive_flooding
+        ):
+            # Inside a receive wakeup the other copies of this message
+            # are typically already in the socket buffer: decide once,
+            # when the wakeup ends, knowing who sent them.  K-paths has
+            # no neighbor feedback to wait for.
+            node.parked[message.uid] = ParkedFlood(message, from_neighbor)
+            return
         self._forward(message, from_neighbor, now)
 
+    def forward_parked(self, parked: Iterable[ParkedFlood]) -> None:
+        """Forward each parked message to the neighbors not heard sending
+        it, in arrival order (an expired one is dropped, and counted, per
+        link by the send path)."""
+        now = self._node.sim.now
+        for entry in parked:
+            self._forward(entry.message, entry.from_neighbor, now, entry.has_it)
+
     def _forward(
-        self, message: Message, from_neighbor: Optional[NodeId], now: Optional[float] = None
+        self,
+        message: Message,
+        from_neighbor: Optional[NodeId],
+        now: Optional[float] = None,
+        has_it: Optional[Set[NodeId]] = None,
     ) -> None:
         node = self._node
         if now is None:
@@ -304,6 +356,8 @@ class PriorityEngine:
                 naive=node.config.naive_flooding,
                 metrics=node.stats.metrics,
             )
+            if has_it:
+                targets = [n for n in targets if n not in has_it]
         elif message.paths:
             targets, violations = path_successors(
                 node.node_id,

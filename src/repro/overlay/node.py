@@ -35,7 +35,7 @@ from repro.messaging.message import (
     StateRequest,
 )
 from repro.messaging.metadata import MetadataStore
-from repro.messaging.priority import PriorityEngine, PriorityLinkQueue
+from repro.messaging.priority import ParkedFlood, PriorityEngine, PriorityLinkQueue
 from repro.messaging.reliable import ReliableEngine, ReliableLinkState
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.routing.link_state import UPDATE_WIRE_SIZE, LinkStateUpdate
@@ -316,6 +316,13 @@ class OverlayNode:
         self.reliable = ReliableEngine(self)
         self.behavior: Behavior = HonestBehavior()
         self.crashed = False
+        #: New flooded messages waiting for the end of the current
+        #: receive wakeup, by uid in arrival order; None outside a wakeup
+        #: (always, on the simulator).  See :meth:`begin_wakeup`.
+        self.parked: Optional[Dict[Tuple, ParkedFlood]] = None
+        # deliver_local's instruments by (source, dest, priority): looked
+        # up by name once, not on every delivery.
+        self._delivery_meters: Dict[Tuple[NodeId, NodeId, int], Tuple] = {}
         self.on_deliver: Optional[Callable[[Message], None]] = None
         #: Instrumentation taps (e.g. the chaos InvariantMonitor): called
         #: as ``observer(message, node)`` on every local delivery, before
@@ -862,15 +869,25 @@ class OverlayNode:
     # ------------------------------------------------------------------
     def deliver_local(self, message: Message) -> None:
         """Deliver a message addressed to this node: record stats, call the app."""
-        latency = self.sim.now - message.sent_at
-        flow_name = f"{message.source}->{message.dest}"
-        self.stats.goodput(f"flow:{flow_name}").record(message.size_bytes)
-        self.stats.goodput("delivered").record(message.size_bytes)
-        self.stats.latency(f"latency:{flow_name}").record(self.sim.now, latency)
-        self.stats.counter("messages_delivered").add()
-        self.stats.series(f"priority-count:{flow_name}:{message.priority}").record(
-            self.sim.now, 1.0
-        )
+        now = self.sim.now
+        key = (message.source, message.dest, message.priority)
+        meters = self._delivery_meters.get(key)
+        if meters is None:
+            stats = self.stats
+            flow_name = f"{message.source}->{message.dest}"
+            meters = self._delivery_meters[key] = (
+                stats.goodput(f"flow:{flow_name}"),
+                stats.goodput("delivered"),
+                stats.latency(f"latency:{flow_name}"),
+                stats.counter("messages_delivered"),
+                stats.series(f"priority-count:{flow_name}:{message.priority}"),
+            )
+        flow_goodput, delivered, flow_latency, count, priority_count = meters
+        flow_goodput.record(message.size_bytes)
+        delivered.record(message.size_bytes)
+        flow_latency.record(now, now - message.sent_at)
+        count.add()
+        priority_count.record(now, 1.0)
         for observer in self.delivery_observers:
             observer(message, self)
         if self.on_deliver is not None:
@@ -1017,11 +1034,38 @@ class OverlayNode:
             link.pump()
 
     # ------------------------------------------------------------------
+    # Receive wakeups (live substrate)
+    # ------------------------------------------------------------------
+    def begin_wakeup(self) -> None:
+        """The node's transport starts processing a burst of received
+        datagrams without returning to the event loop in between.
+
+        Under constrained flooding most of a burst is copies of the same
+        few messages from different neighbors.  Forwarding the first copy
+        at once sends it to neighbors whose own copy sits a few datagrams
+        further down the same burst; so until :meth:`end_wakeup` the
+        Priority engine parks each new flooded message and notes which
+        neighbors it then hears the message from.  Nothing waits across
+        loop iterations: the burst is processed back to back and the
+        forwards leave before the transport returns to the loop.
+        """
+        self.parked = {}
+
+    def end_wakeup(self) -> None:
+        """Forward what the wakeup parked, each message once, to the
+        neighbors not heard sending it."""
+        parked, self.parked = self.parked, None
+        if parked:  # (a crash in between emptied it)
+            self.priority.forward_parked(parked.values())
+
+    # ------------------------------------------------------------------
     # Crash / recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Lose all soft state and stop participating."""
         self.crashed = True
+        if self.parked is not None:
+            self.parked = {}
         self.metadata = MetadataStore(self.config.max_message_lifetime)
         self.reliable.reset()
         if self.admission is not None:

@@ -651,6 +651,10 @@ class LiveDeployment:
         overlay = OverlayNode(
             self.scheduler, node_id, self.mtmw, self.pki, config.overlay, stats
         )
+        # One socket wakeup is the node's unit of work: flooded forwards
+        # are decided once at its end and leave before it returns.
+        transport.on_wakeup_start = overlay.begin_wakeup
+        transport.on_wakeup_end = overlay.end_wakeup
         self.processes[node_id] = NodeProcess(
             node_id, self.scheduler, transport, overlay, stats
         )
@@ -661,12 +665,13 @@ class LiveDeployment:
         """This process's half of the PoR link ``local <-> remote``,
         with ``remote`` reachable at ``address``."""
         process = self.processes[local]
-        process.transport.register_peer(remote, address)
-        process.overlay.connect(
-            remote,
-            process.transport.send_channel(remote, coalesce=True),
-            process.transport.receive_channel(remote),
+        rx = process.transport.register_peer(remote, address)
+        link = process.overlay.connect(
+            remote, process.transport.send_channel(remote, coalesce=True), rx
         )
+        # One PoR ACK per received datagram, not per ack_coalesce frames.
+        rx.on_datagram_start = link.por.begin_datagram
+        rx.on_datagram_end = link.por.end_datagram
 
     def _defense_signals(self, node_id: NodeId) -> Dict[str, float]:
         """Live-only belief signals for one node: transport-level drops

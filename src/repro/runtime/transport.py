@@ -24,12 +24,15 @@ Three layers of batching amortize per-datagram overhead:
 * :meth:`UdpSendChannel.send_batch` packs several link packets into one
   batch-container datagram (``FLAG_BATCH`` in :mod:`repro.runtime.wire`)
   — one header, one CRC, one syscall for N frames.  With *coalescing*
-  enabled, plain :meth:`UdpSendChannel.send` calls inside one event-loop
-  tick are gathered and flushed as a batch at the end of the tick, so
-  PoR ACKs generated while data is queued piggyback in the same
-  datagram.  A single pending packet flushes through the classic
-  (flags=0) layout, keeping unbatched traffic byte-identical to the
-  simulator's conformance expectations.
+  enabled, plain :meth:`UdpSendChannel.send` calls are gathered and
+  flushed as a batch, so PoR ACKs generated while data is queued
+  piggyback in the same datagram: frames queued while the node's own
+  transport is inside a receive wakeup (below) leave when that wakeup
+  ends, before control returns to the event loop; frames queued from
+  anywhere else (timers, another node's wakeup) leave via ``call_soon``.
+  A single pending packet flushes through the classic (flags=0) layout,
+  keeping unbatched traffic byte-identical to the simulator's
+  conformance expectations.
 * :meth:`AsyncioUdpTransport.sendto_batch` hands a burst of encoded
   datagrams to the kernel in one ``sendmmsg`` call where the platform's
   ``socket`` module exposes it, falling back to per-datagram ``sendto``
@@ -40,6 +43,22 @@ Three layers of batching amortize per-datagram overhead:
   whatever else the socket already has (``recvmmsg`` where available,
   bounded non-blocking ``recvfrom`` otherwise) instead of paying one
   loop iteration per datagram.
+
+The receive wakeup
+------------------
+
+One call of :meth:`AsyncioUdpTransport.datagram_received` — the datagram
+asyncio delivered plus the drain, at most ``1 + DRAIN_BATCH`` datagrams —
+is the unit of work.  It is bracketed in ``try``/``finally``:
+``on_wakeup_start`` runs first; when it ends ``on_wakeup_end`` runs (the
+overlay node forwards what it parked, see :meth:`repro.overlay.node.
+OverlayNode.end_wakeup`) and then every send channel that queued a frame
+during the wakeup is flushed.  What a hop produces is therefore on the
+socket before the loop runs another node, and one hop costs one loop
+iteration, not two.  Within a wakeup each datagram is bracketed too
+(``UdpReceiveChannel.on_datagram_start`` / ``on_datagram_end``) so the
+link acknowledges once per datagram, not once per ``ack_coalesce``
+frames.  The simulator has neither bracket.
 
 Robustness: anything that is not a well-formed, correctly addressed
 datagram from a known neighbor is counted and dropped — an attacker (or
@@ -74,11 +93,23 @@ _CONTROL_FRAMES = (AddrQuery, AddrReply, AddrAnnounce)
 class UdpReceiveChannel:
     """The receiving half of one directed link (peer -> local node)."""
 
-    __slots__ = ("peer", "on_receive", "packets_delivered")
+    __slots__ = (
+        "peer",
+        "on_receive",
+        "on_datagram_start",
+        "on_datagram_end",
+        "packets_delivered",
+    )
 
     def __init__(self, peer: Any):
         self.peer = peer
         self.on_receive: Optional[Callable[[Any], None]] = None
+        #: Called around the :meth:`deliver` calls of one multi-frame
+        #: datagram (all its frames belong to this channel), so the
+        #: receiver can act once per datagram; the end hook runs even
+        #: when a frame's handler raised.
+        self.on_datagram_start: Optional[Callable[[], None]] = None
+        self.on_datagram_end: Optional[Callable[[], None]] = None
         self.packets_delivered = 0
 
     def deliver(self, packet: Any) -> None:
@@ -176,15 +207,21 @@ class UdpSendChannel:
         control object cannot crash the node's send path.
 
         With coalescing enabled the packet is queued and flushed — as a
-        batch container when others joined it this tick — via
-        ``call_soon``, so ACKs piggyback with data generated in the same
-        wakeup.
+        batch container when others joined it — so ACKs piggyback with
+        data generated in the same wakeup: at the end of the transport's
+        receive wakeup when it is inside one, via ``call_soon`` otherwise.
         """
         self._advance_busy(size_bytes)
         if self._coalesce:
             self._pending.append(packet)
             if not self._flush_scheduled:
-                loop = self._transport._loop
+                transport = self._transport
+                wakeup = transport._wakeup_channels
+                if wakeup is not None:
+                    self._flush_scheduled = True
+                    wakeup.append(self)
+                    return
+                loop = transport._loop
                 if loop is not None:
                     self._flush_scheduled = True
                     loop.call_soon(self._flush)
@@ -314,6 +351,15 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
         #: ``(packet, addr)``; exceptions are swallowed into the
         #: dispatch-error accounting.
         self.on_control: Optional[Callable[[Any, Address], None]] = None
+        #: Receive-wakeup hooks (see the module docstring): the start
+        #: hook runs before the first datagram of a wakeup is processed,
+        #: the end hook after the last one and *before* the wakeup's
+        #: send channels are flushed, so what it sends leaves with them.
+        self.on_wakeup_start: Optional[Callable[[], None]] = None
+        self.on_wakeup_end: Optional[Callable[[], None]] = None
+        #: Send channels that queued a frame during the current receive
+        #: wakeup, in first-send order; None outside a wakeup.
+        self._wakeup_channels: Optional[List[UdpSendChannel]] = None
         #: The port the socket was last bound to (survives ``close`` so a
         #: supervised restart can try to reclaim the same port, keeping
         #: peers' registrations valid without a re-announce).
@@ -595,8 +641,30 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
         self.encode_errors += 1
 
     def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._process_datagram(data, addr)
-        self._drain_pending()
+        """One receive wakeup: this datagram plus the drain (see the
+        module docstring); everything it queued is sent before returning."""
+        self._wakeup_channels = []
+        try:
+            if self.on_wakeup_start is not None:
+                self.on_wakeup_start()
+            self._process_datagram(data, addr)
+            self._drain_pending()
+        finally:
+            self._end_wakeup()
+
+    def _end_wakeup(self) -> None:
+        try:
+            if self.on_wakeup_end is not None:
+                try:
+                    self.on_wakeup_end()
+                except Exception as exc:
+                    self._dispatch_failed(exc)
+        finally:
+            # Closed only now: what the end hook sent registered too.
+            channels = self._wakeup_channels
+            self._wakeup_channels = None
+            for channel in channels:
+                channel._flush()
 
     def _process_datagram(self, data: bytes, addr: Address) -> None:
         self.datagrams_received += 1
@@ -623,31 +691,42 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
                 try:
                     self.on_control(datagram.packet, addr)
                 except Exception as exc:
-                    self.dispatch_errors += 1
-                    if self._counters is not None:
-                        self._counters["dispatch_errors"].add()
-                    if self.on_dispatch_error is None:
-                        raise
-                    self.on_dispatch_error(exc)
+                    self._dispatch_failed(exc)
                 return
         channel = self._inbound.get(datagram.sender)
         if channel is None:
             self.unknown_sender += 1
             self._note_drop("drop_unknown")
             return
-        for packet in datagram.packets:
-            try:
-                channel.deliver(packet)
-            except Exception as exc:
-                self.dispatch_errors += 1
-                if self._counters is not None:
-                    self._counters["dispatch_errors"].add()
-                if self.on_dispatch_error is None:
-                    raise
-                # One poisoned handler (or payload) must not take the
-                # node's receive path down with it; the deployment decides
-                # whether the run still counts as healthy.
-                self.on_dispatch_error(exc)
+        packets = datagram.packets
+        # A lone frame needs no bracket: whatever it makes the receiver
+        # do happens at once either way.
+        bracket = len(packets) > 1 and channel.on_datagram_start is not None
+        if bracket:
+            channel.on_datagram_start()
+        try:
+            for packet in packets:
+                try:
+                    channel.deliver(packet)
+                except Exception as exc:
+                    self._dispatch_failed(exc)
+        finally:
+            if bracket and channel.on_datagram_end is not None:
+                channel.on_datagram_end()
+
+    def _dispatch_failed(self, exc: Exception) -> None:
+        """Account an exception that escaped a receive-path handler;
+        re-raises it (call from the ``except`` block) unless the
+        deployment took it via ``on_dispatch_error``."""
+        self.dispatch_errors += 1
+        if self._counters is not None:
+            self._counters["dispatch_errors"].add()
+        if self.on_dispatch_error is None:
+            raise exc
+        # One poisoned handler (or payload) must not take the node's
+        # receive path down with it; the deployment decides whether the
+        # run still counts as healthy.
+        self.on_dispatch_error(exc)
 
     def _drain_pending(self) -> None:
         """Drain datagrams the socket already queued, in this wakeup.

@@ -265,3 +265,95 @@ class TestPayloadTampering:
         assert behavior.tampered > 0
         assert [m.payload for m in delivered] == [b"genuine"] * 5
         assert net.stats.counter("invalid_signatures").value > 0
+
+
+class TestLiveFloodUnderReplay:
+    """Constrained flooding on the live substrate decides a forward once
+    per receive wakeup, skipping neighbours heard sending the message
+    meanwhile.  The cheapest way to abuse that is to replay every flooded
+    message to everybody at once; it must cost nothing but the
+    replayer's own copy."""
+
+    REPLAYER, DROPPER = 4, 9
+
+    def test_replayer_and_dropper_cannot_stop_delivery_between_correct_nodes(self):
+        import asyncio
+
+        from repro.byzantine.behaviors import Behavior, DroppingBehavior
+        from repro.messaging.message import Message
+        from repro.runtime.live import LiveConfig, LiveDeployment
+
+        class ReplayToAll(Behavior):
+            """Hand every flooded message straight back out on every link
+            (valid copies), then process it as usual."""
+
+            def __init__(self):
+                self.replayed = 0
+
+            def filter_incoming(self, payload, neighbor, node):
+                if isinstance(payload, Message) and payload.flooding:
+                    size = payload.wire_size(node.signature_size)
+                    for link in node.links.values():
+                        link.enqueue_control(payload, size, raw=True)
+                        link.pump()
+                        self.replayed += 1
+                return payload
+
+        flows = [(1, 7), (7, 1), (2, 11), (12, 6)]
+        per_flow = 25
+
+        async def check():
+            deployment = LiveDeployment(
+                LiveConfig(nodes=12, duration=5.0, seed=11, flow_traffic=False)
+            )
+            await deployment.start()
+            try:
+                replay = ReplayToAll()
+                deployment.node(self.REPLAYER).behavior = replay
+                deployment.node(self.DROPPER).behavior = DroppingBehavior()
+                # Watch an honest neighbour of the replayer: which verified
+                # copies it heard from whom, and whom each forward skipped.
+                honest = deployment.node(self.REPLAYER + 1)
+                assert self.REPLAYER in honest.links
+                heard, forwards = {}, []
+                handle, forward = honest.priority.handle, honest.priority._forward
+
+                def spy_handle(message, from_neighbor):
+                    heard.setdefault(message.uid, set()).add(from_neighbor)
+                    handle(message, from_neighbor)
+
+                def spy_forward(message, from_neighbor, now=None, has_it=None):
+                    forwards.append(
+                        (message.uid, from_neighbor, set(has_it or ()),
+                         set(heard[message.uid]))
+                    )
+                    forward(message, from_neighbor, now, has_it)
+
+                honest.priority.handle = spy_handle
+                honest.priority._forward = spy_forward
+                for _ in range(per_flow):
+                    for source, dest in flows:
+                        deployment.node(source).send_priority(dest, size_bytes=200)
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.5)
+            finally:
+                await deployment.stop()
+            return deployment, replay, forwards
+
+        deployment, replay, forwards = asyncio.run(check())
+        assert replay.replayed > 0
+        for source, dest in flows:
+            recorder = deployment.processes[dest].stats.latency(
+                f"latency:{source}->{dest}"
+            )
+            assert recorder.count == per_flow, (source, dest, recorder.count)
+        # Every message reached the honest neighbour and was forwarded
+        # once; a neighbour was skipped only because it had itself sent a
+        # verified copy -- so the replayer took nobody but itself off a
+        # target list -- and the replayer's haste did show up.
+        assert len(forwards) == len({uid for uid, *_ in forwards})
+        assert len(forwards) == per_flow * len(flows)
+        for uid, from_neighbor, skipped, senders in forwards:
+            assert skipped <= senders - {from_neighbor}, (uid, skipped, senders)
+        assert any(self.REPLAYER in skipped for _, _, skipped, _ in forwards)
+        assert not deployment.report().runtime_errors

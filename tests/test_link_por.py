@@ -225,6 +225,29 @@ class TestRealCryptoHandshake:
         assert delivered_b == []
         assert b.macs_rejected > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4(h): PorData.mac_fields() is (epoch, seq, nonce) -- "
+        "the link HMAC does not cover the payload",
+    )
+    def test_real_hmac_rejects_swapped_payload(self):
+        from repro.link.por import PorData
+
+        sim, a, b, _, delivered_b = make_link(pki_mode=PkiMode.REAL, handshake=True)
+        sim.run(until=1.0)
+        original = a.out_channel.send
+
+        def swap_payload(pkt, size):
+            if isinstance(pkt, PorData):
+                pkt.payload = b"forged"  # the tag stays the sender's
+            original(pkt, size)
+
+        a.out_channel.send = swap_payload
+        a.send(b"genuine", 10)
+        sim.run(until=2.0)
+        assert delivered_b == []
+        assert b.macs_rejected > 0
+
 
 class TestCrashRecovery:
     def test_epoch_reset_resynchronizes(self):
@@ -320,3 +343,99 @@ class TestAckCoalescing:
         sim.run(until=2.0)
         assert delivered_b == list(range(10))
         assert b.acks_sent >= 10
+
+
+def capture_sends(endpoint):
+    """Divert what ``endpoint`` transmits into a list (nothing reaches
+    the channel), so a test can hand the packets over datagram by
+    datagram, as the live transport does."""
+    sent = []
+    endpoint.out_channel.send = lambda packet, size: sent.append(packet)
+    return sent
+
+
+def deliver_datagram(endpoint, packets):
+    endpoint.begin_datagram()
+    for packet in packets:
+        endpoint._on_packet(packet)
+    endpoint.end_datagram()
+
+
+class TestAckPerDatagram:
+    """On the live substrate the frames of one datagram are bracketed by
+    begin_datagram/end_datagram and acknowledged once."""
+
+    def test_in_order_frames_of_one_datagram_get_exactly_one_ack(self):
+        sim, a, b, _, delivered_b = make_link()
+        data, acks = capture_sends(a), capture_sends(b)
+        for i in range(7):
+            a.send(i, 100)
+        deliver_datagram(b, data)
+        assert delivered_b == list(range(7))
+        assert len(acks) == 1 and b.acks_sent == 1
+        assert acks[0].cum_seq == 6
+        a._on_packet(acks[0])  # the proof covers all seven
+        assert a.in_flight == 0 and a.bogus_acks_rejected == 0
+        # The same frames outside a datagram (the simulator's path) ACK
+        # per ack_coalesce packets, as before.
+        sim2, a2, b2, _, _ = make_link()
+        data2, acks2 = capture_sends(a2), capture_sends(b2)
+        for i in range(7):
+            a2.send(i, 100)
+        for packet in data2:
+            b2._on_packet(packet)
+        assert [ack.cum_seq for ack in acks2] == [1, 3, 5]
+
+    def test_gap_inside_a_datagram_sends_one_ack_with_the_nack_list(self):
+        sim, a, b, _, delivered_b = make_link()
+        data, acks = capture_sends(a), capture_sends(b)
+        for i in range(6):
+            a.send(i, 100)
+        b.begin_datagram()
+        for packet in data[:2] + data[3:]:
+            b._on_packet(packet)
+        assert acks == []  # noted, not sent, while the datagram is open
+        b.end_datagram()
+        assert delivered_b == [0, 1]
+        assert len(acks) == 1  # went out with the datagram that showed the gap
+        assert (acks[0].cum_seq, acks[0].missing) == (1, (2,))
+
+    def test_datagram_after_a_lost_one_triggers_fast_retransmit(self):
+        sim, a, b, _, delivered_b = make_link()
+        data, acks = capture_sends(a), capture_sends(b)
+        for i in range(6):
+            a.send(i, 100)
+        deliver_datagram(b, data[0:2])
+        a._on_packet(acks.pop())
+        assert a.in_flight == 4
+        sim.run(until=0.05)  # past the still-in-flight guard, before the RTO
+        deliver_datagram(b, data[3:6])  # the datagram carrying seq 2 was lost
+        assert len(acks) == 1 and acks[0].missing == (2,)
+        a._on_packet(acks.pop())
+        assert a.data_retransmitted == 1 and data[-1].seq == 2
+        deliver_datagram(b, data[-1:])
+        assert delivered_b == list(range(6))
+        assert [ack.cum_seq for ack in acks] == [5]
+
+    def test_a_lone_frame_still_waits_for_the_ack_delay_timer(self):
+        config = PorConfig(ack_coalesce=2, ack_delay=0.004)
+        sim, a, b, _, delivered_b = make_link(config=config)
+        data, acks = capture_sends(a), capture_sends(b)
+        a.send("only", 100)
+        deliver_datagram(b, data)
+        assert delivered_b == ["only"] and acks == []
+        sim.run(until=0.003)
+        assert acks == []
+        sim.run(until=0.005)
+        assert [ack.cum_seq for ack in acks] == [0]
+
+    def test_duplicate_frames_in_a_datagram_are_answered_once(self):
+        sim, a, b, _, delivered_b = make_link()
+        data, acks = capture_sends(a), capture_sends(b)
+        for i in range(4):
+            a.send(i, 100)
+        deliver_datagram(b, data)
+        del acks[:]
+        deliver_datagram(b, data)  # the ACK was lost, the sender repeats
+        assert b.duplicates_dropped == 4
+        assert [ack.cum_seq for ack in acks] == [3]

@@ -116,3 +116,95 @@ class TestDestinationBehaviour:
         net.node(1).send_priority(3)
         net.run(1.0)
         assert net.delivered_count(1, 1) == 0
+
+
+class TestParkedFlooding:
+    """Inside a receive wakeup (live substrate: OverlayNode.begin_wakeup /
+    end_wakeup) a new flooded message is forwarded once, at the end, to
+    the neighbours not heard sending a verified copy of it."""
+
+    def flooded(self, net, method=None, expire_after=None):
+        """A signed priority message from node 1 to node 5, not injected."""
+        source = net.node(1)
+        sent = []
+        source.cpu.sign = lambda handler, message, neighbor: sent.append(message)
+        source.send_priority(5, method=method, expire_after=expire_after)
+        return sent[0]
+
+    def transmissions(self, node):
+        return {n: link.data_transmissions for n, link in node.links.items()}
+
+    def test_copies_from_two_neighbours_forward_once_to_neither(self):
+        net = OverlayNetwork.build(clique(5), FAST)
+        message, node = self.flooded(net), net.node(2)
+        node.begin_wakeup()
+        node.on_link_deliver(1, message, 100)
+        node.on_link_deliver(3, message, 100)
+        assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 0}  # parked
+        node.end_wakeup()
+        assert self.transmissions(node) == {1: 0, 3: 0, 4: 1, 5: 1}
+        assert node.parked is None
+        assert node.priority.duplicates_suppressed == 1
+
+    def test_bad_signature_copy_removes_nobody_from_the_targets(self):
+        from dataclasses import replace
+
+        net = OverlayNetwork.build(clique(5), FAST)
+        message, node = self.flooded(net), net.node(2)
+        # Same uid, but the signature no longer fits the contents.
+        forged = replace(message, size_bytes=message.size_bytes + 1)
+        assert forged.uid == message.uid and not forged.verify(net.pki)
+        node.begin_wakeup()
+        node.on_link_deliver(1, message, 100)
+        node.on_link_deliver(3, forged, 100)
+        node.end_wakeup()
+        assert self.transmissions(node) == {1: 0, 3: 1, 4: 1, 5: 1}
+        assert node.invalid_messages_rejected == 1
+
+    def test_kpaths_naive_and_outside_a_wakeup_forward_at_once(self):
+        net = OverlayNetwork.build(clique(5), FAST)
+        node = net.node(2)
+        node.on_link_deliver(1, self.flooded(net), 100)  # no wakeup open
+        assert self.transmissions(node) == {1: 0, 3: 1, 4: 1, 5: 1}
+
+        net = OverlayNetwork.build(clique(5), FAST)
+        node = net.node(2)
+        kpaths = Message(
+            source=1, dest=5, seq=1, semantics=Semantics.PRIORITY, priority=5,
+            expiration=100.0, flooding=False, paths=((1, 2, 5),),
+        ).sign(net.pki)
+        node.begin_wakeup()
+        node.on_link_deliver(1, kpaths, 100)
+        assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 1}
+        assert node.parked == {}
+        node.end_wakeup()
+
+        naive = OverlayConfig(link_bandwidth_bps=None, naive_flooding=True)
+        net = OverlayNetwork.build(clique(5), naive)
+        node = net.node(2)
+        node.begin_wakeup()
+        node.on_link_deliver(1, self.flooded(net), 100)
+        assert self.transmissions(node) == {1: 1, 3: 1, 4: 1, 5: 1}
+        node.end_wakeup()
+
+    def test_crash_inside_a_wakeup_drops_parked_messages(self):
+        net = OverlayNetwork.build(clique(5), FAST)
+        message, node = self.flooded(net), net.node(2)
+        node.begin_wakeup()
+        node.on_link_deliver(1, message, 100)
+        assert len(node.parked) == 1
+        node.crash()
+        assert node.parked == {}
+        node.end_wakeup()
+        assert node.parked is None
+        assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 0}
+
+    def test_expired_parked_message_is_counted_not_sent(self):
+        net = OverlayNetwork.build(clique(5), FAST)
+        message, node = self.flooded(net, expire_after=0.5), net.node(2)
+        node.begin_wakeup()
+        node.on_link_deliver(1, message, 100)
+        net.run(1.0)  # (a live wakeup is far shorter; the check is what matters)
+        node.end_wakeup()
+        assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 0}
+        assert [node.links[n].priority_queue.dropped_expired for n in (3, 4, 5)] == [1, 1, 1]

@@ -10,7 +10,8 @@ median against the metric's ``BENCHMARK.json`` bound.
 Usage::
 
     python tools/bench_pairs.py PARENT CHANGE --workload cloud_flood \\
-        [--pairs 10] [--seconds 12] [--first-seed 100] [--output runs.json]
+        [--pairs 10] [--seconds 12] [--first-seed 100] [--output runs.json] \\
+        [--counts overlay.node.link_tx_per_msg link.por.acks_per_data ...]
 
 ``PARENT`` and ``CHANGE`` are checkout directories (two clones; see the
 README).  ``--workload`` may repeat; without it every workload declared
@@ -18,7 +19,12 @@ in ``BENCHMARK.json`` runs.  Metrics, bounds and the default run length
 are read from the ``BENCHMARK.json`` next to this tool; nothing under
 ``benchmarks/e2e/`` is edited and nothing is written unless ``--output``
 is given.  A run whose oracle fails is reported and counts as a loss for
-its side.  Every run imports from source (bytecode caches are neither read
+its side.  ``--counts`` adds, after the pairs, one ``--trace 1`` run per
+side (the seed after the last pair's) and prints the named per-layer
+metrics parent -> change, plus CPU per link transmission (the pairs' median
+``cpu_us_per_msg`` over the traced ``overlay.node.link_tx_per_msg``), so
+where a saving sits is shown by the same command as the medians.  Every
+run imports from source (bytecode caches are neither read
 nor written), so a checkout that happens to hold ``__pycache__`` gets no
 head start on ``setup_s``.
 """
@@ -42,13 +48,17 @@ sys.path.insert(0, str(ROOT))
 from benchmarks.e2e.helpers import worse_by  # noqa: E402  (pure; the self-check's measure)
 
 
+LINK_TX = "overlay.node.link_tx_per_msg"
+
+
 def run_once(checkout: pathlib.Path, command: Sequence[str], workload: str,
-             seed: int, seconds: float) -> Dict[str, Any]:
-    """One untraced run of ``checkout``'s benchmark; its driver line."""
+             seed: int, seconds: float, trace: bool = False) -> Dict[str, Any]:
+    """One run of ``checkout``'s benchmark (untraced unless ``trace``);
+    its driver line."""
     with tempfile.TemporaryDirectory() as no_bytecode:
         done = subprocess.run(
             [*command, "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(seconds), "--trace", str(int(trace))],
             cwd=checkout, capture_output=True, text=True, timeout=1800,
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
                  "PYTHONPYCACHEPREFIX": no_bytecode},
@@ -130,8 +140,37 @@ def print_table(workload: str, rows: List[Dict[str, Any]],
     print("   ('median' is the change's median against the parent's, + = better)")
 
 
+def traced_counts(sides: Sequence[Any], spec: Dict[str, Any], workload: str,
+                  seed: int, seconds: float, names: Sequence[str],
+                  summary: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+    """One traced run per side; print ``names`` (per-layer metrics) parent
+    -> change and, from ``summary`` (the pairs), CPU per link transmission."""
+    wanted = list(dict.fromkeys([*names, LINK_TX, "trace.valid"]))
+    counts = {}
+    for side, checkout in sides:
+        run = run_once(checkout, spec["command"], workload, seed, seconds, trace=True)
+        counts[side] = {name: run["metrics"][name] for name in wanted}
+    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+    print(f"\n== {workload}: one traced run per side, seed {seed} (counts, not timings) ==")
+    for name in names:
+        print(f"   {name:<46}{counts['parent'][name]:>12.4g} -> "
+              f"{counts['change'][name]:<12.4g}{units[name]}")
+    cpu = next(row for row in summary if row["metric"] == "cpu_us_per_msg")
+    per_tx = {side: cpu[side][1] / counts[side][LINK_TX]
+              for side in counts if counts[side][LINK_TX]}
+    if len(per_tx) == 2:
+        print(f"   {'cpu_us_per_msg / link_tx_per_msg':<46}{per_tx['parent']:>12.4g} -> "
+              f"{per_tx['change']:<12.4g}us  (pairs' median CPU over the traced count)")
+    for side in counts:
+        if counts[side]["trace.valid"] != 1:
+            print(f"   WARNING: {side}'s traced run reads trace.valid "
+                  f"{counts[side]['trace.valid']:g}")
+    return counts
+
+
 def compare(parent: pathlib.Path, change: pathlib.Path, spec: Dict[str, Any],
-            workload: str, pairs: int, seconds: float, first_seed: int) -> Dict[str, Any]:
+            workload: str, pairs: int, seconds: float, first_seed: int,
+            counts: Sequence[str] = ()) -> Dict[str, Any]:
     runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
     sides = (("parent", parent), ("change", change))
     for pair in range(pairs):
@@ -147,7 +186,12 @@ def compare(parent: pathlib.Path, change: pathlib.Path, spec: Dict[str, Any],
                   flush=True)
     rows = [summarise(m, runs["parent"], runs["change"]) for m in spec["end_to_end"]]
     print_table(workload, rows, runs["parent"], runs["change"])
-    return {"runs": runs, "summary": rows}
+    result = {"runs": runs, "summary": rows}
+    if counts:
+        result["counts"] = traced_counts(
+            sides, spec, workload, first_seed + pairs, seconds, counts, rows
+        )
+    return result
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -164,12 +208,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="pair i runs both sides with seed first-seed + i")
     parser.add_argument("--output", type=pathlib.Path,
                         help="write every run and the summaries here as JSON")
+    parser.add_argument("--counts", nargs="+", default=[], metavar="NAME",
+                        choices=[m["name"] for m in spec["per_layer"]],
+                        help="per-layer metrics to print from one traced run per side")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     results = {
         workload: compare(args.parent.resolve(), args.change.resolve(), spec,
-                          workload, args.pairs, args.seconds, args.first_seed)
+                          workload, args.pairs, args.seconds, args.first_seed,
+                          args.counts)
         for workload in (args.workload or names)
     }
     if args.output:
