@@ -154,8 +154,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     deployment = Deployment(seed=args.seed)
     preset = args.preset
-    if preset is None:
-        preset = "link" if args.link_level else "full"
     spec_factory = {
         "link": ChaosSpec.link_level,
         "full": ChaosSpec.full,
@@ -486,20 +484,14 @@ def cmd_perfbench(args: argparse.Namespace) -> int:
     """``repro perfbench``: hot-path microbenchmarks + regression gate."""
     import json
 
-    from repro.perf import attach_pre_pr, compare_to_baseline, run_suite
+    from repro.perf import compare_to_baseline, run_suite
 
     mode = "quick" if args.quick else "full"
     print(f"perfbench: mode={mode} seed={args.seed}")
     report = run_suite(mode=mode, seed=args.seed)
-    if args.merge_pre_pr:
-        with open(args.merge_pre_pr, "r", encoding="utf-8") as handle:
-            attach_pre_pr(report, json.load(handle))
     for name, result in report["benchmarks"].items():
-        speedup = report.get("speedup_vs_pre_pr", {}).get(name)
-        extra = f"  ({speedup:.2f}x vs pre-PR)" if speedup is not None else ""
         print(f"  {name:<20} {result['ops_per_sec']:>12,.0f} ops/s  "
-              f"p50 {result['p50_us']:7.2f} us  p99 {result['p99_us']:8.2f} us"
-              f"{extra}")
+              f"p50 {result['p50_us']:7.2f} us  p99 {result['p99_us']:8.2f} us")
     print(f"  calibration: {report['calibration_ops_per_sec']:,.0f} loop iters/s")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -687,12 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--flows", type=int, default=3, choices=range(1, 6))
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--preset", choices=["link", "full", "soak"],
-                       default=None,
-                       help="ChaosSpec preset (default: full; link faults "
-                            "only with --link-level)")
-    chaos.add_argument("--link-level", action="store_true",
-                       help="link faults only (back-compat for "
-                            "--preset link)")
+                       default="full",
+                       help="ChaosSpec preset (link: link faults only)")
     chaos.add_argument("--adaptive", action="store_true",
                        help="arm the feedback-controlled defense "
                             "(belief-driven recovery + quarantine)")
@@ -820,9 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     perfbench.add_argument("--max-regression", type=float, default=0.25,
                            help="tolerated ops/sec drop vs the calibrated "
                                 "baseline (default 0.25)")
-    perfbench.add_argument("--merge-pre-pr", default=None,
-                           help="record a pre-PR measurement's ops/sec and "
-                                "speedups inside the report")
     perfbench.set_defaults(func=cmd_perfbench)
 
     overload = sub.add_parser(

@@ -539,16 +539,6 @@ class PorEndpoint:
         if isinstance(packet, PorHandshake):
             self._on_handshake(packet)
 
-    def _process_packet(self, packet: Any) -> None:
-        """Integrity-check and dispatch a data/ACK packet (test seam)."""
-        if self._check_macs and not self._integrity_ok(packet):
-            self.macs_rejected += 1
-            return
-        if isinstance(packet, PorAck):
-            self._on_ack(packet)
-        elif isinstance(packet, PorData):
-            self._on_data(packet)
-
     def _integrity_ok(self, packet: Any) -> bool:
         if packet.corrupted:
             return False
@@ -748,9 +738,6 @@ class PorEndpoint:
     # ------------------------------------------------------------------
     # Retransmission
     # ------------------------------------------------------------------
-    def _current_rto(self) -> float:
-        return self._rto_cache
-
     def _sample_rtt(self, rtt: float) -> None:
         if self._srtt is None:
             self._srtt = rtt

@@ -582,9 +582,3 @@ class ReliableEngine:
         self._dirty_flows.clear()
         self._delivered_since_ack = False
         self._id_by_str = {}
-
-    def announce_all_flows(self) -> None:
-        """After recovery: advertise (empty) stored state so neighbors
-        rewind their cursors and retransmit what we need."""
-        for flow in list(self.flows):
-            self._mark_dirty(flow)

@@ -7,7 +7,6 @@
   MTMW, channels, nodes) from a topology and exposes the client API.
 """
 
-from repro.overlay.access import AccessPoint, ClientEnvelope, ExternalClient
 from repro.overlay.config import CryptoMode, DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
@@ -18,7 +17,4 @@ __all__ = [
     "OverlayConfig",
     "OverlayNetwork",
     "OverlayNode",
-    "AccessPoint",
-    "ExternalClient",
-    "ClientEnvelope",
 ]

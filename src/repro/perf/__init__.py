@@ -1,15 +1,14 @@
 """Hot-path microbenchmark harness (``python -m repro perfbench``).
 
 :mod:`repro.perf.harness` provides the timing/reporting machinery;
-:mod:`repro.perf.suites` registers the five benchmarks covering message
-forwarding, flooding fanout, K-paths computation, PoR round trips, and
-priority-queue eviction.
+:mod:`repro.perf.suites` registers the three benchmarks that time what the
+end-to-end benchmark cannot see: K-paths computation, priority-queue
+eviction, and REAL-mode batch MAC verification.
 """
 
 from repro.perf.harness import (
     BenchResult,
     Benchmark,
-    attach_pre_pr,
     build_report,
     calibrate,
     compare_to_baseline,
@@ -21,7 +20,6 @@ __all__ = [
     "BENCHMARKS",
     "BenchResult",
     "Benchmark",
-    "attach_pre_pr",
     "build_report",
     "calibrate",
     "compare_to_baseline",

@@ -165,30 +165,6 @@ def build_report(
     }
 
 
-def attach_pre_pr(report: Dict[str, Any], pre_pr: Dict[str, Any]) -> None:
-    """Record a pre-PR measurement (same harness, unoptimized code) inside
-    ``report`` together with the resulting speedups; mutates ``report``.
-
-    Speedups are calibration-corrected — the same machine-speed scaling
-    the regression gate applies — so a pre/post pair taken in different
-    load windows still compares code, not transient machine state."""
-    pre_benchmarks = pre_pr.get("benchmarks", {})
-    scale = 1.0
-    pre_cal = pre_pr.get("calibration_ops_per_sec")
-    cur_cal = report.get("calibration_ops_per_sec")
-    if pre_cal and cur_cal:
-        scale = pre_cal / cur_cal
-    report["pre_pr_ops_per_sec"] = {
-        name: result["ops_per_sec"] for name, result in pre_benchmarks.items()
-    }
-    report["pre_pr_calibration_ops_per_sec"] = pre_cal
-    report["speedup_vs_pre_pr"] = {
-        name: scale * report["benchmarks"][name]["ops_per_sec"] / result["ops_per_sec"]
-        for name, result in pre_benchmarks.items()
-        if name in report["benchmarks"] and result["ops_per_sec"] > 0
-    }
-
-
 def compare_to_baseline(
     report: Dict[str, Any],
     baseline: Dict[str, Any],

@@ -1,148 +1,34 @@
 """The hot-path microbenchmarks behind ``python -m repro perfbench``.
 
-Each benchmark exercises one path the figure benchmarks spend their time
-in, at a fixed seed and with all per-operation resources (messages,
-networks, routing state) prepared before timing starts:
+Each benchmark exercises one path at a fixed seed, with all per-operation
+resources (messages, routing state, keys) prepared before timing starts.
+The end-to-end benchmark (``benchmarks/e2e``) budgets everything a
+delivered message costs, layer by layer; a microbenchmark stays here only
+when it times work that benchmark cannot see:
 
-``message_forwarding``
-    An intermediate node's full receive-and-forward pipeline for K-paths
-    source-routed priority messages: signature verification, duplicate
-    suppression, path-successor lookup, and the per-link queue offer —
-    across *two* consecutive hops per operation, so per-message caches
-    (signed fields, uid, verify verdict) are exercised the way real
-    multi-hop dissemination exercises them.  The PoR windows are kept
-    full so the benchmark measures the forwarding decision path, not the
-    link serialization model.
-``flooding_fanout``
-    Constrained-flooding target selection over an 8-neighbor map with
-    telemetry counters attached.
 ``kpaths_computation``
     K node-disjoint path computation on the 12-node global-cloud routing
     view, cycling the five evaluation flows, with a link-state update
     accepted every 256 operations (steady-state routing: queries vastly
-    outnumber invalidations).
-``por_roundtrip``
-    One full Proof-of-Receipt round trip (data + nonce-proof cumulative
-    ACK) over zero-latency simulated channels, including the engine's
-    timer churn (RTO arm/cancel per packet).
+    outnumber invalidations).  End to end, the route cache hides route
+    computation on every workload.
 ``pq_eviction``
     Priority-queue offers at capacity across 8 competing sources, forcing
-    the heaviest-source eviction scan on every operation.
-``wire_batch_codec``
-    Round trip of one 8-frame batch datagram through the zero-copy wire
-    codec (encode into the shared buffer pool, decode via memoryview
-    slicing) — the per-wakeup unit of the batched live transport.  The
-    64 prebuilt batches are re-encoded in turn, so from the second pass
-    on every message carries its cached payload section: this is the
-    *warm* encode a relay or a further out-link pays.
-``wire_batch_codec_cold``
-    The same round trip with every message encoded for the first time
-    (fresh ``dataclasses.replace`` copies, made outside the timed
-    section): the field-by-field encode a source pays once per message.
+    the heaviest-source eviction scan on every operation.  The end-to-end
+    generators are closed-loop or paced below capacity, so no workload
+    evicts (``messaging.priority.evictions`` reads 0 on ``cloud_flood``).
 ``mac_batch_verify``
     HMAC-SHA256 verification of an 8-packet batch through the amortized
     :class:`~repro.crypto.mac.BatchMacContext` (one key schedule per
-    link, one context copy per packet).
+    link, one context copy per packet).  This is REAL-mode crypto; the
+    end-to-end workloads run SIMULATED crypto.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Type
 
 from repro.perf.harness import Benchmark, BenchResult, build_report, calibrate, run_benchmark
-
-
-class MessageForwardingBench(Benchmark):
-    """Two-hop forwarding of K-paths priority messages at an interior node."""
-
-    name = "message_forwarding"
-    quick_ops = 2_000
-    full_ops = 20_000
-
-    def setup(self, seed: int, total_ops: int) -> None:
-        from repro.link.por import PorConfig
-        from repro.messaging.message import Message, Semantics
-        from repro.overlay.config import OverlayConfig
-        from repro.overlay.network import OverlayNetwork
-        from repro.topology import global_cloud
-
-        config = OverlayConfig(
-            link_bandwidth_bps=None,
-            por=PorConfig(window=1),
-            priority_queue_capacity=2 * total_ops + 16,
-        )
-        net = OverlayNetwork.build(global_cloud.topology(), config, seed=seed)
-        source, dest, paths = self._pick_route(net)
-        # Keep every PoR window full so pump() exits immediately: the
-        # benchmark times the forwarding decision, not channel pacing.
-        first, second = paths[0][1], paths[0][2]
-        self._hop_nodes = (net.node(first), net.node(second))
-        self._from_neighbors = (paths[0][0], first)
-        for node in self._hop_nodes:
-            for link in node.links.values():
-                link.por.send("warm", 8)
-        signature_size = net.pki.signature_wire_size
-        self._messages = [
-            Message(
-                source=source,
-                dest=dest,
-                seq=i + 1,
-                semantics=Semantics.PRIORITY,
-                priority=5,
-                expiration=1e9,
-                size_bytes=512,
-                flooding=False,
-                paths=paths,
-                sent_at=0.0,
-            ).sign(net.pki)
-            for i in range(total_ops)
-        ]
-        self._size = self._messages[0].wire_size(signature_size)
-        self._net = net  # keep the simulator (and its queues) alive
-
-    @staticmethod
-    def _pick_route(net: Any) -> Tuple[Any, Any, Tuple[Tuple[Any, ...], ...]]:
-        """First flow (sorted order) whose primary path has 2+ interior hops."""
-        nodes = sorted(net.nodes)
-        for source in nodes:
-            routing = net.node(source).routing
-            for dest in nodes:
-                if dest == source:
-                    continue
-                paths = routing.k_paths_best_effort(source, dest, 2)
-                if paths and len(paths[0]) >= 4:
-                    return source, dest, tuple(tuple(p) for p in paths)
-        raise RuntimeError("no multi-hop route in the benchmark topology")
-
-    def op(self, i: int) -> None:
-        message = self._messages[i]
-        size = self._size
-        (first, second) = self._hop_nodes
-        (from_first, from_second) = self._from_neighbors
-        first.on_link_deliver(from_first, message, size)
-        second.on_link_deliver(from_second, message, size)
-
-
-class FloodingFanoutBench(Benchmark):
-    """Constrained-flooding fanout selection with telemetry attached."""
-
-    name = "flooding_fanout"
-    quick_ops = 5_000
-    full_ops = 50_000
-
-    def setup(self, seed: int, total_ops: int) -> None:
-        from repro.dissemination.flooding import flood_targets
-        from repro.telemetry.metrics import MetricsRegistry
-
-        self._flood_targets = flood_targets
-        self._metrics = MetricsRegistry()
-        self._neighbors = {f"n{k}": None for k in range(8)}
-        self._arrivals = [f"n{k % 8}" for k in range(total_ops)]
-
-    def op(self, i: int) -> None:
-        self._flood_targets(
-            self._neighbors, self._arrivals[i], naive=False, metrics=self._metrics
-        )
 
 
 class KPathsBench(Benchmark):
@@ -194,37 +80,6 @@ class KPathsBench(Benchmark):
             self._routing.apply_update(update, now=float(self._applied))
 
 
-class PorRoundtripBench(Benchmark):
-    """One data + cumulative-ACK round trip on a Proof-of-Receipt link."""
-
-    name = "por_roundtrip"
-    quick_ops = 2_000
-    full_ops = 15_000
-
-    def setup(self, seed: int, total_ops: int) -> None:
-        from repro.crypto.pki import Pki, PkiMode
-        from repro.link.por import connect_por_pair
-        from repro.sim.channel import Channel, ChannelConfig
-        from repro.sim.engine import Simulator
-
-        sim = Simulator(seed=seed)
-        pki = Pki(mode=PkiMode.SIMULATED, seed=seed)
-        pki.register("a")
-        pki.register("b")
-        channel_config = ChannelConfig(latency=0.0, bandwidth_bps=None)
-        ab = Channel(sim, channel_config, name="a->b")
-        ba = Channel(sim, channel_config, name="b->a")
-        end_a, end_b = connect_por_pair(sim, "a", "b", ab, ba, pki)
-        end_b.on_deliver = lambda payload, size: None
-        self._sim = sim
-        self._end_a = end_a
-
-    def op(self, i: int) -> None:
-        sim = self._sim
-        self._end_a.send(i, 100)
-        sim.run(until=sim.now + 1e-6)
-
-
 class PqEvictionBench(Benchmark):
     """Priority-queue offers at capacity, forcing eviction every time."""
 
@@ -257,81 +112,6 @@ class PqEvictionBench(Benchmark):
         self._queue.offer(self._messages[i], now=0.0)
         if i % 4 == 0:
             self._queue.next_message(0.0)
-
-
-class WireBatchCodecBench(Benchmark):
-    """Encode + decode one 8-frame batch datagram (zero-copy wire path).
-
-    Times the warm encode only: after the first pass over the 64 batches
-    each ``Message`` copies its cached payload section
-    (``Message._wire_cache``) instead of walking its fields.  Its number
-    is therefore not a codec speed-up over baselines recorded before
-    that cache existed; :class:`WireBatchCodecColdBench` keeps timing
-    the field-by-field encode.
-    """
-
-    name = "wire_batch_codec"
-    quick_ops = 2_000
-    full_ops = 20_000
-
-    BATCH = 8
-
-    def setup(self, seed: int, total_ops: int) -> None:
-        import random
-
-        from repro.crypto.pki import Pki, PkiMode
-        from repro.link.por import PorData
-        from repro.messaging.message import Message, Semantics
-        from repro.runtime.wire import decode_datagram, encode_batch_datagram
-
-        self._encode = encode_batch_datagram
-        self._decode = decode_datagram
-        rng = random.Random(seed)
-        pki = Pki(mode=PkiMode.SIMULATED, seed=seed)
-        pki.register("a")
-        # Distinct payload bytes per frame so the codec sees realistic
-        # (uncompressible, non-interned) traffic.
-        self._batches = [
-            [
-                PorData(
-                    0,
-                    b * self.BATCH + k,
-                    rng.randbytes(8),
-                    Message(
-                        source="a",
-                        dest="b",
-                        seq=b * self.BATCH + k,
-                        semantics=Semantics.PRIORITY,
-                        priority=5,
-                        expiration=1e9,
-                        size_bytes=512,
-                        flooding=False,
-                        paths=(("a", "b"),),
-                        sent_at=0.0,
-                        payload=rng.randbytes(200),
-                    ).sign(pki),
-                    256,
-                )
-                for k in range(self.BATCH)
-            ]
-            for b in range(64)
-        ]
-
-    def op(self, i: int) -> None:
-        self._decode(self._encode("a", "b", self._batches[i % 64]))
-
-
-class WireBatchCodecColdBench(WireBatchCodecBench):
-    """The same round trip, every message encoded for the first time."""
-
-    name = "wire_batch_codec_cold"
-
-    def tick(self, i: int) -> None:
-        from dataclasses import replace
-
-        # Untimed: ``replace`` starts the copy's caches cold.
-        for packet in self._batches[i % 64]:
-            packet.payload = replace(packet.payload)
 
 
 class MacBatchVerifyBench(Benchmark):
@@ -367,13 +147,8 @@ class MacBatchVerifyBench(Benchmark):
 BENCHMARKS: Dict[str, Type[Benchmark]] = {
     bench.name: bench
     for bench in (
-        MessageForwardingBench,
-        FloodingFanoutBench,
         KPathsBench,
-        PorRoundtripBench,
         PqEvictionBench,
-        WireBatchCodecBench,
-        WireBatchCodecColdBench,
         MacBatchVerifyBench,
     )
 }

@@ -194,7 +194,10 @@ class ChaosUdpTransport(AsyncioUdpTransport):
     The interposition point is ``sendto`` — the single choke point every
     :class:`~repro.runtime.transport.UdpSendChannel` funnels through —
     so PoR data, ACKs, hellos, link-state floods, and E2E ACKs are all
-    subject to the same wire-level hostility.
+    subject to the same wire-level hostility.  A retried datagram
+    (``_retry``) is the same datagram the injector already decided on, so
+    it bypasses the injector: no second loss/dup/corrupt draw, no second
+    count.
     """
 
     def __init__(self, node_id: Any, metrics: Any = None,
@@ -204,7 +207,7 @@ class ChaosUdpTransport(AsyncioUdpTransport):
 
     def sendto(self, peer_id: Any, data: bytes, _retry: bool = False,
                channel: Any = None) -> None:
-        if self._injector is None:
+        if self._injector is None or _retry:
             super().sendto(peer_id, data, _retry=_retry, channel=channel)
             return
         for delay, payload in self._injector.plan(self.node_id, peer_id, data):

@@ -36,7 +36,7 @@ imports the other.  The contract each implementation must honour:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.sim.rng import RngRegistry
 
@@ -104,18 +104,6 @@ class TransportLike(Protocol):
 
     def send(self, packet: Any, size_bytes: int) -> None:
         """Transmit ``packet``; delivery (or loss) is asynchronous."""
-
-    def send_batch(self, packets: "Sequence[tuple[Any, int]]") -> None:
-        """Transmit several ``(packet, size_bytes)`` pairs at once.
-
-        Semantically equivalent to N :meth:`send` calls in order; a
-        substrate may amortize per-datagram overhead across the batch
-        (the live transport coalesces the packets into one
-        batch-container datagram and one syscall).  The simulator's
-        channel runs the sends sequentially so modeled serialization,
-        loss draws, and delivery order are bit-identical to unbatched
-        traffic.
-        """
 
     def time_until_idle(self) -> float:
         """Seconds until the transport can accept another packet (0.0 = now)."""

@@ -667,7 +667,7 @@ class LiveDeployment:
         process = self.processes[local]
         rx = process.transport.register_peer(remote, address)
         link = process.overlay.connect(
-            remote, process.transport.send_channel(remote, coalesce=True), rx
+            remote, process.transport.send_channel(remote), rx
         )
         # One PoR ACK per received datagram, not per ack_coalesce frames.
         rx.on_datagram_start = link.por.begin_datagram

@@ -19,30 +19,22 @@ same duck type :class:`repro.sim.channel.Channel` implements — so
 Batched wire path
 -----------------
 
-Three layers of batching amortize per-datagram overhead:
+Two kinds of batching amortize per-datagram overhead:
 
-* :meth:`UdpSendChannel.send_batch` packs several link packets into one
-  batch-container datagram (``FLAG_BATCH`` in :mod:`repro.runtime.wire`)
-  — one header, one CRC, one syscall for N frames.  With *coalescing*
-  enabled, plain :meth:`UdpSendChannel.send` calls are gathered and
-  flushed as a batch, so PoR ACKs generated while data is queued
-  piggyback in the same datagram: frames queued while the node's own
-  transport is inside a receive wakeup (below) leave when that wakeup
-  ends, before control returns to the event loop; frames queued from
-  anywhere else (timers, another node's wakeup) leave via ``call_soon``.
-  A single pending packet flushes through the classic (flags=0) layout,
-  keeping unbatched traffic byte-identical to the simulator's
-  conformance expectations.
-* :meth:`AsyncioUdpTransport.sendto_batch` hands a burst of encoded
-  datagrams to the kernel in one ``sendmmsg`` call where the platform's
-  ``socket`` module exposes it, falling back to per-datagram ``sendto``
-  (CPython's stdlib currently has no ``sendmmsg``, so the fallback is
-  the common path — the seam is what matters).
+* :meth:`UdpSendChannel.send` queues every frame and flushes the queue as
+  one batch-container datagram (``FLAG_BATCH`` in
+  :mod:`repro.runtime.wire`) — one header, one CRC, one syscall for N
+  frames — so PoR ACKs generated while data is queued piggyback in the
+  same datagram: frames queued while the node's own transport is inside
+  a receive wakeup (below) leave when that wakeup ends, before control
+  returns to the event loop; frames queued from anywhere else (timers,
+  another node's wakeup) leave via ``call_soon``.  A single pending
+  packet flushes through the classic (flags=0) layout, keeping unbatched
+  traffic byte-identical to the simulator's conformance expectations.
 * The receive path drains multiple queued datagrams per event-loop
   wakeup: after asyncio hands over one datagram, the transport pulls
-  whatever else the socket already has (``recvmmsg`` where available,
-  bounded non-blocking ``recvfrom`` otherwise) instead of paying one
-  loop iteration per datagram.
+  whatever else the socket already has (bounded non-blocking
+  ``recvfrom``) instead of paying one loop iteration per datagram.
 
 The receive wakeup
 ------------------
@@ -70,7 +62,7 @@ accept traffic from their direct MTMW neighbors.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import LiveRuntimeError, WireDecodeError, WireEncodeError
 from repro.runtime.wire import (
@@ -122,10 +114,6 @@ class UdpReceiveChannel:
         """TransportLike parity only: a receive channel never sends."""
         raise LiveRuntimeError("UdpReceiveChannel cannot send")
 
-    def send_batch(self, packets: Sequence[Tuple[Any, int]]) -> None:
-        """TransportLike parity only: a receive channel never sends."""
-        raise LiveRuntimeError("UdpReceiveChannel cannot send")
-
     def time_until_idle(self) -> float:
         """Always 0.0: receiving never backlogs the channel."""
         return 0.0
@@ -134,14 +122,10 @@ class UdpReceiveChannel:
 class UdpSendChannel:
     """The sending half of one directed link (local node -> peer).
 
-    ``time_until_idle`` mirrors the sim :class:`~repro.sim.channel.
-    Channel` semantics exactly: when a serialization model is configured
-    (``bandwidth_bps`` plus a clock), sends advance a ``busy_until``
-    watermark by ``size_bytes * 8 / bandwidth`` and the channel reports
-    ``max(0.0, busy_until - now)``; without a model (bandwidth ``None``,
-    the sim's "infinite" setting) it reports 0.0 — the same answer the
-    sim gives, so the overlay pump's skip-on-backlog fast path behaves
-    identically on both substrates.
+    A real socket has no serialization model to report, so
+    ``time_until_idle`` is always 0.0 — the answer the sim
+    :class:`~repro.sim.channel.Channel` gives for its "infinite"
+    bandwidth setting.
     """
 
     __slots__ = (
@@ -154,22 +138,11 @@ class UdpSendChannel:
         "send_retries",
         "send_drops",
         "datagrams_sent",
-        "_clock",
-        "_bandwidth_bps",
-        "_busy_until",
-        "_coalesce",
         "_pending",
         "_flush_scheduled",
     )
 
-    def __init__(
-        self,
-        transport: "AsyncioUdpTransport",
-        peer: Any,
-        clock: Any = None,
-        bandwidth_bps: Optional[float] = None,
-        coalesce: bool = False,
-    ):
+    def __init__(self, transport: "AsyncioUdpTransport", peer: Any):
         self._transport = transport
         self.peer = peer
         self.on_receive: Optional[Callable[[Any], None]] = None  # unused; parity
@@ -183,53 +156,39 @@ class UdpSendChannel:
         self.send_drops = 0
         #: Real datagrams put on the socket (< packets_sent when batching).
         self.datagrams_sent = 0
-        self._clock = clock
-        self._bandwidth_bps = bandwidth_bps
-        self._busy_until = 0.0
-        self._coalesce = coalesce
         self._pending: List[Any] = []
         self._flush_scheduled = False
 
-    def _advance_busy(self, size_bytes: int) -> None:
-        if self._bandwidth_bps is None or self._clock is None:
-            return
-        now = self._clock.now
-        start = now if now > self._busy_until else self._busy_until
-        self._busy_until = start + (size_bytes * 8.0) / self._bandwidth_bps
-
     def send(self, packet: Any, size_bytes: int) -> None:
-        """Encode ``packet`` and transmit one datagram to the peer.
+        """Queue ``packet`` for the peer; it leaves with the next flush.
 
         ``size_bytes`` is the *modeled* wire size used by the protocol's
         accounting; the actual datagram carries the codec's compact
         encoding.  A payload the codec cannot represent is counted and
-        dropped (the PoR link treats it as loss), so one unsupported
-        control object cannot crash the node's send path.
+        dropped when it is flushed (the PoR link treats it as loss), so
+        one unsupported control object cannot crash the node's send path.
 
-        With coalescing enabled the packet is queued and flushed — as a
-        batch container when others joined it — so ACKs piggyback with
-        data generated in the same wakeup: at the end of the transport's
-        receive wakeup when it is inside one, via ``call_soon`` otherwise.
+        The queue is flushed — as a batch container when others joined
+        the packet — so ACKs piggyback with data generated in the same
+        wakeup: at the end of the transport's receive wakeup when it is
+        inside one, via ``call_soon`` otherwise.  Before the transport
+        has an event loop the packet is sent at once.
         """
-        self._advance_busy(size_bytes)
-        if self._coalesce:
-            self._pending.append(packet)
-            if not self._flush_scheduled:
-                transport = self._transport
-                wakeup = transport._wakeup_channels
-                if wakeup is not None:
-                    self._flush_scheduled = True
-                    wakeup.append(self)
-                    return
-                loop = transport._loop
-                if loop is not None:
-                    self._flush_scheduled = True
-                    loop.call_soon(self._flush)
-                    return
-                # No loop yet: fall through and send inline.
-                self._pending.pop()
-            else:
-                return
+        self._pending.append(packet)
+        if self._flush_scheduled:
+            return
+        transport = self._transport
+        wakeup = transport._wakeup_channels
+        if wakeup is not None:
+            self._flush_scheduled = True
+            wakeup.append(self)
+            return
+        loop = transport._loop
+        if loop is not None:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush)
+            return
+        self._pending.pop()
         self._send_one(packet)
 
     def _send_one(self, packet: Any) -> None:
@@ -244,30 +203,12 @@ class UdpSendChannel:
         self.datagrams_sent += 1
         self._transport.sendto(self.peer, data, channel=self)
 
-    def send_batch(self, packets: Sequence[Tuple[Any, int]]) -> None:
-        """Transmit several packets, batched into container datagrams.
-
-        ``packets`` is a sequence of ``(packet, size_bytes)`` pairs (the
-        same shape as N :meth:`send` calls).  All frames that fit go out
-        in one batch-container datagram; an over-large or unencodable
-        batch degrades to per-packet classic datagrams so one bad packet
-        only drops itself.
-        """
-        for _, size_bytes in packets:
-            self._advance_busy(size_bytes)
-        self._transmit_batch([packet for packet, _ in packets])
-
     def _flush(self) -> None:
         self._flush_scheduled = False
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        self._transmit_batch(pending)
-
-    def _transmit_batch(self, packets: List[Any]) -> None:
+        packets = self._pending
         if not packets:
             return
+        self._pending = []
         if len(packets) == 1:
             self._send_one(packets[0])
             return
@@ -287,11 +228,8 @@ class UdpSendChannel:
         self._transport.sendto(self.peer, data, channel=self)
 
     def time_until_idle(self) -> float:
-        """Seconds until the serializer is free (0.0 if idle now)."""
-        if self._clock is None:
-            return 0.0
-        remaining = self._busy_until - self._clock.now
-        return remaining if remaining > 0.0 else 0.0
+        """Always 0.0: the socket has no serialization model."""
+        return 0.0
 
 
 class AsyncioUdpTransport(asyncio.DatagramProtocol):
@@ -318,9 +256,6 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
         #: This node's memo of recently decoded flooded messages: a
         #: repeated copy is recognised before it is decoded again.
         self._decode_memo = MessageMemo()
-        # Chaos (and other) subclasses interpose on per-datagram sendto;
-        # the kernel-batching fast path must not route around them.
-        self._sendto_plain = type(self).sendto is AsyncioUdpTransport.sendto
         # Drop accounting (spray-resistance observability).
         self.datagrams_received = 0
         self.bytes_received = 0
@@ -425,8 +360,8 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport  # type: ignore[assignment]
         # asyncio wraps the socket in a TransportSocket facade that hides
-        # recvfrom/sendmmsg; unwrap to the real socket for the batched
-        # I/O fast paths (read-only use: asyncio still owns lifecycle).
+        # recvfrom; unwrap to the real socket for the receive drain
+        # (read-only use: asyncio still owns lifecycle).
         sock = transport.get_extra_info("socket")
         self._socket = getattr(sock, "_sock", sock)
         sockname = transport.get_extra_info("sockname")
@@ -476,27 +411,13 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
             )
         self._peers[peer_id] = address
 
-    def send_channel(
-        self,
-        peer_id: Any,
-        clock: Any = None,
-        bandwidth_bps: Optional[float] = None,
-        coalesce: bool = False,
-    ) -> UdpSendChannel:
-        """The sending half of the directed link to ``peer_id``.
-
-        ``clock`` + ``bandwidth_bps`` arm the sim-identical serialization
-        model behind :meth:`UdpSendChannel.time_until_idle`; ``coalesce``
-        turns on same-tick batch flushing.
-        """
+    def send_channel(self, peer_id: Any) -> UdpSendChannel:
+        """The sending half of the directed link to ``peer_id``."""
         if peer_id not in self._peers:
             raise LiveRuntimeError(
                 f"{self.node_id!r} has no registered peer {peer_id!r}"
             )
-        return UdpSendChannel(
-            self, peer_id, clock=clock, bandwidth_bps=bandwidth_bps,
-            coalesce=coalesce,
-        )
+        return UdpSendChannel(self, peer_id)
 
     def receive_channel(self, peer_id: Any) -> UdpReceiveChannel:
         """The receiving half of the directed link from ``peer_id``."""
@@ -575,47 +496,6 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
             self._counters["send_drops"].add()
         if channel is not None:
             channel.send_drops += 1
-
-    def sendto_batch(
-        self,
-        peer_id: Any,
-        datagrams: Sequence[bytes],
-        channel: Optional[UdpSendChannel] = None,
-    ) -> None:
-        """Send several encoded datagrams to one peer in one syscall.
-
-        Uses ``socket.sendmmsg`` when the platform exposes it *and* no
-        subclass interposes on :meth:`sendto` (the chaos transport must
-        see every datagram); otherwise falls back to per-datagram
-        :meth:`sendto`, which keeps the retry/drop accounting.
-        """
-        if not datagrams:
-            return
-        if self._sendto_plain and self._transport is not None:
-            sock = self._socket
-            sendmmsg = getattr(sock, "sendmmsg", None) if sock is not None else None
-            if sendmmsg is not None:
-                address = self._peers.get(peer_id)
-                if address is None:
-                    raise LiveRuntimeError(
-                        f"{self.node_id!r} has no registered peer {peer_id!r}"
-                    )
-                try:
-                    # Linux sendmmsg semantics: a list of sendmsg argument
-                    # tuples; returns how many messages were accepted.
-                    sent = sendmmsg(
-                        [([data], (), 0, address) for data in datagrams]
-                    )
-                except (OSError, TypeError):
-                    sent = 0  # kernel refused the batch; retry one by one
-                if self._counters is not None and sent:
-                    self._counters["tx"].add(sent)
-                    self._counters["tx_bytes"].add(
-                        sum(len(data) for data in datagrams[:sent])
-                    )
-                datagrams = datagrams[sent:]
-        for data in datagrams:
-            self.sendto(peer_id, data, channel=channel)
 
     def sendto_address(self, data: bytes, address: Address) -> None:
         """Send raw encoded bytes to an explicit address (no peer
@@ -733,29 +613,14 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
 
         asyncio's datagram transport hands over one datagram per loop
         iteration; under burst load that is one full loop cycle of
-        overhead per datagram.  Pulling the rest of the queue here
-        (``recvmmsg`` where available, non-blocking ``recvfrom``
-        otherwise) amortizes the wakeup across the burst.  Bounded by
-        :data:`DRAIN_BATCH` so a flooding peer cannot starve the loop.
+        overhead per datagram.  Pulling the rest of the queue here with
+        non-blocking ``recvfrom`` amortizes the wakeup across the burst.
+        Bounded by :data:`DRAIN_BATCH` so a flooding peer cannot starve
+        the loop.
         """
         sock = self._socket
         if sock is None or self._transport is None:
             return
-        recvmmsg = getattr(sock, "recvmmsg", None)
-        if recvmmsg is not None:
-            try:
-                # Linux recvmmsg semantics: returns a list of recvmsg
-                # result tuples (data, ancdata, flags, address).
-                for data, _anc, _flags, addr in recvmmsg(
-                    self.DRAIN_BATCH, 65535
-                ):
-                    self.datagrams_drained += 1
-                    self._process_datagram(data, addr)
-                return
-            except (BlockingIOError, InterruptedError):
-                return
-            except (OSError, TypeError):
-                pass  # fall back to recvfrom below
         try:
             recv_from = sock.recvfrom
         except AttributeError:  # pragma: no cover - exotic socket wrapper

@@ -186,10 +186,6 @@ class Datagram:
     packet: Any
     packets: Tuple[Any, ...] = ()
 
-    def frames(self) -> Tuple[Any, ...]:
-        """Every link envelope in this datagram, in wire order."""
-        return self.packets if self.packets else (self.packet,)
-
 
 class _BufferPool:
     """A small free-list of encode buffers (single-threaded ownership)."""
@@ -1140,12 +1136,6 @@ def encode_batch_datagram(
         return _finish_datagram(writer, FLAG_BATCH)
     finally:
         _ENCODE_POOL.release(writer.buf)
-
-
-def batch_fits(encoded_sizes: Sequence[int], overhead_per_frame: int = 4) -> bool:
-    """Whether frames of the given body sizes fit one batch datagram."""
-    total = sum(encoded_sizes) + overhead_per_frame * len(encoded_sizes)
-    return total <= MAX_BODY
 
 
 def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:

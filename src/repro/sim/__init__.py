@@ -11,9 +11,10 @@ laboratory stand-in.  It provides:
   charges per-operation costs (used to reproduce the crypto-bound goodput of
   Table II);
 * :mod:`repro.sim.stats` — counters, goodput meters, latency recorders, and
-  time series used by the benchmark harness;
-* :mod:`repro.sim.trace` — an attachable protocol event tracer for
-  debugging experiments.
+  time series used by the benchmark harness.
+
+Sim-time protocol events are recorded by
+:class:`repro.telemetry.tracing.TraceCollector`.
 """
 
 from repro.sim.channel import Channel, ChannelConfig
@@ -26,7 +27,6 @@ from repro.sim.stats import (
     StatsRegistry,
     TimeSeries,
 )
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
@@ -40,6 +40,4 @@ __all__ = [
     "LatencyRecorder",
     "StatsRegistry",
     "TimeSeries",
-    "Tracer",
-    "TraceEvent",
 ]

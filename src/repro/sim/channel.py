@@ -200,17 +200,6 @@ class Channel:
         else:
             self._sim.schedule_at(arrival, self._deliver, packet)
 
-    def send_batch(self, packets: Any) -> None:
-        """Transmit several ``(packet, size_bytes)`` pairs in order.
-
-        The sim keeps batched sends bit-identical to sequential sends —
-        same serialization accounting, same loss draws, same delivery
-        events — so enabling batching on the live substrate cannot shift
-        simulated behavior (the conformance suite pins this).
-        """
-        for packet, size_bytes in packets:
-            self.send(packet, size_bytes)
-
     def _deliver(self, packet: Any) -> None:
         if not self._up:
             # The channel failed while the packet was in flight.

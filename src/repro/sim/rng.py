@@ -22,7 +22,6 @@ class RngRegistry:
     def __init__(self, master_seed: int = 0):
         self._master_seed = master_seed
         self._streams: Dict[str, random.Random] = {}
-        self._instances: Dict[str, int] = {}
 
     @property
     def master_seed(self) -> int:
@@ -42,24 +41,3 @@ class RngRegistry:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def instance_stream(self, base: str) -> random.Random:
-        """A *private* stream per call under the ``base`` namespace.
-
-        The first caller gets ``stream(base)`` itself — so components
-        that historically held the bare name keep byte-identical draws —
-        and every subsequent caller gets an independent ``base#n``
-        stream.  Use this for components that may be instantiated
-        several times under one name (e.g. two ``PoissonTraffic``
-        generators on the same flow): with a shared stream, merely
-        *creating* a second instance would interleave draws and perturb
-        the first one's seeded arrival sequence.
-        """
-        count = self._instances.get(base, 0) + 1
-        self._instances[base] = count
-        return self.stream(base if count == 1 else f"{base}#{count}")
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry whose streams are independent of ours."""
-        digest = hashlib.sha256(f"{self._master_seed}:fork:{name}".encode("utf-8")).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

@@ -6,8 +6,13 @@ Design constraints, in priority order:
    across processes: no wall-clock timestamps, no randomized sampling,
    keys emitted in sorted order.
 2. **Bounded memory** — histograms keep fixed bucket arrays and time
-   series keep a fixed-length window, so telemetry never grows with run
-   length (a chaos soak records millions of deliveries).
+   series keep a fixed-length window, so *this registry's* instruments
+   never grow with run length (a chaos soak records millions of
+   deliveries).  The sim-time meters of :mod:`repro.sim.stats` that
+   :class:`~repro.sim.stats.StatsRegistry` keeps beside it are not
+   bounded: ``OverlayNode.deliver_local`` appends one sample per delivered
+   message to the flow's ``LatencyRecorder`` and to its
+   ``priority-count:*`` ``TimeSeries``.
 3. **Cheap when idle** — incrementing a counter is one dict hit avoided
    (callers cache the object) plus an integer add; nothing allocates on
    the hot path.

@@ -1,7 +1,7 @@
 """Workload generators and the experiment harness.
 
-* :mod:`repro.workloads.traffic` — constant-bit-rate, Poisson, and
-  saturating traffic generators over both messaging semantics;
+* :mod:`repro.workloads.traffic` — constant-bit-rate and saturating
+  traffic generators over both messaging semantics;
 * :mod:`repro.workloads.monitoring` — the cloud-monitoring workload of
   Section VI-C (periodic status updates every 1-3 seconds at several
   priority levels);
@@ -11,11 +11,10 @@
 
 from repro.workloads.experiment import Deployment, SCALE
 from repro.workloads.monitoring import MonitoringWorkload
-from repro.workloads.traffic import CbrTraffic, PoissonTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
 
 __all__ = [
     "CbrTraffic",
-    "PoissonTraffic",
     "ReliableBacklogTraffic",
     "MonitoringWorkload",
     "Deployment",

@@ -128,69 +128,6 @@ class CbrTraffic:
         sim.schedule(self.tick_interval, self._tick)
 
 
-class PoissonTraffic:
-    """Messages with exponential inter-arrival times (bursty monitoring)."""
-
-    def __init__(
-        self,
-        network: OverlayNetwork,
-        source: NodeId,
-        dest: NodeId,
-        rate_msgs_per_sec: float,
-        size_bytes: int = 1000,
-        priority: Optional[int] = None,
-        semantics: Semantics = Semantics.PRIORITY,
-        method: Optional[DisseminationMethod] = None,
-    ):
-        if rate_msgs_per_sec <= 0:
-            raise ConfigurationError("rate must be positive")
-        self.network = network
-        self.source = source
-        self.dest = dest
-        self.rate = rate_msgs_per_sec
-        self.size_bytes = size_bytes
-        self.priority = priority
-        self.semantics = semantics
-        self.method = method or DisseminationMethod.flooding()
-        self.running = False
-        self.messages_sent = 0
-        # A per-instance namespaced stream: the first generator on a flow
-        # keeps the historical ``poisson:src->dst`` stream (seeded runs
-        # stay byte-identical), while further instances on the same flow
-        # draw from independent ``#n`` substreams instead of interleaving.
-        self._rng = network.sim.rngs.instance_stream(f"poisson:{source}->{dest}")
-
-    def start(self) -> None:
-        """Begin generating Poisson arrivals."""
-        self.running = True
-        self._arm()
-
-    def stop(self) -> None:
-        """Stop generating arrivals."""
-        self.running = False
-
-    def _arm(self) -> None:
-        self.network.sim.schedule(self._rng.expovariate(self.rate), self._fire)
-
-    def _fire(self) -> None:
-        if not self.running:
-            return
-        node = self.network.node(self.source)
-        if not node.crashed:
-            if self.semantics is Semantics.PRIORITY:
-                node.send_priority(
-                    self.dest, size_bytes=self.size_bytes,
-                    priority=self.priority, method=self.method,
-                )
-                self.messages_sent += 1
-            else:
-                if node.send_reliable(
-                    self.dest, size_bytes=self.size_bytes, method=self.method
-                ):
-                    self.messages_sent += 1
-        self._arm()
-
-
 class ReliableBacklogTraffic:
     """Send exactly ``count`` reliable messages as fast as back-pressure
     allows (a file-transfer-like workload)."""

@@ -26,7 +26,7 @@ SMOKE_CASES = [
         id="turret",
     ),
     pytest.param(
-        ["chaos", "--seconds", "5", "--flows", "1", "--link-level",
+        ["chaos", "--seconds", "5", "--flows", "1", "--preset", "link",
          "--print-schedule"],
         id="chaos",
     ),

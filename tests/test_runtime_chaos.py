@@ -205,12 +205,65 @@ def test_delayed_send_after_close_is_dropped():
         b.register_peer("a", a.local_address).on_receive = received.append
         inj.set_impairment("a", "b", delay=0.03)
         a.send_channel("b").send(_HelloWrapper(Hello("a", 4)), 24)
+        await asyncio.sleep(0)  # the channel's flush hands it to the injector
         a.close()  # closes before the delayed copy fires
         await asyncio.sleep(0.1)
         assert received == []
         b.close()
 
     run(check())
+
+
+class _FlakySocket:
+    """asyncio's datagram transport on a fake: the ``fail_at``-th send
+    attempt raises a transient OSError, every other one is recorded."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.attempts = 0
+        self.sent = []
+
+    def sendto(self, data, address):
+        self.attempts += 1
+        if self.attempts - 1 == self.fail_at:
+            raise OSError("ENOBUFS")
+        self.sent.append(bytes(data))
+
+
+class _ManualLoop:
+    """Holds call_later callbacks until the test fires them."""
+
+    def __init__(self):
+        self.later = []
+
+    def call_later(self, delay, callback, *args):
+        self.later.append((delay, callback, args))
+
+    def run_until_idle(self):
+        while self.later:
+            self.later.sort(key=lambda entry: entry[0])
+            _, callback, args = self.later.pop(0)
+            callback(*args)
+
+
+@pytest.mark.parametrize("fail_at", [0, 1], ids=["original-fails", "copy-fails"])
+def test_a_retried_datagram_is_not_faulted_again(fail_at):
+    # One logical datagram on an edge that duplicates everything: the
+    # original and its delayed copy reach the wire, one duplicate counted,
+    # whichever of the two needs the transport's retry.
+    inj = injector()
+    inj.set_impairment("a", "b", dup=1.0)
+    a = ChaosUdpTransport("a", injector=inj)
+    a._transport = _FlakySocket(fail_at)
+    a._loop = _ManualLoop()
+    a.register_peer("b", ("127.0.0.1", 9))
+
+    a.sendto("b", b"datagram")
+    a._loop.run_until_idle()
+
+    assert a.send_retries == 1
+    assert a._transport.sent == [b"datagram", b"datagram"]
+    assert inj.summary()["duplicates"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -231,6 +231,7 @@ def test_send_channel_drops_unencodable_payloads():
         a.register_peer("b", ("127.0.0.1", 9))
         channel = a.send_channel("b")
         channel.send(object(), 100)  # not wire-encodable: counted, not raised
+        await asyncio.sleep(0)  # the coalesced flush encodes it
         assert channel.encode_errors == 1
         assert a.encode_errors == 1
         a.close()

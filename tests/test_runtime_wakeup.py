@@ -53,13 +53,13 @@ class _FakeLoop:
 
 
 def _wired(cls=AsyncioUdpTransport, **kwargs):
-    """A transport for node "n" with one peer and a coalescing send
-    channel, on fakes: a wakeup is a plain ``datagram_received`` call."""
+    """A transport for node "n" with one peer and its send channel, on
+    fakes: a wakeup is a plain ``datagram_received`` call."""
     transport = cls("n", **kwargs)
     transport._transport = _FakeSocket()
     transport._loop = _FakeLoop()
     rx = transport.register_peer("peer", PEER_ADDR)
-    tx = transport.send_channel("peer", coalesce=True)
+    tx = transport.send_channel("peer")
     return transport, tx, rx
 
 

@@ -99,52 +99,3 @@ def test_seeded_stats_report_is_byte_identical_across_invocations(tmp_path):
         "invocations — a wall-clock read or hash-order dependency has "
         "crept into the simulated substrate"
     )
-
-
-def test_poisson_streams_are_isolated_per_instance():
-    """Regression: two ``PoissonTraffic`` generators on the same flow
-    used to share one named RNG stream, so merely *constructing* (or
-    running) a second generator interleaved draws and perturbed the
-    first one's seeded arrival sequence.  With per-instance namespaced
-    streams the first generator's trajectory is byte-identical whether
-    or not a second generator exists — and the first instance keeps the
-    historical bare-name stream, so old seeded runs stay reproducible.
-    """
-    from repro.overlay.config import OverlayConfig
-    from repro.overlay.network import OverlayNetwork
-    from repro.topology import generators
-    from repro.workloads.traffic import PoissonTraffic
-
-    def trajectory(with_second: bool):
-        net = OverlayNetwork.build(
-            generators.chordal_ring(4, chords=2, weight=0.001),
-            OverlayConfig(),
-            seed=3,
-        )
-        first = PoissonTraffic(net, 1, 3, rate_msgs_per_sec=40.0)
-        first.start()
-        if with_second:
-            second = PoissonTraffic(net, 1, 3, rate_msgs_per_sec=40.0)
-            second.start()
-        counts = []
-        for _ in range(20):
-            net.run(0.25)
-            counts.append(first.messages_sent)
-        return counts
-
-    alone = trajectory(with_second=False)
-    accompanied = trajectory(with_second=True)
-    assert alone == accompanied
-    assert alone[-1] > 0
-
-    # And the historical stream name is still owned by the first
-    # instance: its raw draw sequence matches the bare named stream.
-    from repro.sim.rng import RngRegistry
-
-    registry = RngRegistry(master_seed=3)
-    bare = [registry.stream("poisson:1->3").expovariate(40.0) for _ in range(5)]
-    fresh = RngRegistry(master_seed=3)
-    first_stream = fresh.instance_stream("poisson:1->3")
-    second_stream = fresh.instance_stream("poisson:1->3")
-    assert [first_stream.expovariate(40.0) for _ in range(5)] == bare
-    assert second_stream is not first_stream

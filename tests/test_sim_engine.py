@@ -298,9 +298,3 @@ class TestRngRegistry:
         r1 = Simulator(seed=1).rngs.stream("a").random()
         r2 = Simulator(seed=2).rngs.stream("a").random()
         assert r1 != r2
-
-    def test_fork_is_deterministic(self):
-        sim = Simulator(seed=3)
-        fork1 = sim.rngs.fork("child").stream("x").random()
-        fork2 = Simulator(seed=3).rngs.fork("child").stream("x").random()
-        assert fork1 == fork2

@@ -12,11 +12,10 @@ with data and one socket wakeup moves a whole burst.  These tests pin:
 * **Robustness** — truncation, bit flips, hostile frame counts, and
   hostile frame-length prefixes are all rejected with the typed
   :class:`WireDecodeError`, fast, and without attacker-sized allocation;
-* **Send path** — ``sendto_batch`` falls back to per-datagram ``sendto``
-  when ``socket.sendmmsg`` is unavailable (or a chaos subclass
-  interposes), keeping the retry/drop accounting exact, and the
-  channel-level batch path degrades per-packet when a batch cannot be
-  encoded.
+* **Send path** — a failed ``sendto`` is retried once and then counted
+  as a drop, on the transport and on the originating channel, and the
+  send channel's coalesced flush degrades per-packet when a batch cannot
+  be encoded.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.runtime.wire import (
     HEADER_SIZE,
     MAGIC,
     VERSION,
-    batch_fits,
     decode_datagram,
     encode_batch_datagram,
     encode_datagram,
@@ -53,7 +51,7 @@ def test_batch_round_trip(packets):
     datagram = decode_datagram(encode_batch_datagram("a", "b", packets))
     assert datagram.sender == "a"
     assert datagram.receiver == "b"
-    frames = datagram.frames()
+    frames = datagram.packets
     assert len(frames) == len(packets)
     for original, decoded in zip(packets, frames):
         assert_packets_equal(original, decoded)
@@ -70,11 +68,6 @@ def test_single_frame_batch_is_byte_identical_to_classic():
 def test_empty_batch_rejected():
     with pytest.raises(WireEncodeError, match="empty"):
         encode_batch_datagram("a", "b", [])
-
-
-def test_batch_fits_bounds():
-    assert batch_fits([100, 100, 100])
-    assert not batch_fits([2**16] * 20)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +156,7 @@ def test_hostile_frame_length_prefix_rejected(claim):
 
 
 # ----------------------------------------------------------------------
-# Transport: sendto fallback, retry/drop accounting
+# Transport: retry/drop accounting, the coalesced channel flush
 # ----------------------------------------------------------------------
 class _FakeAsyncioTransport:
     """Stands in for asyncio's DatagramTransport: records sends, fails
@@ -181,10 +174,14 @@ class _FakeAsyncioTransport:
 
 
 class _FakeLoop:
-    """Records call_later callbacks so tests fire retries explicitly."""
+    """Records call_soon/call_later callbacks so tests fire flushes and
+    retries explicitly."""
 
     def __init__(self):
         self.pending = []
+
+    def call_soon(self, callback, *args):
+        self.pending.append((0.0, callback, args))
 
     def call_later(self, delay, callback, *args):
         self.pending.append((delay, callback, args))
@@ -195,25 +192,10 @@ class _FakeLoop:
             callback(*args)
 
 
-class _FakeSocketNoMmsg:
-    """A socket facade without sendmmsg (e.g. macOS / older kernels)."""
-
-
-class _FakeSocketMmsg:
-    def __init__(self, accept: int = 10**9):
-        self.batches = []
-        self.accept = accept
-
-    def sendmmsg(self, messages):
-        self.batches.append(messages)
-        return min(len(messages), self.accept)
-
-
-def _wired_transport(fail_first=0, sock=None):
+def _wired_transport(fail_first=0):
     transport = AsyncioUdpTransport("n")
     transport._transport = _FakeAsyncioTransport(fail_first=fail_first)
     transport._loop = _FakeLoop()
-    transport._socket = sock
     transport.register_peer("peer", ("127.0.0.1", 9))
     return transport
 
@@ -246,58 +228,13 @@ def test_send_retry_success_is_not_a_drop():
     assert transport._transport.sent == [(b"payload", ("127.0.0.1", 9))]
 
 
-def test_sendto_batch_without_sendmmsg_falls_back_to_sendto():
-    transport = _wired_transport(sock=_FakeSocketNoMmsg())
-    transport.sendto_batch("peer", [b"one", b"two", b"three"])
-    assert [data for data, _ in transport._transport.sent] == [
-        b"one", b"two", b"three"
-    ]
-
-
-def test_sendto_batch_uses_sendmmsg_when_available():
-    sock = _FakeSocketMmsg()
-    transport = _wired_transport(sock=sock)
-    transport.sendto_batch("peer", [b"one", b"two"])
-    assert len(sock.batches) == 1
-    assert [buffers[0] for buffers, _anc, _flags, _addr in sock.batches[0]] == [
-        b"one", b"two"
-    ]
-    assert transport._transport.sent == []  # kernel batch path, no sendto
-
-
-def test_sendto_batch_partial_kernel_accept_finishes_via_sendto():
-    sock = _FakeSocketMmsg(accept=1)
-    transport = _wired_transport(sock=sock)
-    transport.sendto_batch("peer", [b"one", b"two", b"three"])
-    assert len(sock.batches) == 1
-    assert [data for data, _ in transport._transport.sent] == [b"two", b"three"]
-
-
-def test_sendto_batch_respects_subclass_interposition():
-    class Interposing(AsyncioUdpTransport):
-        def sendto(self, peer_id, data, _retry=False, channel=None):
-            self.seen = getattr(self, "seen", [])
-            self.seen.append(bytes(data))
-            super().sendto(peer_id, data, _retry=_retry, channel=channel)
-
-    sock = _FakeSocketMmsg()
-    transport = Interposing("n")
-    transport._transport = _FakeAsyncioTransport()
-    transport._loop = _FakeLoop()
-    transport._socket = sock
-    transport.register_peer("peer", ("127.0.0.1", 9))
-    transport.sendto_batch("peer", [b"one", b"two"])
-    # The chaos-style subclass must see every datagram: the kernel batch
-    # fast path is disabled when sendto is overridden.
-    assert sock.batches == []
-    assert transport.seen == [b"one", b"two"]
-
-
 def test_channel_batch_with_unencodable_packet_degrades_per_packet():
-    transport = _wired_transport(sock=_FakeSocketNoMmsg())
+    transport = _wired_transport()
     channel = UdpSendChannel(transport, "peer")
     good = _HelloWrapper(Hello("n", 1))
-    channel.send_batch([(good, 64), (object(), 64), (good, 64)])
+    for packet in (good, object(), good):
+        channel.send(packet, 64)
+    transport._loop.fire_all()  # the coalesced flush
     # The poisoned batch container fell back to classic datagrams: both
     # good packets made it out, the bad one is counted, nothing raised.
     assert channel.encode_errors == 1
@@ -308,12 +245,13 @@ def test_channel_batch_with_unencodable_packet_degrades_per_packet():
 
 
 def test_channel_batch_counts_one_datagram_for_many_packets():
-    transport = _wired_transport(sock=_FakeSocketNoMmsg())
+    transport = _wired_transport()
     channel = UdpSendChannel(transport, "peer")
-    packets = [(_HelloWrapper(Hello("n", stamp)), 64) for stamp in range(5)]
-    channel.send_batch(packets)
+    for stamp in range(5):
+        channel.send(_HelloWrapper(Hello("n", stamp)), 64)
+    transport._loop.fire_all()  # the coalesced flush
     assert channel.packets_sent == 5
     assert channel.datagrams_sent == 1
     assert len(transport._transport.sent) == 1
     data, _ = transport._transport.sent[0]
-    assert len(decode_datagram(data).frames()) == 5
+    assert len(decode_datagram(data).packets) == 5

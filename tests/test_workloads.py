@@ -14,7 +14,7 @@ from repro.workloads.experiment import (
     Deployment,
 )
 from repro.workloads.monitoring import DEFAULT_CLASSES, MonitoringWorkload
-from repro.workloads.traffic import CbrTraffic, PoissonTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
 
 PACED = OverlayConfig(link_bandwidth_bps=1e6)
 
@@ -61,25 +61,6 @@ class TestCbrTraffic:
         assert sent > 0
         net.run(5.0)
         assert flow.messages_sent == sent
-
-
-class TestPoissonTraffic:
-    def test_mean_rate(self):
-        net = OverlayNetwork.build(ring(4), PACED)
-        flow = PoissonTraffic(net, 1, 3, rate_msgs_per_sec=20.0, size_bytes=200)
-        flow.start()
-        net.run(20.0)
-        assert flow.messages_sent == pytest.approx(400, rel=0.25)
-
-    def test_deterministic_given_seed(self):
-        counts = []
-        for _ in range(2):
-            net = OverlayNetwork.build(ring(4), PACED, seed=5)
-            flow = PoissonTraffic(net, 1, 3, rate_msgs_per_sec=10.0)
-            flow.start()
-            net.run(10.0)
-            counts.append(flow.messages_sent)
-        assert counts[0] == counts[1]
 
 
 class TestReliableBacklog:

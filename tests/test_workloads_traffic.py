@@ -16,7 +16,7 @@ from repro.messaging.message import Semantics
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
 from repro.topology import generators
-from repro.workloads.traffic import CbrTraffic, PoissonTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
 
 SIZE = 500
 
@@ -110,39 +110,6 @@ def test_cbr_priority_cycle_round_robins_levels():
     net.sim.run(until=1.0)
     assert len(seen) >= 6
     assert seen[:6] == [1, 5, 10, 1, 5, 10]
-
-
-# ----------------------------------------------------------------------
-# PoissonTraffic
-# ----------------------------------------------------------------------
-def test_poisson_rejects_nonpositive_rate():
-    net = _net()
-    with pytest.raises(ConfigurationError):
-        PoissonTraffic(net, 1, 2, rate_msgs_per_sec=0.0)
-
-
-def test_poisson_generates_and_stops():
-    net = _net()
-    traffic = PoissonTraffic(net, 1, 2, rate_msgs_per_sec=30.0, size_bytes=SIZE)
-    traffic.start()
-    net.sim.run(until=3.0)
-    # ~90 expected arrivals; the band is wide enough for any seed.
-    assert 30 <= traffic.messages_sent <= 180
-    traffic.stop()
-    sent = traffic.messages_sent
-    net.sim.run(until=6.0)
-    assert traffic.messages_sent == sent
-
-
-def test_poisson_is_deterministic_per_seed():
-    def run(seed):
-        net = _net(seed=seed)
-        traffic = PoissonTraffic(net, 1, 2, rate_msgs_per_sec=25.0, size_bytes=SIZE)
-        traffic.start()
-        net.sim.run(until=2.0)
-        return traffic.messages_sent
-
-    assert run(3) == run(3)
 
 
 # ----------------------------------------------------------------------
