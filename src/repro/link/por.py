@@ -34,7 +34,8 @@ Implementation notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.caching import LruCache
@@ -44,6 +45,16 @@ from repro.crypto.mac import BatchMacContext
 from repro.crypto.nonces import NONCE_SIZE, CumulativeNonceChain, NonceVerifier
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import ConfigurationError, ProtocolError
+from repro.messaging.message import (
+    AdmissionNack,
+    E2eAck,
+    Hello,
+    Message,
+    NeighborAck,
+    StateRequest,
+)
+from repro.routing.link_state import LinkStateUpdate
+from repro.topology.mtmw import Mtmw
 
 if TYPE_CHECKING:
     # The endpoint is written against the substrate seam, not a concrete
@@ -133,11 +144,32 @@ class PorData:
         self.corrupted = False
 
     def mac_fields(self) -> Tuple[Any, ...]:
-        """Fields covered by the link-level integrity tag."""
-        return ("data", self.epoch, self.seq, self.nonce)
+        """Fields covered by the link-level integrity tag, the payload by
+        a SHA-256 digest of its canonical fields."""
+        digest = hashlib.sha256(canonical_bytes(_payload_fields(self.payload))).digest()
+        return ("data", self.epoch, self.seq, self.nonce, digest)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PorData(epoch={self.epoch}, seq={self.seq})"
+
+
+def _payload_fields(payload: Any) -> Any:
+    """The canonical fields of a link payload the PoR tag covers.
+
+    A signed payload contributes the tuple its signature covers: a
+    rewritten signature can only make the frame fail verification, which
+    an on-path attacker achieves by dropping it anyway.  The unsigned
+    control frames rely on this tag alone, so all their fields go in.
+    """
+    if isinstance(payload, (Message, E2eAck, LinkStateUpdate)):
+        return payload.signed_fields()
+    if isinstance(payload, Mtmw):
+        return Mtmw.signed_fields(payload.topology, payload.seqno)
+    if isinstance(payload, (NeighborAck, Hello, StateRequest, AdmissionNack)):
+        return (type(payload).__name__,) + tuple(
+            getattr(payload, field.name) for field in fields(payload)
+        )
+    return payload  # raw application data (bytes, str, None)
 
 
 class PorAck:
@@ -608,7 +640,9 @@ class PorEndpoint:
             self._flush_ack()
         elif not self._ack_timer_armed:
             self._ack_timer_armed = True
-            self.sim.schedule(self._ack_delay, self._ack_timer_fire)
+            self.sim.schedule_transient_at(
+                self.sim.now + self._ack_delay, self._ack_timer_fire
+            )
 
     def _accept_in_order(self, packet: PorData) -> None:
         self._chain.fold(packet.seq, packet.nonce)

@@ -95,7 +95,9 @@ class LinkSender:
         #: bound once (``ReliableEngine.next_for_link`` polls with it).
         self.reliable_has_work = partial(node.reliable._link_has_work, self)
         self._serve_reliable_next = False
-        self._pump_event: Optional[CancellableHandle] = None
+        #: A pump retry is scheduled (it is never cancelled: a retry that
+        #: finds nothing to send is a no-op).
+        self._pump_pending = False
         # Link monitoring / quarantine state.  ``monitor_up`` False means
         # the link is quarantined: reported failed to routing, regular
         # hellos replaced by backoff probes until probation completes.
@@ -196,13 +198,15 @@ class LinkSender:
             if node.cpu.enabled and node.cpu.costs.tx_packet > 0.0:
                 node.cpu.execute(node.cpu.costs.tx_packet, _noop)
             self.por.send(filtered, size)
-        if self._pump_event is None:
+        if not self._pump_pending:
             # time_until_ready is the cheap test; only scan for backlog
             # (which walks the reliable engine's flows) when a retry could
             # actually be scheduled.
             delay = self.por.time_until_ready()
             if delay is not None and self._has_backlog():
-                self._pump_event = node.sim.schedule(max(delay, 1e-5), self._pump_retry)
+                self._pump_pending = True
+                sim = node.sim
+                sim.schedule_transient_at(sim.now + max(delay, 1e-5), self._pump_retry)
 
     def send_if_idle(self, message: Message, now: float) -> bool:
         """Transmit a priority ``message`` at once when nothing on this
@@ -247,7 +251,7 @@ class LinkSender:
         return True
 
     def _pump_retry(self) -> None:
-        self._pump_event = None
+        self._pump_pending = False
         self.pump()
 
     def _has_backlog(self) -> bool:

@@ -29,7 +29,8 @@ imports the other.  The contract each implementation must honour:
 * ``schedule(delay, cb, *args)`` runs ``cb(*args)`` no earlier than
   ``now + delay``; same-time callbacks run in scheduling order;
 * the handle returned by every scheduling call has an idempotent
-  ``cancel()``;
+  ``cancel()``; ``schedule_transient_at`` returns none, for callbacks
+  nobody cancels;
 * ``rngs`` is a :class:`repro.sim.rng.RngRegistry` so every component's
   named stream is deterministic given the master seed.
 """
@@ -86,6 +87,18 @@ class SchedulerLike(Protocol):
         self, callback: Callable[..., None], *args: Any
     ) -> CancellableHandle:
         """Run ``callback(*args)`` as soon as possible (after pending work)."""
+
+    def schedule_transient_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` at absolute time ``time``; no handle.
+
+        For hot timers that are never cancelled (packet delivery, the PoR
+        ACK flush, a link's pump retry).  It orders exactly like
+        :meth:`schedule_at`: same-time callbacks from either method run in
+        the order they were scheduled.  A substrate-wide teardown (such as
+        ``AsyncioScheduler.shutdown``) still cancels it.
+        """
 
 
 @runtime_checkable

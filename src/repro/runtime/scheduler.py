@@ -2,10 +2,10 @@
 
 :class:`AsyncioScheduler` gives the protocol stack the exact API surface
 it uses on :class:`repro.sim.engine.Simulator` — ``now``, ``schedule``,
-``schedule_at``, ``call_soon``, and the seeded ``rngs`` registry — but
-backed by a real :mod:`asyncio` event loop, so every protocol timer
-(hello beacons, retransmission timeouts, E2E ACK generation, probe
-backoff) fires in real time.
+``schedule_at``, ``schedule_transient_at``, ``call_soon``, and the seeded
+``rngs`` registry — but backed by a real :mod:`asyncio` event loop, so
+every protocol timer (hello beacons, retransmission timeouts, E2E ACK
+generation, probe backoff) fires in real time.
 
 Differences from the simulator, by design:
 
@@ -107,6 +107,13 @@ class AsyncioScheduler:
     def call_soon(self, callback: Callable[..., None], *args: Any) -> AsyncioHandle:
         """Run ``callback(*args)`` on the next loop iteration."""
         return self.schedule(0.0, callback, *args)
+
+    def schedule_transient_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """:meth:`schedule_at` without returning the handle; it stays
+        tracked, so :meth:`shutdown` still cancels the callback."""
+        self.schedule_at(time, callback, *args)
 
     def _run(self, handle: AsyncioHandle, callback: Callable[..., None], args: tuple) -> None:
         self._handles.discard(handle)

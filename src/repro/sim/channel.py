@@ -99,10 +99,6 @@ class Channel:
         self._busy_until = 0.0
         self._last_delivery = 0.0
         self._rng = sim.rngs.stream(f"channel:{name}")
-        # Engine-specific fast path: delivery handles never escape the
-        # channel and are never cancelled, so the simulated engine may pool
-        # them.  Other SchedulerLike substrates fall back to schedule_at.
-        self._schedule_transient = getattr(sim, "schedule_transient_at", None)
         self._up = True
         # Gray-failure impairment: silent extra loss/delay while nominally up.
         self._extra_loss = 0.0
@@ -195,10 +191,9 @@ class Channel:
         # FIFO: never deliver before a previously sent packet.
         arrival = max(arrival, self._last_delivery)
         self._last_delivery = arrival
-        if self._schedule_transient is not None:
-            self._schedule_transient(arrival, self._deliver, packet)
-        else:
-            self._sim.schedule_at(arrival, self._deliver, packet)
+        # A delivery is never cancelled: a channel that fails meanwhile
+        # drops the packet in _deliver.
+        self._sim.schedule_transient_at(arrival, self._deliver, packet)
 
     def _deliver(self, packet: Any) -> None:
         if not self._up:

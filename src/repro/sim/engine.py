@@ -11,18 +11,21 @@ callbacks.  Higher layers (links, CPU models, protocol timers) build their
 own abstractions on top.
 
 :class:`Simulator` is the simulated implementation of the
-:class:`repro.runtime.interfaces.SchedulerLike` seam (``now`` /
-``schedule`` / ``schedule_at`` / ``call_soon`` / ``rngs``); the live
-runtime's :class:`repro.runtime.scheduler.AsyncioScheduler` implements
-the same surface over a real event loop.  :class:`PeriodicTimer` is
-written against the seam, so protocol heartbeats run unchanged on both.
+:class:`repro.runtime.interfaces.SchedulerLike` seam (``now``,
+``schedule``, ``schedule_at``, ``schedule_transient_at``, ``call_soon``,
+``rngs``); the live runtime's :class:`repro.runtime.scheduler.
+AsyncioScheduler` implements the same surface over a real event loop.
+:class:`PeriodicTimer` is written against the seam, so protocol
+heartbeats run unchanged on both.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import time
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.rng import RngRegistry
@@ -34,48 +37,33 @@ if TYPE_CHECKING:
 class EventHandle:
     """A cancellable reference to a scheduled event."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "on_cancel", "transient")
+    __slots__ = ("cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+    def __init__(self, sim: "Simulator"):
         self.cancelled = False
-        #: Set by the owning simulator so it can keep an exact count of
-        #: dead entries still sitting in its heap.
-        self.on_cancel: Optional[Callable[[], None]] = None
-        #: True for pool-owned events scheduled via
-        #: :meth:`Simulator.schedule_transient_at`: no reference escapes
-        #: to callers, so the simulator may recycle the object after it
-        #: executes.
-        self.transient = False
+        #: The simulator whose heap still holds this event; None once the
+        #: event has run or been cancelled, so only the first cancel of a
+        #: queued event counts toward the simulator's dead-entry tally.
+        self._sim: Optional[Simulator] = sim
 
     def cancel(self) -> None:
         """Cancel the event; a cancelled event is skipped by the engine."""
         if self.cancelled:
             return
         self.cancelled = True
-        # Drop references so cancelled-but-queued events don't pin memory.
-        self.callback = _noop
-        self.args = ()
-        if self.on_cancel is not None:
-            self.on_cancel()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free comparison: the heap calls this O(log n) times per
-        # push/pop, so avoiding two tuple allocations per call matters.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
+        return f"EventHandle({'cancelled' if self.cancelled else 'pending'})"
 
 
-def _noop(*_args: Any) -> None:
-    return None
+#: A heap entry: ``(time, seq, callback, args, handle)``.  ``seq`` is unique,
+#: so ``heapq`` orders entries by ``(time, seq)`` with C tuple comparison and
+#: never looks further.  ``handle`` is None for fire-and-forget events.
+_Entry = Tuple[float, int, Callable[..., None], tuple, Optional[EventHandle]]
 
 
 class Simulator:
@@ -94,28 +82,20 @@ class Simulator:
     #: more bookkeeping than the dead entries do.
     COMPACT_MIN_QUEUE = 64
 
-    #: Upper bound on the transient-event freelist.  Bounds memory while
-    #: letting steady-state packet traffic recycle one handle per event.
-    FREELIST_MAX = 256
-
     def __init__(self, seed: int = 0):
-        self._now = 0.0
-        self._queue: List[EventHandle] = []
-        self._seq = 0
+        #: Current simulated time in seconds.
+        self.now = 0.0
+        self._queue: List[_Entry] = []
+        # One sequence number per scheduled event, on every path: it is the
+        # tie-break that makes same-time events run in scheduling order.
+        self._next_seq = itertools.count(1).__next__
         self._events_run = 0
+        #: Cancelled entries still in the heap (they leave it by being
+        #: popped at the head or swept by _compact).
         self._cancelled = 0
         self._running = False
         self._profiler: Optional[Any] = None
-        self._free: List[EventHandle] = []
         self.rngs = RngRegistry(seed)
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -124,19 +104,37 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        self._seq += 1
-        handle = EventHandle(time, self._seq, callback, args)
-        handle.on_cancel = self._note_cancel
-        heapq.heappush(self._queue, handle)
+        handle = EventHandle(self)
+        heapq.heappush(self._queue, (time, self._next_seq(), callback, args, handle))
         return handle
+
+    def schedule_transient_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Schedule a fire-and-forget ``callback(*args)`` at ``time``.
+
+        No handle is created or returned, so the event cannot be
+        cancelled.  It takes its sequence number exactly as
+        :meth:`schedule_at` would, so moving a never-cancelled timer onto
+        this path leaves event order unchanged.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self.now})"
+            )
+        heapq.heappush(self._queue, (time, self._next_seq(), callback, args, None))
+
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback`` at the current time (after pending same-time events)."""
+        return self.schedule_at(self.now, callback, *args)
 
     def _note_cancel(self) -> None:
         self._cancelled += 1
@@ -149,87 +147,14 @@ class Simulator:
         ):
             self._compact()
 
-    def _note_cancelled_pop(self) -> None:
-        """A cancelled entry left the heap by being popped at the head.
-
-        The single counterpart of :meth:`_note_cancel`: every dead entry
-        leaves the heap either here or in :meth:`_compact`, so
-        ``_cancelled`` exactly counts dead entries still queued and the
-        compaction threshold cannot drift over long soaks.
-        """
-        self._cancelled -= 1
-        if self._cancelled < 0:  # pragma: no cover - accounting invariant
-            raise SimulationError("cancelled-event accounting went negative")
-
     def _compact(self) -> None:
         """Drop cancelled entries from the heap and re-heapify."""
-        self._queue = [handle for handle in self._queue if not handle.cancelled]
+        self._queue[:] = [
+            entry for entry in self._queue
+            if entry[4] is None or not entry[4].cancelled
+        ]
         heapq.heapify(self._queue)
         self._cancelled = 0
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback, *args)
-
-    # ------------------------------------------------------------------
-    # Allocation-avoiding scheduling (heap-pressure reduction)
-    # ------------------------------------------------------------------
-    # Both paths below consume sequence numbers exactly like
-    # ``schedule_at`` — one per scheduled event — so event ordering (and
-    # therefore every seeded run) is byte-identical to the allocating
-    # paths.  They are engine-specific extras, not part of the
-    # SchedulerLike seam; substrate-generic callers discover them with
-    # ``getattr`` and fall back to ``schedule_at``.
-
-    def schedule_transient_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Schedule a fire-and-forget event; no handle is returned.
-
-        Because the caller provably cannot cancel (or even reference) the
-        event, the engine owns the ``EventHandle`` outright and recycles
-        it through a bounded freelist once it executes.  Used by the
-        highest-frequency schedulers (channel packet delivery), where the
-        per-event allocation of handle + args tuple dominates heap churn.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
-        self._seq += 1
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = self._seq
-            handle.callback = callback
-            handle.args = args
-        else:
-            handle = EventHandle(time, self._seq, callback, args)
-            handle.transient = True
-        heapq.heappush(self._queue, handle)
-
-    def reschedule_handle(self, handle: EventHandle, time: float) -> None:
-        """Re-arm an executed handle at ``time``, reusing the object.
-
-        For strictly self-owned repeating events (:class:`PeriodicTimer`):
-        the handle just popped off the heap is pushed back with a fresh
-        sequence number instead of allocating a new one each tick.  The
-        caller must own the handle exclusively and only call this from
-        the handle's own callback (when it is out of the heap and not
-        cancelled).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
-        if handle.cancelled:
-            raise SimulationError("cannot reschedule a cancelled handle")
-        self._seq += 1
-        handle.time = time
-        handle.seq = self._seq
-        handle.on_cancel = self._note_cancel
-        heapq.heappush(self._queue, handle)
 
     # ------------------------------------------------------------------
     # Execution
@@ -243,34 +168,36 @@ class Simulator:
         ``max_events`` have executed.
 
         Returns the number of events executed by this call.  When ``until``
-        is given the clock is advanced to ``until`` even if the queue
-        drains earlier, so back-to-back ``run`` calls observe a continuous
-        timeline.
+        is given and no event at or before it is left, the clock is
+        advanced to ``until`` even if the queue drained earlier, so
+        back-to-back ``run`` calls observe a continuous timeline.  A run
+        stopped by ``max_events`` leaves the clock at its last event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        # Function-local bindings: the loop below runs once per event.
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
+        profiler = self._profiler
         executed = 0
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
+            while queue and executed < budget:
+                entry = pop(queue)
+                when, _, callback, args, handle = entry
+                if when > horizon:
+                    heapq.heappush(queue, entry)
                     break
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    self._note_cancelled_pop()
-                    continue
-                if until is not None and head.time > until:
-                    break
-                heapq.heappop(self._queue)
-                # The handle has left the heap: detach it so a stale
-                # cancel() after execution cannot inflate ``_cancelled``
-                # (which would drift the compaction threshold and make
-                # ``pending`` undercount live events).
-                head.on_cancel = None
-                self._now = head.time
-                callback, args = head.callback, head.args
-                profiler = self._profiler
+                if handle is not None:
+                    if handle.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    # The event has left the heap: a later cancel() must
+                    # not count it as a dead entry.
+                    handle._sim = None
+                self.now = when
                 if profiler is None:
                     callback(*args)
                 else:
@@ -282,16 +209,11 @@ class Simulator:
                         time.perf_counter() - started,
                     )
                 executed += 1
-                self._events_run += 1
-                if head.transient and len(self._free) < self.FREELIST_MAX:
-                    # Pool-owned event: no reference escaped, recycle it.
-                    head.callback = _noop
-                    head.args = ()
-                    self._free.append(head)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+            self._events_run += executed
+        if until is not None and self.now < until and not (queue and queue[0][0] <= until):
+            self.now = until
         return executed
 
     def step(self) -> bool:
@@ -310,7 +232,7 @@ class Simulator:
 
     @property
     def events_run(self) -> int:
-        """Total number of events executed over the simulator's lifetime."""
+        """Total number of events executed by completed :meth:`run` calls."""
         return self._events_run
 
     # ------------------------------------------------------------------
@@ -319,8 +241,9 @@ class Simulator:
     def enable_profiling(self, profiler: Optional[Any] = None):
         """Install (and return) an event-loop profiler.
 
-        Every executed event is timed with ``time.perf_counter`` and
-        recorded under its callback's qualified name (see
+        From the next :meth:`run` call on, every executed event is timed
+        with ``time.perf_counter`` and recorded under its callback's
+        qualified name (see
         :class:`repro.telemetry.profiling.EventLoopProfiler`).  When no
         profiler is installed the run loop pays a single ``is None``
         check per event, which is unmeasurable.
@@ -342,7 +265,7 @@ class Simulator:
         return self._profiler
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.6f}, pending={len(self._queue)})"
+        return f"Simulator(now={self.now:.6f}, pending={len(self._queue)})"
 
 
 class PeriodicTimer:
@@ -369,11 +292,6 @@ class PeriodicTimer:
         self._handle: Optional[CancellableHandle] = None
         self._epoch = 0.0
         self._ticks = 0
-        # Engine-specific fast path: the simulated engine can re-arm the
-        # timer's own (exclusively held) handle without allocating a new
-        # event per tick.  Other SchedulerLike substrates fall back to
-        # plain schedule_at.
-        self._reschedule = getattr(sim, "reschedule_handle", None)
 
     def start(self, phase: float = 0.0) -> None:
         """Arm the timer; the first firing is ``interval + phase`` from now."""
@@ -401,11 +319,5 @@ class PeriodicTimer:
             # clock); skip forward rather than scheduling into the past.
             self._ticks += 1
             next_time = self._epoch + (self._ticks + 1) * self._interval
-        handle = self._handle
-        if self._reschedule is not None and handle is not None and not handle.cancelled:
-            # The handle that just fired is out of the heap and exclusively
-            # ours: push it back (fresh seq) instead of allocating.
-            self._reschedule(handle, next_time)
-        else:
-            self._handle = self._sim.schedule_at(next_time, self._fire)
+        self._handle = self._sim.schedule_at(next_time, self._fire)
         self._callback()

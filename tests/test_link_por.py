@@ -225,11 +225,6 @@ class TestRealCryptoHandshake:
         assert delivered_b == []
         assert b.macs_rejected > 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4(h): PorData.mac_fields() is (epoch, seq, nonce) -- "
-        "the link HMAC does not cover the payload",
-    )
     def test_real_hmac_rejects_swapped_payload(self):
         from repro.link.por import PorData
 
@@ -244,6 +239,27 @@ class TestRealCryptoHandshake:
 
         a.out_channel.send = swap_payload
         a.send(b"genuine", 10)
+        sim.run(until=2.0)
+        assert delivered_b == []
+        assert b.macs_rejected > 0
+
+    def test_real_hmac_rejects_rewritten_unsigned_control_frame(self):
+        # Neighbour ACKs carry no signature of their own: the link tag is
+        # all that stops an on-path rewrite of the advertised buffer limit.
+        from repro.link.por import PorData
+        from repro.messaging.message import NeighborAck
+
+        sim, a, b, _, delivered_b = make_link(pki_mode=PkiMode.REAL, handshake=True)
+        sim.run(until=1.0)
+        original = a.out_channel.send
+
+        def inflate_limit(pkt, size):
+            if isinstance(pkt, PorData):
+                pkt.payload = NeighborAck("a", ((("a", "b"), 0, 10**9),))
+            original(pkt, size)
+
+        a.out_channel.send = inflate_limit
+        a.send(NeighborAck("a", ((("a", "b"), 0, 8),)), 48)
         sim.run(until=2.0)
         assert delivered_b == []
         assert b.macs_rejected > 0

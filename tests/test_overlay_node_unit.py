@@ -339,7 +339,7 @@ class DirectSendHarness:
                 len(queue), sorted(queue._index), sorted(queue.active_sources()),
                 queue.dropped_expired, queue.dropped_for_space,
                 queue.cancelled_by_feedback, link.data_transmissions,
-                link._serve_reliable_next, link._pump_event is not None,
+                link._serve_reliable_next, link._pump_pending,
             )
         state["counters"] = {
             name: self.stats.counter(name).value

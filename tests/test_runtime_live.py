@@ -140,8 +140,11 @@ def test_scheduler_shutdown_cancels_everything():
         fired = []
         for _ in range(5):
             scheduler.schedule(0.01, fired.append, "x")
-        assert scheduler.pending == 5
-        assert scheduler.shutdown() == 5
+        # Fire-and-forget callbacks hand out no handle, but teardown
+        # still reaches them.
+        scheduler.schedule_transient_at(scheduler.now + 0.01, fired.append, "y")
+        assert scheduler.pending == 6
+        assert scheduler.shutdown() == 6
         await asyncio.sleep(0.03)
         assert fired == []
 

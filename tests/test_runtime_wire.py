@@ -174,6 +174,8 @@ def assert_packets_equal(a, b) -> None:
             b.epoch, b.seq, b.nonce, b.wire_size, b.mac
         )
         assert a.payload == b.payload
+        # The receiver recomputes the link tag over the decoded packet.
+        assert a.mac_fields() == b.mac_fields()
     elif isinstance(a, PorAck):
         assert (a.epoch, a.cum_seq, a.proof, a.missing, a.mac) == (
             b.epoch, b.cum_seq, b.proof, b.missing, b.mac

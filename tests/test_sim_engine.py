@@ -44,6 +44,19 @@ class TestScheduling:
         sim.run(until=6.0)
         assert fired == [1, 5]
 
+    def test_run_until_stopped_by_max_events_keeps_the_clock(self):
+        # Regression: the clock jumped to ``until`` with the 2.0 event still
+        # queued, and the next run moved it back to 2.0.
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(sim.now))
+        sim.schedule_at(2.0, lambda: seen.append(sim.now))
+        assert sim.run(until=5.0, max_events=1) == 1
+        assert sim.now == 1.0
+        sim.run(until=5.0)
+        assert seen == [1.0, 2.0]
+        assert sim.now == 5.0
+
     def test_run_max_events(self):
         sim = Simulator()
         fired = []
@@ -224,6 +237,136 @@ class TestPendingAndCompaction:
         assert sim._cancelled == 0
         assert sim.pending == 0
         assert survivor.cancelled is False
+
+    def test_compaction_keeps_fire_and_forget_events(self):
+        sim = Simulator()
+        order = []
+        for i in range(40):
+            sim.schedule_transient_at(float(i), order.append, i)
+        doomed = [sim.schedule(0.5 + i, order.append, "x") for i in range(100)]
+        for handle in doomed:
+            handle.cancel()
+        assert len(sim._queue) < 140  # swept
+        assert sim.pending == 40
+        assert sim.run() == 40
+        assert order == list(range(40))
+        assert sim._cancelled == 0
+
+
+class _ReferenceHandle:
+    def __init__(self, entry):
+        self._entry = entry
+
+    def cancel(self):
+        self._entry[4] = False
+
+
+class _ReferenceScheduler:
+    """A linear-scan scheduler: the order the engine's heap must reproduce
+    (earliest time first, then scheduling order)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._entries = []  # [time, order, callback, args, live]
+
+    def _add(self, time, callback, args):
+        entry = [time, len(self._entries), callback, args, True]
+        self._entries.append(entry)
+        return entry
+
+    def schedule_at(self, time, callback, *args):
+        return _ReferenceHandle(self._add(time, callback, args))
+
+    def schedule_transient_at(self, time, callback, *args):
+        self._add(time, callback, args)
+
+    def call_soon(self, callback, *args):
+        return self.schedule_at(self.now, callback, *args)
+
+    @property
+    def pending(self):
+        return sum(1 for entry in self._entries if entry[4])
+
+    def run(self):
+        while True:
+            live = [entry for entry in self._entries if entry[4]]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            entry[4] = False
+            self.now = entry[0]
+            entry[2](*entry[3])
+
+
+#: One scheduling program: ``("at" | "transient" | "soon", delay, children)``
+#: schedules an event that runs ``children`` when it fires; ``("cancel", i)``
+#: cancels the i-th handle handed out so far (possibly already run);
+#: ``("bulk", delay, k)`` schedules 70 events and cancels all but every k-th,
+#: enough dead entries to make the engine compact its heap.  Delays come from
+#: a small set, so same-time ties are common.
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_PROGRAMS = st.recursive(
+    st.just(()),
+    lambda children: st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["at", "transient", "soon"]), _DELAYS, children),
+            st.tuples(st.just("cancel"), st.integers(0, 200)),
+            st.tuples(st.just("bulk"), _DELAYS, st.integers(1, 4)),
+        ),
+        max_size=5,
+    ).map(tuple),
+    max_leaves=30,
+)
+
+
+def _play(sched, program, audit=None):
+    """Run ``program`` on ``sched``; the log of (time, label, pending) per
+    executed event."""
+    log, handles, labels = [], [], iter(range(10**6))
+
+    def fire(label, children):
+        log.append((sched.now, label, sched.pending))
+        if audit is not None:
+            audit()
+        execute(children)
+
+    def execute(ops):
+        for op in ops:
+            kind = op[0]
+            if kind == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+            elif kind == "bulk":
+                for i in range(70):
+                    handle = sched.schedule_at(sched.now + op[1], fire, next(labels), ())
+                    handles.append(handle)
+                    if i % op[2]:
+                        handle.cancel()
+            elif kind == "transient":
+                sched.schedule_transient_at(sched.now + op[1], fire, next(labels), op[2])
+            elif kind == "soon":
+                handles.append(sched.call_soon(fire, next(labels), op[2]))
+            else:
+                handles.append(sched.schedule_at(sched.now + op[1], fire, next(labels), op[2]))
+
+    execute(program)
+    sched.run()
+    return log
+
+
+class TestSchedulingPathsShareOneOrder:
+    @given(_PROGRAMS)
+    def test_execution_order_matches_reference(self, program):
+        sim = Simulator()
+
+        def audit():
+            # The dead-entry tally is exact, with handle-free entries mixed in.
+            dead = sum(1 for e in sim._queue if e[4] is not None and e[4].cancelled)
+            assert sim._cancelled == dead
+
+        assert _play(sim, program, audit) == _play(_ReferenceScheduler(), program)
+        assert sim.pending == 0
+        assert sim._cancelled == 0
 
 
 class TestPeriodicTimer:
