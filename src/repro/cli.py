@@ -265,7 +265,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.profile:
         deployment.sim.enable_profiling()
     if args.trace:
-        deployment.network.stats.metrics.trace.enable()
+        deployment.network.stats.trace.enable()
     flows = global_cloud.EVALUATION_FLOWS[: args.flows]
     for source, dest in flows:
         deployment.add_flow(source, dest, rate_fraction=args.rate,

@@ -30,7 +30,6 @@ from repro.clients.generators import (
 from repro.messaging.admission import AdmissionConfig
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.sim.stats import LatencyRecorder
 from repro.topology import generators
 
 
@@ -213,16 +212,17 @@ def run_overload(
             link_bandwidth_bps=link_bandwidth_bps,
         )
 
-        # One recorder for the whole client tier, fed by a delivery
-        # observer on every node — client messages are tagged in their
-        # payload, so protocol traffic and any other flows never pollute
-        # the numbers.
-        recorder = LatencyRecorder("overload")
+        # Every client-tier latency, fed by a delivery observer on every
+        # node — client messages are tagged in their payload, so protocol
+        # traffic and any other flows never pollute the numbers.  Not a
+        # LatencyRecorder: one stage can deliver more than its SAMPLE_CAP,
+        # and p50/p99 below are exact over every delivery.
+        latencies: List[float] = []
 
         def observe(message: Any, node: Any) -> None:
             payload = message.payload
             if isinstance(payload, str) and payload.startswith("clients:"):
-                recorder.record(node.sim.now, node.sim.now - message.sent_at)
+                latencies.append(node.sim.now - message.sent_at)
 
         for node in net.nodes.values():
             node.delivery_observers.append(observe)
@@ -241,8 +241,8 @@ def run_overload(
             for node in net.nodes.values()
             for link in node.links.values()
         ]
-        delivered = recorder.count
-        latencies_ms = sorted(lat * 1000.0 for lat in recorder.latencies())
+        delivered = len(latencies)
+        latencies_ms = sorted(lat * 1000.0 for lat in latencies)
 
         def pct(p: float) -> float:
             if not latencies_ms:
@@ -259,7 +259,7 @@ def run_overload(
             goodput_msgs=delivered / duration if duration > 0 else 0.0,
             p50_ms=pct(50.0),
             p99_ms=pct(99.0),
-            mean_ms=recorder.mean() * 1000.0,
+            mean_ms=(sum(latencies) / delivered if delivered else 0.0) * 1000.0,
             outcomes=dict(tier.outcomes),
             admission_totals=admission_totals(net),
             queue_dropped=sum(queue.dropped_for_space for queue in queues),

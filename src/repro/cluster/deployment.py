@@ -97,9 +97,12 @@ class _ShardHandle:
 # ----------------------------------------------------------------------
 def rollup(shard_reports: Dict[int, Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Join every shard's sent-side flows with the destination shard's
-    delivered-side latency recorders.  A destination hosted by a dead
-    (unreported) shard yields ``delivered=0`` — the gate then excludes
-    that flow via the dead shard's nodes, but the join never fails."""
+    delivered-side latency recorders.  A flow's latency lives in its
+    destination's process, so mean, p50 and p99 are read straight from
+    that snapshot entry; nothing is merged across processes.  A
+    destination hosted by a dead (unreported) shard yields
+    ``delivered=0`` and ``None`` latencies — the gate then excludes that
+    flow via the dead shard's nodes, but the join never fails."""
     node_home: Dict[str, Dict[str, Any]] = {}
     for report in shard_reports.values():
         for node_str in report.get("per_node", {}):
@@ -109,18 +112,15 @@ def rollup(shard_reports: Dict[int, Dict[str, Any]]) -> List[Dict[str, Any]]:
         report = shard_reports[shard_id]
         for flow in report.get("flows", []):
             source, dest = flow["source"], flow["dest"]
-            delivered = 0
-            mean_latency = None
+            entry: Dict[str, Any] = {}
             dest_report = node_home.get(str(dest))
             if dest_report is not None:
                 entry = (
                     dest_report["per_node"][str(dest)]
                     .get("latency", {})
                     .get(f"latency:{source}->{dest}")
-                )
-                if entry:
-                    delivered = int(entry["count"])
-                    mean_latency = entry.get("mean")
+                ) or {}
+            delivered = int(entry.get("count", 0))
             sent = int(flow["sent"])
             flows.append(
                 {
@@ -132,7 +132,9 @@ def rollup(shard_reports: Dict[int, Dict[str, Any]]) -> List[Dict[str, Any]]:
                     "sent": sent,
                     "delivered": delivered,
                     "ratio": 1.0 if sent == 0 else delivered / sent,
-                    "mean_latency": mean_latency,
+                    "mean_latency": entry.get("mean"),
+                    "p50_latency": entry.get("p50"),
+                    "p99_latency": entry.get("p99"),
                 }
             )
     return flows

@@ -91,7 +91,7 @@ class Pki:
     def attach_metrics(self, metrics: Any) -> None:
         """Count every signature/MAC operation in ``metrics``.
 
-        ``metrics`` is a :class:`repro.telemetry.metrics.MetricsRegistry`
+        ``metrics`` is a :class:`repro.sim.stats.StatsRegistry`
         (duck-typed: anything with ``counter(name)``).  The counters —
         ``crypto.sign``, ``crypto.verify``, ``crypto.mac_sign``,
         ``crypto.mac_verify`` — count *logical* operations: in NONE mode

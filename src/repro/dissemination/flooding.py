@@ -23,7 +23,7 @@ def flood_targets(
 ) -> List[NodeId]:
     """Neighbors a newly received (or injected) message is forwarded to.
 
-    When ``metrics`` (a :class:`repro.telemetry.metrics.MetricsRegistry`)
+    When ``metrics`` (a :class:`repro.sim.stats.StatsRegistry`)
     is supplied, ``dissemination.flood.calls`` and
     ``dissemination.flood.fanout`` record how often flooding ran and how
     many copies it produced — the numerator/denominator of the

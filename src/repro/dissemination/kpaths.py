@@ -35,7 +35,7 @@ def _kpaths_counters(metrics: Any):
     """The module's three counters, resolved once per registry.
 
     Counters are stable, never-removed objects inside a
-    :class:`~repro.telemetry.metrics.MetricsRegistry`, so the resolved
+    :class:`~repro.sim.stats.StatsRegistry`, so the resolved
     tuple is cached on the registry itself — this runs on every
     forwarding decision."""
     counters = getattr(metrics, "_kpaths_counter_cache", None)

@@ -286,7 +286,7 @@ class ChaosEngine:
         # Mirrored into the trace (sim-time events, deterministic) so a
         # `repro stats --trace` dump interleaves faults with protocol
         # activity without a separate chaos log.
-        self.network.stats.metrics.trace.event(
+        self.network.stats.trace.event(
             self.network.sim.now, f"chaos.{phase}", f"{fault.kind} [{target}]"
         )
 

@@ -360,7 +360,7 @@ class PorEndpoint:
     # Establishment
     # ------------------------------------------------------------------
     def attach_mac_counters(self, metrics: Any) -> None:
-        """Count link MAC operations in ``metrics`` (a MetricsRegistry).
+        """Count link MAC operations in ``metrics`` (a StatsRegistry).
 
         ``crypto.mac_sign`` / ``crypto.mac_verify`` count *logical*
         operations — every packet the real system would MAC or check,

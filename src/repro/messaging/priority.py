@@ -354,7 +354,7 @@ class PriorityEngine:
                 node.links,
                 from_neighbor,
                 naive=node.config.naive_flooding,
-                metrics=node.stats.metrics,
+                metrics=node.stats,
             )
             if has_it:
                 targets = [n for n in targets if n not in has_it]
@@ -363,7 +363,7 @@ class PriorityEngine:
                 node.node_id,
                 message.paths,
                 from_neighbor,
-                metrics=node.stats.metrics,
+                metrics=node.stats,
             )
             self.path_violations += violations
         else:

@@ -293,7 +293,7 @@ class ReliableEngine:
         return [
             n
             for n in path_targets(
-                node.node_id, state.paths, metrics=node.stats.metrics
+                node.node_id, state.paths, metrics=node.stats
             )
             if n in node.links
         ]

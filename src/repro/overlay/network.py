@@ -102,7 +102,7 @@ class OverlayNetwork:
         pki = Pki(mode=config.crypto.pki_mode, seed=seed)
         # Crypto ops (sign/verify/MAC) count into the same registry as
         # protocol counters, so one snapshot describes the whole run.
-        pki.attach_metrics(stats.metrics)
+        pki.attach_metrics(stats)
         for node_id in topology.nodes:
             pki.register(node_id)
         mtmw = Mtmw.create(topology, pki)

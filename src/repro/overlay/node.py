@@ -456,7 +456,7 @@ class OverlayNode:
             config=self.config.por,
         )
         por.establish_out_of_band()
-        por.attach_mac_counters(self.stats.metrics)
+        por.attach_mac_counters(self.stats)
         return self.attach_link(neighbor, por)
 
     def attach_link(self, neighbor: NodeId, por: PorEndpoint) -> LinkSender:
@@ -964,7 +964,7 @@ class OverlayNode:
             self.stats.series(f"quarantine-dwell:{neighbor}").record(
                 self.sim.now, dwell
             )
-            self.stats.metrics.gauge("quarantine.dwell_seconds_total").add(dwell)
+            self.stats.gauge("quarantine.dwell_seconds_total").add(dwell)
         link.monitor_up = True
         link.quarantined_at = None
         link.probation_since = None

@@ -451,7 +451,7 @@ class AdaptiveDefense:
         if not self._running:
             return
         now = self.sim.now
-        with self.stats.metrics.trace.span("defense.tick"):
+        with self.stats.trace.span("defense.tick"):
             self._poll_signals(now)
             self._control(now)
             self._execute(now)
@@ -508,10 +508,10 @@ class AdaptiveDefense:
 
     def _control(self, now: float) -> None:
         """The local controllers: belief -> advance/defer/tighten/relax."""
-        metrics = self.stats.metrics
+        stats = self.stats
         for node_id in self._order:
             score = self.estimator.score(node_id, now)
-            metrics.gauge(f"defense.belief:{node_id}").set(round(score, 6))
+            stats.gauge(f"defense.belief:{node_id}").set(round(score, 6))
             if not self.adaptive:
                 continue
             suspect = self.estimator.is_suspect(node_id)
@@ -524,14 +524,14 @@ class AdaptiveDefense:
                         self.config.tighten_probation_scale,
                     )
                     self.tightenings += 1
-                    self.stats.counter("defense.tightened").add()
-                    metrics.trace.event(now, "defense.tighten", str(node_id))
+                    stats.counter("defense.tightened").add()
+                    stats.trace.event(now, "defense.tighten", str(node_id))
             elif not suspect and tightened:
                 self.budget.release_tighten(node_id)
                 self._set_vigilance(node_id, 1.0, 1.0)
                 self.relaxations += 1
-                self.stats.counter("defense.relaxed").add()
-                metrics.trace.event(now, "defense.relax", str(node_id))
+                stats.counter("defense.relaxed").add()
+                stats.trace.event(now, "defense.relax", str(node_id))
             if suspect and self._due[node_id] > now and self._cooldown_ok(node_id, now):
                 # Advance the suspect's rotation slot; above the
                 # escalation threshold this is an immediate
@@ -540,12 +540,12 @@ class AdaptiveDefense:
                 self._last_action[node_id] = now
                 if score >= self.config.escalate_threshold:
                     self.escalations += 1
-                    self.stats.counter("defense.escalations").add()
-                    metrics.trace.event(now, "defense.escalate", str(node_id))
+                    stats.counter("defense.escalations").add()
+                    stats.trace.event(now, "defense.escalate", str(node_id))
                 else:
                     self.advances += 1
-                    self.stats.counter("defense.advances").add()
-                    metrics.trace.event(now, "defense.advance", str(node_id))
+                    stats.counter("defense.advances").add()
+                    stats.trace.event(now, "defense.advance", str(node_id))
 
     def _set_vigilance(
         self, node_id: Any, timeout_scale: float, probation_scale: float
@@ -600,12 +600,12 @@ class AdaptiveDefense:
         self._down_at[node_id] = now
         self._proactive_downs[node_id] += 1
         self.stats.counter("defense.recoveries").add()
-        self.stats.metrics.trace.event(now, "defense.take_down", str(node_id))
+        self.stats.trace.event(now, "defense.take_down", str(node_id))
         self.actuator.take_down(node_id)
         self._restore_events[node_id] = self.sim.schedule(
             self.downtime, self._restore, node_id
         )
-        self.stats.metrics.gauge("defense.concurrent_down").set(
+        self.stats.gauge("defense.concurrent_down").set(
             len(self.budget.down)
         )
 
@@ -625,10 +625,10 @@ class AdaptiveDefense:
             downtime = now - down_at
             self.total_downtime_seconds += downtime
             self.stats.series(f"recovery-downtime:{node_id}").record(now, downtime)
-            self.stats.metrics.gauge("recovery.downtime_seconds_total").add(downtime)
+            self.stats.gauge("recovery.downtime_seconds_total").add(downtime)
             self.stats.counter("recovery.completed").add()
-        self.stats.metrics.trace.event(now, "defense.restore", str(node_id))
-        self.stats.metrics.gauge("defense.concurrent_down").set(
+        self.stats.trace.event(now, "defense.restore", str(node_id))
+        self.stats.gauge("defense.concurrent_down").set(
             len(self.budget.down)
         )
 

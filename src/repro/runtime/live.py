@@ -635,15 +635,15 @@ class LiveDeployment:
             # node booted (attach_metrics replaces, not adds) and make
             # that registry the deployment-wide one.
             self._stats = stats
-            self.pki.attach_metrics(stats.metrics)
+            self.pki.attach_metrics(stats)
         if self.injector is not None:
             transport: AsyncioUdpTransport = await ChaosUdpTransport.open(
-                node_id, host=config.host, metrics=stats.metrics,
+                node_id, host=config.host, metrics=stats,
                 injector=self.injector,
             )
         else:
             transport = await AsyncioUdpTransport.open(
-                node_id, host=config.host, metrics=stats.metrics
+                node_id, host=config.host, metrics=stats
             )
         transport.on_dispatch_error = (
             lambda exc, _node=node_id: self._on_dispatch_error(_node, exc)

@@ -10,11 +10,11 @@ laboratory stand-in.  It provides:
 * :mod:`repro.sim.cpu` — a per-node CPU model that serializes processing and
   charges per-operation costs (used to reproduce the crypto-bound goodput of
   Table II);
-* :mod:`repro.sim.stats` — counters, goodput meters, latency recorders, and
-  time series used by the benchmark harness.
-
-Sim-time protocol events are recorded by
-:class:`repro.telemetry.tracing.TraceCollector`.
+* :mod:`repro.sim.stats` — the run's one telemetry registry
+  (:class:`StatsRegistry`): counters, gauges, goodput meters, bounded
+  latency recorders and time series, and the run's
+  :class:`repro.telemetry.tracing.TraceCollector`, which records sim-time
+  protocol events.
 """
 
 from repro.sim.channel import Channel, ChannelConfig

@@ -1,44 +1,28 @@
-"""Unified telemetry: metrics, tracing, and profiling.
+"""Unified telemetry: tracing, profiling, and run reports.
 
 The paper's evaluation is entirely measured — goodput, latency, and
 per-hop cost (Figures 4-9, Tables II-IV) — so the reproduction needs one
-place where every layer reports what it did.  This package provides:
+place where every layer reports what it did.  That place is the run's one
+registry, :class:`repro.sim.stats.StatsRegistry`: counters, gauges,
+goodput meters, bounded latency recorders and time series, and one
+deterministic snapshot.  This package provides what sits around it:
 
-* :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of named
-  counters, gauges, histograms, and bounded time series, with a
-  deterministic :meth:`~MetricsRegistry.snapshot`;
 * :mod:`repro.telemetry.tracing` — structured span/event tracing that is
-  a no-op singleton when disabled (near-zero overhead on hot paths);
+  a no-op singleton when disabled (near-zero overhead on hot paths); each
+  registry carries one as ``trace``;
 * :mod:`repro.telemetry.profiling` — per-event-type timing for
   :meth:`repro.sim.engine.Simulator.run` and per-message-type payload
   classification for byte accounting on links;
 * :mod:`repro.telemetry.report` — the ``repro stats`` report builder
   that turns a run's registry into the JSON/CSV benchmarks persist as
   ``BENCH_*.json`` artifacts.
-
-Every simulation's :class:`repro.sim.stats.StatsRegistry` is backed by a
-:class:`MetricsRegistry`, so protocol counters, crypto-op counts, and
-per-message-type byte accounting all land in the same namespace and a
-single snapshot describes the whole run.
 """
 
-from repro.telemetry.metrics import (
-    BoundedTimeSeries,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.telemetry.profiling import EventLoopProfiler, payload_kind
 from repro.telemetry.report import build_report, flatten, to_csv
 from repro.telemetry.tracing import NULL_SPAN, TraceCollector
 
 __all__ = [
-    "BoundedTimeSeries",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "EventLoopProfiler",
     "payload_kind",
     "build_report",

@@ -73,7 +73,7 @@ def build_report(
     if defense is not None:
         report["defense"] = defense.summary()
     if include_trace:
-        trace = network.stats.metrics.trace
+        trace = network.stats.trace
         report["trace"] = {
             "enabled": trace.enabled,
             "events": trace.event_summary(),
@@ -83,7 +83,7 @@ def build_report(
         profiler = sim.profiler
         report["profile"] = {
             "event_loop": profiler.snapshot() if profiler is not None else {},
-            "spans": network.stats.metrics.trace.span_summary(),
+            "spans": network.stats.trace.span_summary(),
         }
     return report
 
@@ -113,13 +113,14 @@ def _flow_entry(
 def _downtime_section(stats: Any) -> Dict[str, Any]:
     """Per-node recovery downtime and quarantine dwell totals, from the
     ``recovery-downtime:*`` / ``quarantine-dwell:*`` series the recovery
-    engines and link monitors record."""
+    engines and link monitors record: their exact recorded counts and
+    running totals, not the retained sample windows."""
 
     def family(prefix: str) -> Dict[str, Dict[str, float]]:
         return {
             name.split(":", 1)[1]: {
-                "events": len(ts),
-                "total_seconds": sum(ts.values()),
+                "events": ts.count,
+                "total_seconds": ts.total,
             }
             for name, ts in stats.series_by_prefix(prefix).items()
         }

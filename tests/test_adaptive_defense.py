@@ -325,7 +325,7 @@ class TestLocalController:
         assert family, "no per-node downtime series recorded"
         total = sum(sum(ts.values()) for ts in family.values())
         assert total == pytest.approx(defense.total_downtime_seconds)
-        assert stats.metrics.gauge("recovery.downtime_seconds_total").value == (
+        assert stats.gauge("recovery.downtime_seconds_total").value == (
             pytest.approx(total)
         )
 

@@ -191,7 +191,8 @@ def _canned_shard_reports():
                  "sent": 4, "post_join": True},
             ],
             "per_node": {
-                "1": {"latency": {"latency:2->1": {"count": 4, "mean": 0.002}}},
+                "1": {"latency": {"latency:2->1": {
+                    "count": 4, "mean": 0.002, "p50": 0.0015, "p99": 0.004}}},
                 "2": {"latency": {}},
             },
             "supervision": {"crashed_nodes": ["2"], "departed": []},
@@ -203,7 +204,8 @@ def _canned_shard_reports():
                 {"source": 3, "dest": 2, "semantics": "priority", "sent": 0},
             ],
             "per_node": {
-                "3": {"latency": {"latency:1->3": {"count": 9, "mean": 0.005}}},
+                "3": {"latency": {"latency:1->3": {
+                    "count": 9, "mean": 0.005, "p50": 0.004, "p99": 0.011}}},
                 "4": {},
             },
             "departed": ["5"],
@@ -218,13 +220,13 @@ def test_rollup_joins_sent_and_delivered_across_shards():
     assert json.dumps(flows, sort_keys=True) == json.dumps([
         {"source": 1, "dest": 3, "semantics": "priority", "post_join": False,
          "shard": 0, "sent": 10, "delivered": 9, "ratio": 0.9,
-         "mean_latency": 0.005},
+         "mean_latency": 0.005, "p50_latency": 0.004, "p99_latency": 0.011},
         {"source": 2, "dest": 1, "semantics": "reliable", "post_join": True,
          "shard": 0, "sent": 4, "delivered": 4, "ratio": 1.0,
-         "mean_latency": 0.002},
+         "mean_latency": 0.002, "p50_latency": 0.0015, "p99_latency": 0.004},
         {"source": 3, "dest": 2, "semantics": "priority", "post_join": False,
          "shard": 1, "sent": 0, "delivered": 0, "ratio": 1.0,
-         "mean_latency": None},
+         "mean_latency": None, "p50_latency": None, "p99_latency": None},
     ], sort_keys=True)
 
 
@@ -234,6 +236,8 @@ def test_rollup_dead_destination_shard_counts_zero():
     flows = rollup(reports)
     cross = next(f for f in flows if f["dest"] == 3)
     assert cross["delivered"] == 0 and cross["ratio"] == 0.0
+    assert cross["mean_latency"] is None
+    assert cross["p50_latency"] is None and cross["p99_latency"] is None
 
 
 def test_excluded_nodes_union():

@@ -40,8 +40,8 @@ class TestWiring:
         assert net.node(1).links[2] is link
         assert link.por.established and peer.por.established
         assert link.por.config is net.config.por
-        signed = net.stats.metrics.counter("crypto.mac_sign")
-        verified = net.stats.metrics.counter("crypto.mac_verify")
+        signed = net.stats.counter("crypto.mac_sign")
+        verified = net.stats.counter("crypto.mac_verify")
         assert link.por._mac_counters == (signed, verified)
         before = signed.value, verified.value, net.delivered_count(1, 2)
         net.node(1).send_priority(2)

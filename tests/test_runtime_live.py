@@ -374,7 +374,7 @@ def test_deployment_registry_is_the_one_holding_the_pki_counters():
         try:
             assert deployment.stats is deployment.processes[7].stats
             assert deployment.pki._ops["sign"] is (
-                deployment.stats.metrics.counter("crypto.sign")
+                deployment.stats.counter("crypto.sign")
             )
         finally:
             await deployment.stop()

@@ -1,9 +1,23 @@
 """Unit tests for measurement primitives."""
 
+from bisect import bisect_left
+
 import pytest
 
+from repro.messaging.message import Message, Semantics
+from repro.overlay.config import OverlayConfig
+from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
-from repro.sim.stats import GoodputMeter, LatencyRecorder, StatsRegistry, TimeSeries
+from repro.sim.stats import (
+    BUCKET_BOUNDS,
+    SAMPLE_CAP,
+    GoodputMeter,
+    LatencyRecorder,
+    StatsRegistry,
+    TimeSeries,
+)
+from repro.telemetry.report import _downtime_section
+from repro.topology.generators import ring
 
 
 class TestGoodputMeter:
@@ -159,3 +173,51 @@ class TestTimeSeriesAndRegistry:
         stats.counter("sent").add(3)
         stats.counter("dropped").add()
         assert stats.counters() == {"sent": 3, "dropped": 1}
+
+
+class TestExactPastTheCap:
+    def test_series_count_and_total_stay_exact(self):
+        stats = StatsRegistry(Simulator())
+        n = SAMPLE_CAP + 5
+        values = [0.25 * (i % 7) for i in range(n)]
+        for name in ("recovery-downtime:3", "quarantine-dwell:4"):
+            series = stats.series(name)
+            for i, value in enumerate(values):
+                series.record(float(i), value)
+            assert len(series) == SAMPLE_CAP
+            assert stats.snapshot()["sim_series"][name]["samples"] == n
+        downtime = _downtime_section(stats)
+        for section, node in (("recovery_downtime", "3"), ("quarantine_dwell", "4")):
+            assert downtime[section][node] == {
+                "events": n, "total_seconds": sum(values),
+            }
+
+
+class TestPerDeliveryInstrumentsAreBounded:
+    def test_three_caps_of_deliveries_through_deliver_local(self):
+        net = OverlayNetwork.build(ring(3), OverlayConfig(), seed=0)
+        node = net.node(2)
+        message = Message(source=1, dest=2, seq=1, semantics=Semantics.PRIORITY)
+        n = 3 * SAMPLE_CAP
+        # Uniform over 1 ms .. 1 s: both percentiles sit well inside the
+        # (10^-0.5, 1] s bucket.
+        latencies = [0.001 * (1 + (i * 7919) % 1000) for i in range(n)]
+        for latency in latencies:
+            net.sim.now = latency  # sent_at is 0: the latency is the clock
+            node.deliver_local(message)
+
+        recorder = net.flow_latency(1, 2)
+        series = net.stats.series(f"priority-count:1->2:{message.priority}")
+        assert len(recorder.samples) == len(series) == SAMPLE_CAP
+        assert recorder.count == series.count == n
+        assert recorder.mean() == pytest.approx(sum(latencies) / n, rel=1e-12)
+        assert recorder.maximum() == max(latencies) == recorder.percentile(100.0)
+        assert recorder.percentile(0.0) == min(latencies)
+        ordered = sorted(latencies)
+        for p in (50.0, 99.0):
+            rank = (p / 100.0) * (n - 1)
+            low = int(rank)
+            exact = ordered[low] + (ordered[low + 1] - ordered[low]) * (rank - low)
+            bucket = bisect_left(BUCKET_BOUNDS, exact)
+            lower = BUCKET_BOUNDS[bucket - 1] if bucket else 0.0
+            assert lower <= recorder.percentile(p) <= BUCKET_BOUNDS[bucket]

@@ -7,105 +7,108 @@ import pytest
 
 from repro.cli import main
 from repro.sim.engine import Simulator
-from repro.telemetry.metrics import (
-    BoundedTimeSeries,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.sim.stats import SAMPLE_CAP, LatencyRecorder, StatsRegistry, TimeSeries
 from repro.telemetry.profiling import EventLoopProfiler, payload_kind
 from repro.telemetry.report import build_report, flatten, to_csv
 from repro.telemetry.tracing import NULL_SPAN, TraceCollector
 
 
 class TestMetricsRegistry:
+    """The run's one metrics registry, :class:`StatsRegistry`."""
+
     def test_instruments_created_once(self):
-        registry = MetricsRegistry()
+        registry = StatsRegistry(Simulator())
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
+        assert registry.latency("h") is registry.latency("h")
         assert registry.series("s") is registry.series("s")
 
     def test_counter_values_sorted(self):
-        registry = MetricsRegistry()
+        registry = StatsRegistry(Simulator())
         registry.counter("zebra").add(1)
         registry.counter("alpha").add(2)
-        assert list(registry.counter_values()) == ["alpha", "zebra"]
+        assert list(registry.counters()) == ["alpha", "zebra"]
 
     def test_gauge_set_and_add(self):
-        registry = MetricsRegistry()
+        registry = StatsRegistry(Simulator())
         gauge = registry.gauge("depth")
         gauge.set(5.0)
         gauge.add(-2.0)
         assert registry.snapshot()["gauges"]["depth"] == 3.0
 
     def test_snapshot_shape(self):
-        registry = MetricsRegistry()
+        registry = StatsRegistry(Simulator())
         registry.counter("c").add(3)
-        registry.histogram("h").observe(1.0)
+        registry.latency("h").record(0.0, 1.0)
         registry.series("s").record(0.0, 1.0)
         snap = registry.snapshot()
-        assert set(snap) == {"counters", "gauges", "histograms", "series"}
+        assert set(snap) == {
+            "counters", "gauges", "goodput", "latency", "sim_series", "message_types",
+        }
         assert snap["counters"] == {"c": 3}
-        assert snap["histograms"]["h"]["count"] == 1
-        assert snap["series"]["s"]["samples"] == 1
+        assert snap["latency"]["h"]["count"] == 1
+        assert snap["sim_series"]["s"]["samples"] == 1
         json.dumps(snap)  # must be JSON-serializable as-is
 
 
+def _past_the_cap(values):
+    """A recorder holding ``values`` repeated until it has evicted samples."""
+    rec = LatencyRecorder()
+    for i in range(SAMPLE_CAP + len(values)):
+        rec.record(float(i), values[i % len(values)])
+    assert rec.count > len(rec.samples) == SAMPLE_CAP
+    return rec
+
+
 class TestHistogram:
+    """Past :data:`SAMPLE_CAP`, percentiles come from half-decade buckets."""
+
     def test_percentile_bounds(self):
-        hist = Histogram("h")
-        for v in [1.0, 2.0, 3.0]:
-            hist.observe(v)
+        rec = _past_the_cap([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            hist.percentile(101.0)
+            rec.percentile(101.0)
         with pytest.raises(ValueError):
-            hist.percentile(-1.0)
-        assert hist.percentile(0.0) == 1.0
-        assert hist.percentile(100.0) == 3.0
+            rec.percentile(-1.0)
+        assert rec.percentile(0.0) == 1.0
+        assert rec.percentile(100.0) == 3.0
 
     def test_percentile_stays_within_observed_range(self):
-        hist = Histogram("h")
-        for v in [0.2, 0.3, 0.4, 0.5]:
-            hist.observe(v)
+        rec = _past_the_cap([0.2, 0.3, 0.4, 0.5])
         for p in (10.0, 50.0, 90.0, 99.0):
-            assert 0.2 <= hist.percentile(p) <= 0.5
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(1.0, 0.5))
+            assert 0.2 <= rec.percentile(p) <= 0.5
 
     def test_empty_snapshot(self):
-        assert Histogram("h").snapshot()["count"] == 0
+        registry = StatsRegistry(Simulator())
+        registry.latency("h")
+        assert registry.snapshot()["latency"]["h"]["count"] == 0
 
     def test_streaming_summary(self):
-        hist = Histogram("h")
-        for v in [1.0, 3.0]:
-            hist.observe(v)
-        snap = hist.snapshot()
-        assert snap["count"] == 2
-        assert snap["sum"] == pytest.approx(4.0)
-        assert snap["min"] == 1.0
-        assert snap["max"] == 3.0
-        assert snap["mean"] == pytest.approx(2.0)
+        # 1.0 and 3.0 alternate, so an exact value exists for each statistic.
+        rec = _past_the_cap([1.0, 3.0])
+        assert rec.count == SAMPLE_CAP + 2
+        assert rec.total == 2.0 * rec.count
+        assert rec.maximum() == 3.0
+        assert rec.percentile(0.0) == 1.0
+        assert rec.mean() == 2.0
 
 
 class TestBoundedTimeSeries:
     def test_eviction_is_bounded_and_counted(self):
-        series = BoundedTimeSeries("s", maxlen=4)
-        for i in range(10):
+        series = TimeSeries("s")
+        for i in range(SAMPLE_CAP + 6):
             series.record(float(i), float(i))
-        assert len(series) == 4
-        assert series.dropped == 6
-        assert series.times() == [6.0, 7.0, 8.0, 9.0]
-        assert series.last() == (9.0, 9.0)
+        assert len(series) == SAMPLE_CAP
+        assert series.count - len(series) == 6
+        assert series.times()[:2] == [6.0, 7.0]
+        assert series.samples[-1] == (SAMPLE_CAP + 5.0, SAMPLE_CAP + 5.0)
 
     def test_registry_series_maxlen(self):
-        registry = MetricsRegistry(series_maxlen=2)
+        registry = StatsRegistry(Simulator())
         series = registry.series("s")
-        for i in range(5):
+        for i in range(SAMPLE_CAP + 5):
             series.record(float(i), 1.0)
-        assert len(series) == 2
-        assert registry.series("custom", maxlen=8).maxlen == 8
+        assert len(series) == SAMPLE_CAP
+        assert series.samples.maxlen == SAMPLE_CAP
 
 
 class TestTracing:
