@@ -28,9 +28,9 @@ Commands
     traffic for a wall-clock duration, and print per-flow delivery.
     Ctrl-C shuts down gracefully and still prints the report.
 ``perfbench``
-    Run the hot-path microbenchmark suite (:mod:`repro.perf`): message
-    forwarding, flooding fanout, K-paths computation, PoR round trips,
-    and priority-queue eviction at fixed seeds.  Emits the
+    Run the hot-path microbenchmark suite (:mod:`repro.perf`): K-paths
+    computation, priority-queue eviction and REAL-mode batch MAC
+    verification at fixed seeds.  Emits the
     ``BENCH_perf.json`` payload and, with ``--baseline``, acts as the
     perf-regression gate (exit 1 on >25 % ops/sec regression, after
     machine-speed calibration).

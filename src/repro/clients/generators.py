@@ -67,54 +67,41 @@ def ranked_destinations(sim: Any, nodes: Any, stream: str) -> List[Any]:
     return ranked
 
 
+#: Diurnal modulation depth in [0, 1): rate(t) swings between
+#: ``(1 - a)`` and ``(1 + a)`` times ``arrival_rate``.
+DIURNAL_AMPLITUDE = 0.5
+#: Diurnal period in (simulated or wall-clock) seconds.  Runs are
+#: seconds long, so "a day" is compressed to tens of seconds.
+DIURNAL_PERIOD = 40.0
+#: Zipf exponent for destination fan-in (> 0; larger = hotter head).
+ZIPF_EXPONENT = 1.1
+#: Pareto shape for burst-train length (smaller = heavier tail).
+BURST_SHAPE = 1.4
+#: Truncation for burst-train length, messages.
+BURST_MAX = 64
+#: Gap between consecutive messages of one train, seconds.
+BURST_SPACING = 0.002
+#: Distinct client identities per source node; each burst is charged
+#: to one of them for per-source admission metering.
+CLIENTS_PER_NODE = 25
+#: Payload size of every client message, bytes.
+SIZE_BYTES = 200
+
+
 @dataclass(frozen=True)
 class ClientWorkloadConfig:
-    """Shape of the client population's offered load."""
+    """Shape of the client population's offered load (the fixed shape
+    parameters are the module constants above)."""
 
     #: Mean burst arrivals/second across the whole tier (the diurnal
     #: curve modulates around this).
     arrival_rate: float = 40.0
-    #: Diurnal modulation depth in [0, 1): rate(t) swings between
-    #: ``(1 - a)`` and ``(1 + a)`` times ``arrival_rate``.
-    diurnal_amplitude: float = 0.5
-    #: Diurnal period in (simulated or wall-clock) seconds.  Runs are
-    #: seconds long, so "a day" is compressed to tens of seconds.
-    diurnal_period: float = 40.0
-    #: Zipf exponent for destination fan-in (> 0; larger = hotter head).
-    zipf_exponent: float = 1.1
-    #: Pareto shape for burst-train length (smaller = heavier tail).
-    burst_shape: float = 1.4
-    #: Truncation for burst-train length, messages.
-    burst_max: int = 64
-    #: Gap between consecutive messages of one train, seconds.
-    burst_spacing: float = 0.002
-    #: Distinct client identities per source node; each burst is charged
-    #: to one of them for per-source admission metering.
-    clients_per_node: int = 25
-    #: Payload size of every client message, bytes.
-    size_bytes: int = 200
     #: Message expiry (None = the overlay's default).
     expire_after: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ConfigurationError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_period <= 0:
-            raise ConfigurationError("diurnal_period must be positive")
-        if self.zipf_exponent <= 0:
-            raise ConfigurationError("zipf_exponent must be positive")
-        if self.burst_shape <= 1.0:
-            raise ConfigurationError("burst_shape must be > 1")
-        if self.burst_max < 1:
-            raise ConfigurationError("burst_max must be >= 1")
-        if self.burst_spacing < 0:
-            raise ConfigurationError("burst_spacing must be >= 0")
-        if self.clients_per_node < 1:
-            raise ConfigurationError("clients_per_node must be >= 1")
-        if self.size_bytes < 1:
-            raise ConfigurationError("size_bytes must be >= 1")
 
 
 class ClientTier:
@@ -143,7 +130,7 @@ class ClientTier:
         self.method = method or DisseminationMethod.flooding()
         self.name = name
         self._rng = network.sim.rngs.stream(f"clients:{name}")
-        self._zipf_cdf = zipf_cdf(len(self.dests), self.config.zipf_exponent)
+        self._zipf_cdf = zipf_cdf(len(self.dests), ZIPF_EXPONENT)
         self._epoch = 0.0
         self.running = False
         # Offer accounting: every offered message lands in exactly one.
@@ -170,15 +157,14 @@ class ClientTier:
 
     def rate_at(self, now: float) -> float:
         """The diurnal arrival rate at time ``now`` (bursts/second)."""
-        config = self.config
-        phase = 2.0 * math.pi * (now - self._epoch) / config.diurnal_period
-        return config.arrival_rate * (
-            1.0 + config.diurnal_amplitude * math.sin(phase)
+        phase = 2.0 * math.pi * (now - self._epoch) / DIURNAL_PERIOD
+        return self.config.arrival_rate * (
+            1.0 + DIURNAL_AMPLITUDE * math.sin(phase)
         )
 
     @property
     def peak_rate(self) -> float:
-        return self.config.arrival_rate * (1.0 + self.config.diurnal_amplitude)
+        return self.config.arrival_rate * (1.0 + DIURNAL_AMPLITUDE)
 
     def _arm(self) -> None:
         # Thinning (Lewis & Shedler): draw candidate arrivals at the
@@ -199,16 +185,15 @@ class ClientTier:
     # ------------------------------------------------------------------
     def _launch_burst(self) -> None:
         rng = self._rng
-        config = self.config
         source = self.sources[rng.randrange(len(self.sources))]
-        client = f"{source}/c{rng.randrange(config.clients_per_node)}"
+        client = f"{source}/c{rng.randrange(CLIENTS_PER_NODE)}"
         rank = bisect_left(self._zipf_cdf, rng.random())
         dest = self.dests[rank]
         if dest == source:
             dest = self.dests[(rank + 1) % len(self.dests)]
             if dest == source:  # single-destination degenerate case
                 return
-        length = min(config.burst_max, max(1, int(rng.paretovariate(config.burst_shape))))
+        length = min(BURST_MAX, max(1, int(rng.paretovariate(BURST_SHAPE))))
         priority = rng.randint(MIN_PRIORITY, MAX_PRIORITY)
         self.bursts_started += 1
         sim = self.network.sim
@@ -217,7 +202,7 @@ class ClientTier:
                 self._offer(source, client, dest, priority)
             else:
                 sim.schedule(
-                    index * config.burst_spacing,
+                    index * BURST_SPACING,
                     self._offer, source, client, dest, priority,
                 )
 
@@ -227,33 +212,22 @@ class ClientTier:
         if node.crashed:
             self.skipped_crashed += 1
             return
-        config = self.config
         try:
             outcome = node.offer_priority(
                 dest,
-                size_bytes=config.size_bytes,
+                size_bytes=SIZE_BYTES,
                 priority=priority,
                 method=self.method,
                 # A string tag: the live wire codec only carries
                 # None/bytes/str application payloads.
                 payload=f"clients:{self.name}",
-                expire_after=config.expire_after,
+                expire_after=self.config.expire_after,
                 client=client,
             )
         except ProtocolError:
             self.unroutable += 1
             return
         self.outcomes[outcome.value] += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly offer accounting."""
-        return {
-            "bursts": self.bursts_started,
-            "offered": self.offered,
-            "outcomes": dict(self.outcomes),
-            "skipped_crashed": self.skipped_crashed,
-            "unroutable": self.unroutable,
-        }
 
 
 @dataclass(frozen=True)

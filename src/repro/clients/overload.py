@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.clients.generators import (
+    SIZE_BYTES,
     ClientTier,
     ClientWorkloadConfig,
     ranked_destinations,
@@ -314,7 +315,7 @@ def run_overload(
             "base_rate": base_rate,
             "multipliers": list(multipliers),
             "k": k,
-            "size_bytes": workload.size_bytes,
+            "size_bytes": SIZE_BYTES,
             "link_bandwidth_bps": link_bandwidth_bps,
             "expire_after_s": workload.expire_after,
         },

@@ -45,10 +45,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.clients.generators import zipf_cdf
+from repro.clients.generators import ZIPF_EXPONENT, zipf_cdf
 from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.messaging.admission import AdmissionOutcome, AdmissionState
-from repro.messaging.priority import MAX_PRIORITY, MIN_PRIORITY
 from repro.overlay.config import DisseminationMethod
 
 #: Payload tags.  Requests and acks are plain strings so they survive the
@@ -59,80 +58,60 @@ ACK_PREFIX = "sack:"
 ACK_SIZE_BYTES = 32
 
 
+#: Total per-request budget: the request fails when it cannot finish
+#: (including backoff) before ``created_at + DEADLINE``.
+DEADLINE = 4.0
+#: Per-attempt ack timeout (the probe timeout feeding the breaker).
+ATTEMPT_TIMEOUT = 0.8
+#: Retry-budget bucket depth: how much unused retry allowance can bank up.
+RETRY_BURST = 32.0
+#: Decorrelated-jitter backoff: sleep = min(cap, uniform(base, 3*prev)).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 0.8
+#: Request priority and the degradation-ladder floor it shrinks to.
+REQUEST_PRIORITY = 6
+PRIORITY_FLOOR = 2
+#: Priority of the destination's ack (must outrank data under load).
+ACK_PRIORITY = 9
+#: Destination-side idempotency window.  Must comfortably exceed
+#: ``DEADLINE`` so every possible retry of a key lands in-window.
+DEDUP_WINDOW = 30.0
+#: Circuit breaker: consecutive failures to open, and the cooloff
+#: after which a half-open trial is allowed.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLOFF = 1.0
+#: Per-message expiration for request attempts (clamped to the
+#: remaining deadline).
+REQUEST_EXPIRE = 1.0
+
+# The session workload's shape.
+SESSIONS_PER_NODE = 2
+#: Wire size of a session request, bytes.
+REQUEST_SIZE_BYTES = 200
+#: Requests travel k node-disjoint paths.
+METHOD_K = 2
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    """Reliability knobs of one client session."""
+    """Reliability knobs of one client session (the fixed timers,
+    priorities and breaker settings are the module constants above)."""
 
-    #: Total per-request budget: the request fails when it cannot finish
-    #: (including backoff) before ``created_at + deadline``.
-    deadline: float = 4.0
-    #: Per-attempt ack timeout (the probe timeout feeding the breaker).
-    attempt_timeout: float = 0.8
     #: Hard cap on attempts per request (first attempt included).
     max_attempts: int = 5
     #: Retry tokens accrued per base request (the amplification bound:
     #: offered <= (1 + retry_budget) x base, enforced mechanically).
     retry_budget: float = 0.25
-    #: Token-bucket depth: how much unused retry allowance can bank up.
-    retry_burst: float = 32.0
-    #: Decorrelated-jitter backoff: sleep = min(cap, uniform(base, 3*prev)).
-    backoff_base: float = 0.05
-    backoff_cap: float = 0.8
-    #: Request priority and the degradation-ladder floor it shrinks to.
-    priority: int = 6
-    priority_floor: int = 2
-    #: Priority of the destination's ack (must outrank data under load).
-    ack_priority: int = 9
-    #: Destination-side idempotency window.  Must comfortably exceed
-    #: ``deadline`` so every possible retry of a key lands in-window.
-    dedup_window: float = 30.0
-    #: Circuit breaker: consecutive failures to open, and the cooloff
-    #: after which a half-open trial is allowed.
-    breaker_threshold: int = 3
-    breaker_cooloff: float = 1.0
     #: Backup ingress nodes per session (failover candidates).
     backups: int = 2
-    #: Shed (fail fast, zero interior load) instead of offering when the
-    #: retry budget is dry *and* the ingress is in REJECT.
-    shed_on_reject: bool = True
-    #: Per-message expiration for request attempts (clamped to the
-    #: remaining deadline) and for acks.
-    request_expire: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ConfigurationError("deadline must be positive")
-        if not 0 < self.attempt_timeout <= self.deadline:
-            raise ConfigurationError("need 0 < attempt_timeout <= deadline")
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         if self.retry_budget < 0:
             raise ConfigurationError("retry_budget must be >= 0")
-        if self.retry_burst < 0:
-            raise ConfigurationError("retry_burst must be >= 0")
-        if not 0 < self.backoff_base <= self.backoff_cap:
-            raise ConfigurationError("need 0 < backoff_base <= backoff_cap")
-        if not (
-            MIN_PRIORITY
-            <= self.priority_floor
-            <= self.priority
-            <= MAX_PRIORITY
-        ):
-            raise ConfigurationError(
-                "need MIN <= priority_floor <= priority <= MAX"
-            )
-        if not MIN_PRIORITY <= self.ack_priority <= MAX_PRIORITY:
-            raise ConfigurationError("ack_priority out of range")
-        if self.dedup_window < self.deadline:
-            raise ConfigurationError("dedup_window must cover the deadline")
-        if self.breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be >= 1")
-        if self.breaker_cooloff <= 0:
-            raise ConfigurationError("breaker_cooloff must be positive")
         if self.backups < 0:
             raise ConfigurationError("backups must be >= 0")
-        if self.request_expire <= 0:
-            raise ConfigurationError("request_expire must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,26 +120,11 @@ class SessionWorkloadConfig:
 
     #: Base request arrivals/second across the whole tier.
     arrival_rate: float = 20.0
-    sessions_per_node: int = 2
-    #: Zipf exponent for destination fan-in (1.0 = classic Zipf).
-    zipf_exponent: float = 1.1
-    size_bytes: int = 200
-    #: Dissemination for request messages: 0 = constrained flooding,
-    #: k >= 1 = k node-disjoint paths.
-    method_k: int = 2
     session: SessionConfig = field(default_factory=SessionConfig)
 
     def __post_init__(self) -> None:
         if self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
-        if self.sessions_per_node < 1:
-            raise ConfigurationError("sessions_per_node must be >= 1")
-        if self.zipf_exponent <= 0:
-            raise ConfigurationError("zipf_exponent must be positive")
-        if self.size_bytes <= 0:
-            raise ConfigurationError("size_bytes must be positive")
-        if self.method_k < 0:
-            raise ConfigurationError("method_k must be >= 0")
 
 
 class RetryBudget:
@@ -313,7 +277,6 @@ class Session:
     def submit(self, dest: Any) -> Optional[_Request]:
         """Start one request toward ``dest``; None when shed."""
         tier = self.tier
-        config = tier.session_config
         now = tier.net.sim.now
         self.submitted += 1
         tier.requests += 1
@@ -321,7 +284,7 @@ class Session:
         # retry budget is dry and the preferred ingress is rejecting —
         # a request that would burn an interior transmission only to be
         # rejected or time out unrecoverably.
-        if config.shed_on_reject and tier.budget.ratio > 0:
+        if tier.budget.ratio > 0:
             node = tier.ingress_node(self.home)
             if (
                 node is not None
@@ -334,7 +297,7 @@ class Session:
                 tier.resolve_log.append((f"{self.name}#{self.submitted - 1}", "shed", 0))
                 return None
         key = f"{self.name}#{self.submitted - 1}"
-        request = _Request(key, dest, self, now, config.deadline)
+        request = _Request(key, dest, self, now, DEADLINE)
         tier.pending[key] = request
         self._attempt(request)
         return request
@@ -345,7 +308,6 @@ class Session:
             return
         request.retry_timer = None
         tier = self.tier
-        config = tier.session_config
         sim = tier.net.sim
         now = sim.now
         ingress_id = self._pick_ingress(now, request.dest)
@@ -364,9 +326,7 @@ class Session:
         else:
             tier.retry_offers += 1
         priority = self._effective_priority(node)
-        expire = min(
-            config.request_expire, max(0.05, request.deadline_at - now)
-        )
+        expire = min(REQUEST_EXPIRE, max(0.05, request.deadline_at - now))
         try:
             outcome = node.offer_priority(
                 request.dest,
@@ -397,7 +357,7 @@ class Session:
         # short-circuit the wait if it dies in the park buffer).
         attempt_no = request.attempts
         request.timer = sim.schedule(
-            config.attempt_timeout, self._on_timeout, request, attempt_no
+            ATTEMPT_TIMEOUT, self._on_timeout, request, attempt_no
         )
 
     def _effective_priority(self, node: Any) -> int:
@@ -407,7 +367,6 @@ class Session:
         traffic yields to undegraded traffic in the interior's priority
         queues instead of leaving the network."""
         tier = self.tier
-        config = tier.session_config
         pressure = 0
         admission = node.admission
         if admission is not None:
@@ -423,7 +382,7 @@ class Session:
             pressure += 1
         if pressure:
             tier.downgraded += 1
-        return max(config.priority_floor, config.priority - pressure)
+        return max(PRIORITY_FLOOR, REQUEST_PRIORITY - pressure)
 
     def _pick_ingress(self, now: float, dest: Any) -> Optional[Any]:
         """First healthy candidate: not crashed, not isolated, breaker
@@ -500,8 +459,8 @@ class Session:
             return
         # Decorrelated jitter (AWS architecture blog style): each sleep
         # is drawn from [base, 3 * previous sleep], capped.
-        prev = request.prev_backoff if request.prev_backoff > 0 else config.backoff_base
-        backoff = min(config.backoff_cap, self.rng.uniform(config.backoff_base, prev * 3.0))
+        prev = request.prev_backoff if request.prev_backoff > 0 else BACKOFF_BASE
+        backoff = min(BACKOFF_CAP, self.rng.uniform(BACKOFF_BASE, prev * 3.0))
         request.prev_backoff = backoff
         if now + backoff >= request.deadline_at:
             self._fail(request, reason, "deadline")
@@ -564,15 +523,9 @@ class SessionTier:
         self.session_config = self.workload.session
         self.ingress = list(ingress)
         self.dests = list(dests)
-        self.method = (
-            DisseminationMethod.flooding()
-            if self.workload.method_k == 0
-            else DisseminationMethod.k_paths(self.workload.method_k)
-        )
-        self.size_bytes = self.workload.size_bytes
-        self.budget = RetryBudget(
-            self.session_config.retry_budget, self.session_config.retry_burst
-        )
+        self.method = DisseminationMethod.k_paths(METHOD_K)
+        self.size_bytes = REQUEST_SIZE_BYTES
+        self.budget = RetryBudget(self.session_config.retry_budget, RETRY_BURST)
         self._breakers: Dict[Any, CircuitBreaker] = {}
         self.pending: Dict[str, _Request] = {}
         #: Destination-side dedup: node id -> {key: window expiry}.
@@ -582,7 +535,7 @@ class SessionTier:
         self._arrival_timers: Dict[int, Any] = {}
         self._running = False
         self._rng = net.sim.rngs.stream(f"sessions:{name}")
-        self._zipf_cdf = zipf_cdf(len(self.dests), self.workload.zipf_exponent)
+        self._zipf_cdf = zipf_cdf(len(self.dests), ZIPF_EXPONENT)
         # Tier-level outcome accounting.
         self.requests = 0
         self.succeeded = 0
@@ -610,7 +563,7 @@ class SessionTier:
     # ------------------------------------------------------------------
     def _build_sessions(self) -> None:
         backups = self.session_config.backups
-        per_node = self.workload.sessions_per_node
+        per_node = SESSIONS_PER_NODE
         ring = self.ingress
         for index, home in enumerate(ring):
             backup_ids = tuple(
@@ -627,8 +580,7 @@ class SessionTier:
         breaker = self._breakers.get(ingress_id)
         if breaker is None:
             breaker = self._breakers[ingress_id] = CircuitBreaker(
-                self.session_config.breaker_threshold,
-                self.session_config.breaker_cooloff,
+                BREAKER_THRESHOLD, BREAKER_COOLOFF
             )
         return breaker
 
@@ -733,10 +685,10 @@ class SessionTier:
         if expiry is not None and expiry >= now:
             self.duplicates_suppressed += 1
         else:
-            window[key] = now + self.session_config.dedup_window
+            window[key] = now + DEDUP_WINDOW
             if key in self._processed:
                 # A key re-processed after its window lapsed: with
-                # dedup_window >> deadline this must never happen — it is
+                # DEDUP_WINDOW >> DEADLINE this must never happen — it is
                 # the double-delivery invariant the benchmark gates on.
                 self.double_processed += 1
             self._processed.add(key)
@@ -750,10 +702,10 @@ class SessionTier:
             node.send_priority(
                 message.source,
                 size_bytes=ACK_SIZE_BYTES,
-                priority=self.session_config.ack_priority,
+                priority=ACK_PRIORITY,
                 method=DisseminationMethod.flooding(),
                 payload=ACK_PREFIX + key,
-                expire_after=self.session_config.attempt_timeout,
+                expire_after=ATTEMPT_TIMEOUT,
             )
             self.acks_sent += 1
         except (ProtocolError, TopologyError):

@@ -43,6 +43,11 @@ from repro.clients.overload import (
     stage_network,
 )
 from repro.clients.session import (
+    ATTEMPT_TIMEOUT,
+    DEADLINE,
+    METHOD_K,
+    REQUEST_SIZE_BYTES,
+    SESSIONS_PER_NODE,
     SessionConfig,
     SessionTier,
     SessionWorkloadConfig,
@@ -240,11 +245,11 @@ def run_slo(
             "base_rate": base_rate,
             "multipliers": list(multipliers),
             "chaos_intensity": intensity,
-            "sessions_per_node": workload.sessions_per_node,
-            "size_bytes": workload.size_bytes,
-            "method_k": workload.method_k,
-            "deadline_s": session.deadline,
-            "attempt_timeout_s": session.attempt_timeout,
+            "sessions_per_node": SESSIONS_PER_NODE,
+            "size_bytes": REQUEST_SIZE_BYTES,
+            "method_k": METHOD_K,
+            "deadline_s": DEADLINE,
+            "attempt_timeout_s": ATTEMPT_TIMEOUT,
             "max_attempts": session.max_attempts,
             "retry_budget": session.retry_budget,
             "per_destination_admission": (

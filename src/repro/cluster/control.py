@@ -75,7 +75,9 @@ def decode_frame(key: bytes, blob: bytes) -> Dict[str, Any]:
         outer = json.loads(blob)
         mac = outer["mac"]
         body = outer["body"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser's stack,
+        # which an unauthenticated peer can send far below MAX_FRAME.
         raise LiveRuntimeError(f"malformed control frame: {exc}") from None
     if not isinstance(body, dict) or not isinstance(mac, str):
         raise LiveRuntimeError("malformed control frame: bad shape")

@@ -32,7 +32,6 @@ only the coordinator can compute end-to-end ratios.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import multiprocessing
 import os
 import random
@@ -67,6 +66,11 @@ JOIN_ANCHOR_WEIGHT = 0.01
 
 #: Disjoint-path spot checks on the generated topology: sampled pairs.
 VALIDATE_PAIR_SAMPLES = 6
+
+#: Control-plane patience: how long the coordinator waits for every
+#: worker to boot (HELLO, then READY), and for a shard's final report.
+READY_TIMEOUT = 30.0
+REPORT_TIMEOUT = 20.0
 
 
 class _ShardHandle:
@@ -301,12 +305,7 @@ class ClusterDeployment:
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
-        self.topology = large_overlay(
-            self.config.nodes,
-            degree=self.config.degree,
-            chord_fraction=self.config.chord_fraction,
-            seed=self.config.seed,
-        )
+        self.topology = large_overlay(self.config.nodes, seed=self.config.seed)
         self._validate_topology()
         self.shards: List[ShardSpec] = partition_topology(
             self.topology, self.config.shards
@@ -379,7 +378,6 @@ class ClusterDeployment:
             [a, b, self.topology.weight(a, b)] for a, b in self.topology.edges()
         ]
         seed_nodes = {spec.shard_id: spec.seed_node for spec in self.shards}
-        supervision = dataclasses.asdict(config.supervision)
 
         # SIMULATED crypto tags use builtin hash(); pin the children's
         # hash randomization so tags agree across the process boundary
@@ -410,13 +408,10 @@ class ClusterDeployment:
                     "flow_stride": config.flow_stride,
                     "session_rate": config.session_rate,
                     "chaos": chaos_slice,
-                    "supervision": supervision,
-                    "monitor_invariants": config.monitor_invariants,
                     "epoch": epoch,
                     "control_host": config.host,
                     "control_port": control_port,
                     "seed_nodes": seed_nodes,
-                    "heartbeat_interval": config.heartbeat_interval,
                 }
                 process = ctx.Process(
                     target=worker_main, args=(payload,), daemon=True
@@ -432,7 +427,7 @@ class ClusterDeployment:
 
         # Boot barrier: everyone binds (HELLO), learns the cluster-wide
         # address map, wires links (READY), then starts together.
-        await self._await_all("hello_event", config.ready_timeout, "hello")
+        await self._await_all("hello_event", READY_TIMEOUT, "hello")
         for handle in self.handles.values():
             self.addresses.update(handle.addresses)
         await self._broadcast(
@@ -444,7 +439,7 @@ class ClusterDeployment:
                 },
             }
         )
-        await self._await_all("ready_event", config.ready_timeout, "ready")
+        await self._await_all("ready_event", READY_TIMEOUT, "ready")
         await self._broadcast({"kind": "start"})
         self._started_at = loop.time()
 
@@ -722,7 +717,7 @@ class ClusterDeployment:
                     f"(nodes {handle.attribution()})"
                 )
             return
-        deadline = loop.time() + self.config.report_timeout
+        deadline = loop.time() + REPORT_TIMEOUT
         while handle.report is None:
             if process.exitcode is not None:
                 await asyncio.sleep(0.2)  # let a final frame drain
@@ -737,7 +732,7 @@ class ClusterDeployment:
             if loop.time() > deadline:
                 handle.failure = (
                     f"shard {handle.spec.shard_id} worker unresponsive "
-                    f"(no report within {self.config.report_timeout}s; "
+                    f"(no report within {REPORT_TIMEOUT}s; "
                     f"nodes {handle.attribution()})"
                 )
                 return

@@ -11,12 +11,11 @@ trivial and version-proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.live import CHAOS_PRESETS
-from repro.runtime.supervision import SupervisionConfig
 from repro.topology.graph import NodeId, Topology
 
 
@@ -45,7 +44,7 @@ class ClusterConfig:
 
     Mirrors :class:`~repro.runtime.live.LiveConfig` where the semantics
     are shared (duration/drain windows, chaos presets, delivery gating);
-    adds the sharding, generator, and membership knobs.
+    adds the sharding and membership knobs.
     """
 
     nodes: int = 24
@@ -59,10 +58,6 @@ class ClusterConfig:
     #: k-disjoint-paths dissemination (flooding is quadratic in fanout
     #: and impractical at 100+ nodes; pass 0 to force flooding anyway).
     kpaths: int = 2
-    #: Large-topology generator knobs (circulant degree + chord density);
-    #: used when ``nodes`` exceeds the chordal-ring lab sizes.
-    degree: int = 4
-    chord_fraction: float = 0.15
     chaos_preset: Optional[str] = None
     chaos_intensity: float = 1.0
     #: Source every Nth flow of the global flow plan (traffic thinning:
@@ -78,13 +73,6 @@ class ClusterConfig:
     #: local nodes (destinations span the full overlay, so requests and
     #: acks cross shard boundaries); 0 disables the session workload.
     session_rate: float = 0.0
-    supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
-    monitor_invariants: bool = True
-    #: Control-plane patience: worker boot/report deadlines and the
-    #: heartbeat cadence shards report on.
-    ready_timeout: float = 30.0
-    report_timeout: float = 20.0
-    heartbeat_interval: float = 0.5
 
     def __post_init__(self) -> None:
         if self.nodes < 4:
@@ -114,9 +102,6 @@ class ClusterConfig:
             raise ConfigurationError("joins/leaves must be >= 0")
         if self.session_rate < 0:
             raise ConfigurationError("session_rate must be >= 0")
-        for name in ("ready_timeout", "report_timeout", "heartbeat_interval"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
 
     @property
     def inject_seconds(self) -> float:

@@ -37,7 +37,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.messaging.message import Semantics
 from repro.overlay.config import DisseminationMethod
 from repro.runtime.live import LiveConfig, LiveDeployment
-from repro.runtime.supervision import SupervisionConfig
 from repro.runtime.wire import AddrAnnounce, encode_datagram
 from repro.topology.graph import NodeId, Topology
 from repro.topology.mtmw import MtmwUpdateResult
@@ -49,6 +48,9 @@ LEAVE_DRAIN_GRACE = 0.3
 #: Slack past the configured duration before a shard self-stops when the
 #: coordinator's STOP frame never arrives (dead coordinator safety net).
 STOP_DEADLINE_SLACK = 60.0
+
+#: Seconds between a shard's heartbeats to the coordinator.
+HEARTBEAT_INTERVAL = 0.5
 
 
 def _node(value: Any) -> Any:
@@ -87,8 +89,6 @@ def _worker_live_config(payload: Dict[str, Any]) -> LiveConfig:
         drain=float(payload["drain"]),
         sessions=SessionWorkloadConfig(arrival_rate=share) if share > 0 else None,
         chaos=chaos,
-        supervision=SupervisionConfig(**payload.get("supervision", {})),
-        monitor_invariants=bool(payload.get("monitor_invariants", True)),
     )
 
 
@@ -132,7 +132,6 @@ class ShardDeployment(LiveDeployment):
             int(shard): _node(node)
             for shard, node in payload.get("seed_nodes", {}).items()
         }
-        self.heartbeat_interval = float(payload.get("heartbeat_interval", 0.5))
         self.flow_stride = max(1, int(payload.get("flow_stride", 1)))
         self.joined: List[NodeId] = []
         self.departed: List[NodeId] = []
@@ -224,7 +223,7 @@ class ShardDeployment(LiveDeployment):
     async def _heartbeats(self) -> None:
         try:
             while True:
-                await asyncio.sleep(self.heartbeat_interval)
+                await asyncio.sleep(HEARTBEAT_INTERVAL)
                 await self._send(
                     {
                         "kind": "heartbeat",

@@ -24,7 +24,7 @@ Implementation notes
   cost), which models exactly what the real tag provides.
 * **Flow control toward the overlay** — the messaging layer *pulls*:
   :meth:`PorEndpoint.can_accept` is true when the send window has room
-  and the outgoing channel is not backlogged beyond ``pacing_slack``
+  and the outgoing channel is not backlogged beyond ``PACING_SLACK``
   seconds, so the fair schedulers keep queueing decisions at the node
   (where they belong) rather than deep inside the link.
 * **Crash recovery** — each endpoint has an *epoch*.  A restarted node
@@ -67,64 +67,56 @@ if TYPE_CHECKING:
     )
 
 
+#: Maximum unacknowledged data packets in flight.
+WINDOW = 128
+#: ``can_accept`` is false while the outgoing channel is backlogged
+#: beyond this many seconds, keeping the queue at the fair scheduler.
+PACING_SLACK = 0.002
+#: Upper bound (seconds) of the retransmission timeout.
+MAX_RTO = 2.0
+#: Wire bytes added to each data payload (seq, nonce, HMAC, epoch).
+HEADER_OVERHEAD = 48
+#: Wire bytes of an ACK packet.
+ACK_SIZE = 64
+#: Acknowledge after this many in-order packets instead of per packet
+#: (a delayed-ACK factor).  Gaps, duplicates, and epoch changes still
+#: ACK immediately — the NACK and fast-retransmit machinery never
+#: waits — and a flush timer (``ACK_DELAY``) bounds how long the tail of
+#: a burst goes unacknowledged.
+ACK_COALESCE = 2
+#: Upper bound (seconds) on how long a coalesced ACK may be deferred.
+#: Kept far below ``initial_rto`` so delayed ACKs can never masquerade
+#: as loss.
+ACK_DELAY = 0.002
+
+
 @dataclass(frozen=True)
 class PorConfig:
     """Tunables of a Proof-of-Receipt link endpoint.
 
+    The window, pacing, ACK and wire-size constants above are the same
+    on every link; these are the per-deployment settings.
+
     Attributes
     ----------
-    window:
-        Maximum unacknowledged data packets in flight.
-    pacing_slack:
-        ``can_accept`` is false while the outgoing channel is backlogged
-        beyond this many seconds, keeping the queue at the fair scheduler.
-    initial_rto / min_rto / max_rto:
-        Retransmission timeout bounds (seconds).
-    header_overhead:
-        Wire bytes added to each data payload (seq, nonce, HMAC, epoch).
-    ack_size:
-        Wire bytes of an ACK packet.
+    initial_rto / min_rto:
+        Retransmission timeout start and lower bound (seconds); the
+        upper bound is ``MAX_RTO``.
     check_macs:
         Drop packets whose integrity check fails.  Disabled only for the
         "no cryptography" row of Table II.
-    ack_coalesce:
-        Acknowledge after this many in-order packets instead of per
-        packet (a delayed-ACK factor).  Gaps, duplicates, and epoch
-        changes still ACK immediately — the NACK and fast-retransmit
-        machinery never waits — and a flush timer (``ack_delay``) bounds
-        how long the tail of a burst goes unacknowledged.  1 restores
-        ACK-per-packet.
-    ack_delay:
-        Upper bound (seconds) on how long a coalesced ACK may be
-        deferred.  Kept far below ``initial_rto`` so delayed ACKs can
-        never masquerade as loss.
     """
 
-    window: int = 128
-    pacing_slack: float = 0.002
     initial_rto: float = 0.200
     min_rto: float = 0.020
-    max_rto: float = 2.0
-    header_overhead: int = 48
-    ack_size: int = 64
     check_macs: bool = True
-    ack_coalesce: int = 2
-    ack_delay: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1 (got {self.window})")
-        if not 0 < self.min_rto <= self.initial_rto <= self.max_rto:
-            raise ConfigurationError("require 0 < min_rto <= initial_rto <= max_rto")
-        if self.pacing_slack < 0:
-            raise ConfigurationError("pacing_slack must be >= 0")
-        if self.ack_coalesce < 1:
+        if not 0 < self.min_rto <= self.initial_rto <= MAX_RTO:
+            raise ConfigurationError("require 0 < min_rto <= initial_rto <= MAX_RTO")
+        if self.initial_rto <= ACK_DELAY:
             raise ConfigurationError(
-                f"ack_coalesce must be >= 1 (got {self.ack_coalesce})"
-            )
-        if not 0 <= self.ack_delay < self.initial_rto:
-            raise ConfigurationError(
-                "require 0 <= ack_delay < initial_rto (delayed ACKs must not "
+                "require initial_rto > ACK_DELAY (delayed ACKs must not "
                 "look like loss)"
             )
 
@@ -265,13 +257,13 @@ class PorEndpoint:
         self.pki = pki
         self.config = config or PorConfig()
         in_channel.on_receive = self._on_packet
-        # PorConfig is frozen; bind the per-packet fields once so the hot
-        # paths do plain attribute loads instead of dataclass chains.
-        self._window = self.config.window
+        # Bind the per-packet values once so the hot paths do plain
+        # attribute loads instead of dataclass chains or global lookups.
+        self._window = WINDOW
         self._check_macs = self.config.check_macs
-        self._ack_coalesce = self.config.ack_coalesce
-        self._ack_delay = self.config.ack_delay
-        self._header_overhead = self.config.header_overhead
+        self._ack_coalesce = ACK_COALESCE
+        self._ack_delay = ACK_DELAY
+        self._header_overhead = HEADER_OVERHEAD
 
         # Upper-layer hooks.
         self.on_deliver: Optional[Callable[[Any, int], None]] = None
@@ -414,7 +406,7 @@ class PorEndpoint:
         self._send_handshake_offer()
         retry = min(
             self.config.initial_rto * (2 ** (self._handshake_attempts - 1)),
-            self.config.max_rto,
+            MAX_RTO,
         )
         self._handshake_timer = self.sim.schedule(retry, self._offer_handshake)
 
@@ -436,7 +428,7 @@ class PorEndpoint:
         return (
             self._established
             and len(self._unacked) < self._window
-            and self.out_channel.time_until_idle() <= self.config.pacing_slack
+            and self.out_channel.time_until_idle() <= PACING_SLACK
         )
 
     def time_until_ready(self) -> Optional[float]:
@@ -445,9 +437,9 @@ class PorEndpoint:
         if not self._established or len(self._unacked) >= self._window:
             return None
         backlog = self.out_channel.time_until_idle()
-        if backlog <= self.config.pacing_slack:
+        if backlog <= PACING_SLACK:
             return 0.0
-        return backlog - self.config.pacing_slack
+        return backlog - PACING_SLACK
 
     def send(self, payload: Any, size_bytes: int) -> None:
         """Queue ``payload`` for reliable in-order delivery to the peer."""
@@ -510,7 +502,7 @@ class PorEndpoint:
         if self.sim.now - record.last_sent < max(guard, 0.005):
             return
         record.retransmitted = True
-        record.rto = min(record.rto * 2, self.config.max_rto)
+        record.rto = min(record.rto * 2, MAX_RTO)
         record.deadline = self.sim.now + record.rto
         self._transmit(seq, record)
         self.data_retransmitted += 1
@@ -632,8 +624,8 @@ class PorEndpoint:
         while self._chain.next_seq in reorder:
             self._accept_in_order(reorder.pop(self._chain.next_seq))
             accepted += 1
-        # Delayed ACK: coalesce in-order progress up to ack_coalesce
-        # packets (bounded by the ack_delay flush timer).  Any remaining
+        # Delayed ACK: coalesce in-order progress up to ACK_COALESCE
+        # packets (bounded by the ACK_DELAY flush timer).  Any remaining
         # gap still ACKs immediately so the sender sees the NACK list.
         self._ack_pending += accepted
         if reorder or self._ack_pending >= self._ack_coalesce:
@@ -661,7 +653,7 @@ class PorEndpoint:
         acknowledge them together.
 
         Of the ACKs one datagram's frames would trigger -- one per
-        ``ack_coalesce`` in-order packets, one per gap or duplicate --
+        ``ACK_COALESCE`` in-order packets, one per gap or duplicate --
         only the last carries information, because ACKs are cumulative
         and the NACK list is rebuilt from the reorder buffer each time.
         Nothing waits longer for it: the frames are processed back to
@@ -671,7 +663,7 @@ class PorEndpoint:
 
     def end_datagram(self) -> None:
         """Send the one ACK the datagram's packets asked for, if any.  A
-        tail below ``ack_coalesce`` stays with the ``ack_delay`` timer."""
+        tail below ``ACK_COALESCE`` stays with the ``ACK_DELAY`` timer."""
         self._in_datagram = False
         if self._ack_due:
             self._ack_due = False
@@ -684,7 +676,7 @@ class PorEndpoint:
         A live flush timer is left alone: it fires later and disarms as a
         no-op (pending is zero), which is cheaper than cancelling it.
         Any packet deferred while the timer is live still flushes no
-        later than the pending fire, so the ack_delay bound holds.
+        later than the pending fire, so the ACK_DELAY bound holds.
         """
         if self._in_datagram:
             self._ack_due = True
@@ -708,7 +700,7 @@ class PorEndpoint:
             ack.mac = self._mac_ctx.tag(self._encode_for_mac(ack))
         if self._mac_counters is not None:
             self._mac_counters[0].add()
-        self.out_channel.send(ack, self.config.ack_size + 4 * len(missing))
+        self.out_channel.send(ack, ACK_SIZE + 4 * len(missing))
         self.acks_sent += 1
 
     def _on_ack(self, ack: PorAck) -> None:
@@ -784,7 +776,7 @@ class PorEndpoint:
         # load; a tight RTO turns that jitter into spurious retransmits
         # that can waste half the forward capacity.
         rto = 1.5 * self._srtt + 4 * max(self._rttvar, 0.25 * self._srtt)
-        self._rto_cache = min(max(rto, self.config.min_rto), self.config.max_rto)
+        self._rto_cache = min(max(rto, self.config.min_rto), MAX_RTO)
 
     def _arm_timer(self) -> None:
         if self._timer is not None:
@@ -803,7 +795,7 @@ class PorEndpoint:
             record = self._unacked[seq]
             if record.deadline <= now + 1e-12:
                 record.retransmitted = True
-                record.rto = min(record.rto * 2, self.config.max_rto)
+                record.rto = min(record.rto * 2, MAX_RTO)
                 record.deadline = now + record.rto
                 self._transmit(seq, record)
                 self.data_retransmitted += 1

@@ -47,6 +47,12 @@ from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optiona
 from repro.errors import ConfigurationError, ProtocolError
 
 
+#: Controller tick cadence (load sampling, state transitions, drain).
+TICK_INTERVAL = 0.05
+#: Sources silent for this long stop counting as active.
+SOURCE_IDLE_TIMEOUT = 10.0
+
+
 class AdmissionOutcome(enum.Enum):
     """Fate of one offered message at the admission stage."""
 
@@ -99,10 +105,6 @@ class AdmissionConfig:
     #: Parked entries released per tick while the load is below
     #: ``park_low`` (drain pacing).
     release_batch: int = 16
-    #: Controller tick cadence (load sampling, state transitions, drain).
-    tick_interval: float = 0.05
-    #: Sources silent for this long stop counting as active.
-    source_idle_timeout: float = 10.0
     #: Two-key metering: when True, offers are additionally metered by a
     #: per-*destination* token bucket (same capacity/floor math, keyed by
     #: the offer's ``dest``), so a Zipf-hot destination throttles at the
@@ -131,10 +133,6 @@ class AdmissionConfig:
             )
         if self.release_batch < 1:
             raise ConfigurationError("release_batch must be >= 1")
-        if self.tick_interval <= 0:
-            raise ConfigurationError("tick_interval must be positive")
-        if self.source_idle_timeout <= 0:
-            raise ConfigurationError("source_idle_timeout must be positive")
 
 
 class _SourceMeter:
@@ -454,7 +452,7 @@ class AdmissionController:
             self._finalize(entry, "released")
 
     def _prune_idle(self, now: float) -> None:
-        deadline = now - self.config.source_idle_timeout
+        deadline = now - SOURCE_IDLE_TIMEOUT
         stale = [
             source
             for source, meter in self._sources.items()

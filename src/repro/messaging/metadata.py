@@ -18,6 +18,10 @@ from bisect import insort
 from math import floor, inf
 from typing import Dict, Hashable, List, Optional
 
+#: Upper bound on any message's lifetime, seconds: a uid's metadata is
+#: kept at most this long, whatever expiration its source claims.
+MAX_MESSAGE_LIFETIME = 120.0
+
 
 class MetadataStore:
     """Uid → expiry map, garbage-collected through one-second buckets.
@@ -30,7 +34,7 @@ class MetadataStore:
     remain.
     """
 
-    def __init__(self, max_lifetime: float = 120.0):
+    def __init__(self, max_lifetime: float = MAX_MESSAGE_LIFETIME):
         #: Upper bound applied to every recorded lifetime (bounds memory).
         self.max_lifetime = max_lifetime
         self._expiry: dict = {}

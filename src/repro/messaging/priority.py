@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Se
 from repro.dissemination import flood_targets, path_successors
 from repro.errors import ConfigurationError
 from repro.messaging.message import Message
+from repro.messaging.metadata import MAX_MESSAGE_LIFETIME
 from repro.messaging.scheduler import RoundRobinQueue
 from repro.topology.graph import NodeId
 
@@ -283,7 +284,7 @@ class PriorityEngine:
         now = node.sim.now
         expiration = message.expiration
         if expiration is None:
-            expiration = now + node.config.max_message_lifetime
+            expiration = now + MAX_MESSAGE_LIFETIME
         elif now > expiration:  # inlined Message.is_expired
             return
         is_new = node.metadata.check_and_record(message.uid, expiration, now)

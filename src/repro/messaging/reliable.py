@@ -35,6 +35,13 @@ from repro.topology.graph import NodeId
 
 Flow = Tuple[NodeId, NodeId]
 
+#: Neighbor ACKs for flows that progressed are batched and flushed this
+#: many seconds after the first one.
+NEIGHBOR_ACK_DELAY = 0.005
+#: A reliable cursor the neighbor has not acknowledged for this many
+#: seconds is rewound and retransmitted (see ``check_stalls``).
+RELIABLE_STALL_TIMEOUT = 2.0
+
 
 @dataclass
 class FlowState:
@@ -467,9 +474,7 @@ class ReliableEngine:
         self._dirty_flows.add(flow)
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self._node.sim.schedule(
-                self._node.config.neighbor_ack_delay, self._flush_neighbor_acks
-            )
+            self._node.sim.schedule(NEIGHBOR_ACK_DELAY, self._flush_neighbor_acks)
 
     def _flush_neighbor_acks(self) -> None:
         self._flush_scheduled = False
@@ -535,13 +540,13 @@ class ReliableEngine:
         Honest flow control means a neighbor normally acknowledges (via
         neighbor ACKs) everything we send; if a cursor is ahead of the
         neighbor's report and no progress has happened for
-        ``reliable_stall_timeout`` seconds — a crash we did not observe,
+        ``RELIABLE_STALL_TIMEOUT`` seconds — a crash we did not observe,
         a dropped-in-reset PoR packet, or a Byzantine neighbor — rewind
         and retransmit.
         """
         node = self._node
         now = node.sim.now
-        timeout = node.config.reliable_stall_timeout
+        timeout = RELIABLE_STALL_TIMEOUT
         for link in node.links.values():
             pumped = False
             for flow, cursor in link.reliable.cursors.items():

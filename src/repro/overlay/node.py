@@ -24,7 +24,11 @@ from repro.byzantine.behaviors import Behavior, HonestBehavior
 from repro.crypto.pki import Pki
 from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.link.por import PorEndpoint
-from repro.messaging.admission import AdmissionController, AdmissionOutcome
+from repro.messaging.admission import (
+    TICK_INTERVAL as ADMISSION_TICK_INTERVAL,
+    AdmissionController,
+    AdmissionOutcome,
+)
 from repro.messaging.message import (
     AdmissionNack,
     E2eAck,
@@ -34,7 +38,7 @@ from repro.messaging.message import (
     Semantics,
     StateRequest,
 )
-from repro.messaging.metadata import MetadataStore
+from repro.messaging.metadata import MAX_MESSAGE_LIFETIME, MetadataStore
 from repro.messaging.priority import ParkedFlood, PriorityEngine, PriorityLinkQueue
 from repro.messaging.reliable import ReliableEngine, ReliableLinkState
 from repro.overlay.config import DisseminationMethod, OverlayConfig
@@ -58,6 +62,26 @@ from repro.topology.mtmw import Mtmw, MtmwHolder, MtmwUpdateResult
 MTMW_BASE_SIZE = 32
 MTMW_NODE_ENTRY = 8
 MTMW_EDGE_ENTRY = 16
+
+#: Priority of a message sent without one.
+DEFAULT_PRIORITY = 5
+#: When the CPU's queued work exceeds this many seconds, incoming
+#: best-effort (priority) data is dropped instead of queued.
+CPU_DROP_BACKLOG = 0.05
+
+# Liveness probing and link quarantine (self-healing).  A link whose
+# neighbor goes silent past ``hello_timeout`` is *quarantined*: it is
+# reported failed to the link-state layer and regular hellos stop;
+# instead the node probes it with exponential backoff + jitter.  Once
+# the neighbor is heard again the link enters *probation* and is only
+# reinstated after staying healthy for ``QUARANTINE_PROBATION`` seconds,
+# so a flapping link cannot churn everyone's routing tables.
+PROBE_BACKOFF_INITIAL = 1.0
+PROBE_BACKOFF_FACTOR = 2.0
+PROBE_BACKOFF_MAX = 4.0
+#: Relative jitter: each probe interval is scaled by 1 ± jitter.
+PROBE_JITTER = 0.2
+QUARANTINE_PROBATION = 2.0
 
 
 def mtmw_wire_size(mtmw: Mtmw, signature_size: int) -> int:
@@ -105,7 +129,7 @@ class LinkSender:
         self.last_heard: float = node.sim.now
         self.quarantined_at: Optional[float] = None
         self.probation_since: Optional[float] = None
-        self.probe_interval: float = node.config.probe_backoff_initial
+        self.probe_interval: float = PROBE_BACKOFF_INITIAL
         self._probe_event: Optional[CancellableHandle] = None
         # Adaptive-defense vigilance: the feedback controller shrinks the
         # hello timeout toward a suspect neighbor (scale < 1) and
@@ -137,7 +161,7 @@ class LinkSender:
             if not self.monitor_up:
                 # Heard a quarantined neighbor: probe eagerly again and
                 # start (or continue) the probation clock.
-                self.probe_interval = self.node.config.probe_backoff_initial
+                self.probe_interval = PROBE_BACKOFF_INITIAL
                 if self.probation_since is None:
                     self.probation_since = self.last_heard
                     # The pending probe may still sit at the backed-off
@@ -304,18 +328,13 @@ class OverlayNode:
         self.config = config
         self.stats = stats
         self.cpu = Cpu(sim, config.cpu_costs, name=f"cpu:{node_id}")
-        self.routing = RoutingState(
-            mtmw,
-            pki,
-            update_rate_per_second=config.routing_update_rate,
-            update_burst=config.routing_update_burst,
-        )
+        self.routing = RoutingState(mtmw, pki)
         self.links: Dict[NodeId, LinkSender] = {}
         # Authorized-neighbor set, denormalized from the MTMW: checked on
         # every single link delivery, so it must be one hash probe, not a
         # topology traversal.  Refreshed whenever a new MTMW is adopted.
         self._neighbor_set = self._authorized_neighbors(mtmw)
-        self.metadata = MetadataStore(config.max_message_lifetime)
+        self.metadata = MetadataStore()
         self.priority = PriorityEngine(self)
         self.reliable = ReliableEngine(self)
         self.behavior: Behavior = HonestBehavior()
@@ -363,7 +382,7 @@ class OverlayNode:
                 name=f"admission:{node_id}",
             )
             self._admission_timer = PeriodicTimer(
-                sim, config.admission.tick_interval, self.admission.tick
+                sim, ADMISSION_TICK_INTERVAL, self.admission.tick
             )
 
     @property
@@ -415,12 +434,7 @@ class OverlayNode:
         if result is not MtmwUpdateResult.ACCEPTED:
             return result
         self._neighbor_set = self._authorized_neighbors(self.mtmw)
-        self.routing = RoutingState(
-            self.mtmw,
-            self.pki,
-            update_rate_per_second=self.config.routing_update_rate,
-            update_burst=self.config.routing_update_burst,
-        )
+        self.routing = RoutingState(self.mtmw, self.pki)
         self.reliable.refresh_membership()
         # The rebuilt routing view forgot our own failure reports; links
         # still under quarantine must stay excluded from routing.
@@ -483,7 +497,7 @@ class OverlayNode:
         self._hello_timer.start(phase=phase * self.config.hello_interval)
         if self._admission_timer is not None:
             self._admission_timer.start(
-                phase=phase * self.config.admission.tick_interval
+                phase=phase * ADMISSION_TICK_INTERVAL
             )
 
     # ------------------------------------------------------------------
@@ -522,7 +536,7 @@ class OverlayNode:
             dest=dest,
             seq=self._priority_seq,
             semantics=Semantics.PRIORITY,
-            priority=priority if priority is not None else self.config.default_priority,
+            priority=priority if priority is not None else DEFAULT_PRIORITY,
             expiration=expiration,
             size_bytes=size_bytes,
             flooding=flooding,
@@ -577,7 +591,7 @@ class OverlayNode:
             return AdmissionOutcome.ADMITTED
         source = client if client is not None else self.node_id
         effective = (
-            priority if priority is not None else self.config.default_priority
+            priority if priority is not None else DEFAULT_PRIORITY
         )
         on_final = None
         if nack_home is not None:
@@ -642,7 +656,7 @@ class OverlayNode:
                 observer(nack, self)
             return
         self.metadata.check_and_record(
-            nack.uid, self.sim.now + self.config.max_message_lifetime, self.sim.now
+            nack.uid, self.sim.now + MAX_MESSAGE_LIFETIME, self.sim.now
         )
         for link in self.links.values():
             link.enqueue_control(nack, AdmissionNack.WIRE_SIZE)
@@ -651,7 +665,7 @@ class OverlayNode:
     def _handle_admission_nack(self, nack: AdmissionNack, neighbor: NodeId) -> None:
         """Flood-forward an admission NACK; consume it at its home."""
         if not self.metadata.check_and_record(
-            nack.uid, self.sim.now + self.config.max_message_lifetime, self.sim.now
+            nack.uid, self.sim.now + MAX_MESSAGE_LIFETIME, self.sim.now
         ):
             return
         if nack.home == self.node_id:
@@ -758,7 +772,7 @@ class OverlayNode:
         if (
             isinstance(payload, Message)
             and payload.semantics is Semantics.PRIORITY
-            and self.cpu.backlog() > self.config.cpu_drop_backlog
+            and self.cpu.backlog() > CPU_DROP_BACKLOG
         ):
             self.cpu.overload_drops += 1
             self.stats.counter("cpu_overload_drops").add()
@@ -939,7 +953,7 @@ class OverlayNode:
             elif (
                 link.probation_since is not None
                 and now - link.probation_since
-                >= self.config.quarantine_probation * link.probation_scale
+                >= QUARANTINE_PROBATION * link.probation_scale
             ):
                 self._reinstate_link(neighbor, link)
 
@@ -948,7 +962,7 @@ class OverlayNode:
         link.monitor_up = False
         link.quarantined_at = self.sim.now
         link.probation_since = None
-        link.probe_interval = self.config.probe_backoff_initial
+        link.probe_interval = PROBE_BACKOFF_INITIAL
         link.quarantine_count += 1
         self.stats.counter("link_quarantines").add()
         self._issue_link_update(neighbor, FAILED_WEIGHT)
@@ -968,7 +982,7 @@ class OverlayNode:
         link.monitor_up = True
         link.quarantined_at = None
         link.probation_since = None
-        link.probe_interval = self.config.probe_backoff_initial
+        link.probe_interval = PROBE_BACKOFF_INITIAL
         link.cancel_probe()
         link.reinstatements += 1
         self.stats.counter("link_reinstatements").add()
@@ -983,7 +997,7 @@ class OverlayNode:
 
     def _schedule_probe(self, link: LinkSender) -> None:
         link.cancel_probe()
-        jitter = 1.0 + self.config.probe_jitter * (2.0 * self._probe_rng.random() - 1.0)
+        jitter = 1.0 + PROBE_JITTER * (2.0 * self._probe_rng.random() - 1.0)
         link._probe_event = self.sim.schedule(
             link.probe_interval * jitter, self._probe_link, link.neighbor
         )
@@ -1001,8 +1015,8 @@ class OverlayNode:
         link.send_hello(Hello(self.node_id, self._hello_stamp))
         link.probes_sent += 1
         link.probe_interval = min(
-            link.probe_interval * self.config.probe_backoff_factor,
-            self.config.probe_backoff_max,
+            link.probe_interval * PROBE_BACKOFF_FACTOR,
+            PROBE_BACKOFF_MAX,
         )
         self._schedule_probe(link)
 
@@ -1070,7 +1084,7 @@ class OverlayNode:
         self.crashed = True
         if self.parked is not None:
             self.parked = {}
-        self.metadata = MetadataStore(self.config.max_message_lifetime)
+        self.metadata = MetadataStore()
         self.reliable.reset()
         if self.admission is not None:
             self.admission.clear()
@@ -1089,7 +1103,7 @@ class OverlayNode:
             if not link.monitor_up:
                 # Resume the probe loop for links quarantined before the
                 # crash; probation will reinstate them once healthy.
-                link.probe_interval = self.config.probe_backoff_initial
+                link.probe_interval = PROBE_BACKOFF_INITIAL
                 self._schedule_probe(link)
             request = StateRequest(self.node_id)
             link.enqueue_control(request, StateRequest.WIRE_SIZE)

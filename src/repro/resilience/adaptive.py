@@ -18,7 +18,7 @@ collects:
   node's score to actions: *advance* a suspect's recovery slot (or
   *escalate* to an immediate supervisor-driven restart above the
   escalation threshold), *defer* a demonstrably healthy node's slot up
-  to ``defer_factor_max`` times the base period, and *tighten*/*relax*
+  to ``DEFER_FACTOR_MAX`` times the base period, and *tighten*/*relax*
   the neighbors' quarantine vigilance toward the node.  Every action is
   rate-limited by ``action_cooldown``.
 * :class:`GlobalBudget` — the global controller: hard caps on
@@ -70,6 +70,26 @@ SIGNAL_WEIGHTS: Dict[str, float] = {
 #: substrates may surface extra counters).
 DEFAULT_SIGNAL_WEIGHT = 0.05
 
+#: The suspect/clear hysteresis band: a node turns suspect when its
+#: belief reaches ``BELIEF_HIGH`` and clear again at ``BELIEF_LOW``.
+BELIEF_HIGH = 0.6
+BELIEF_LOW = 0.2
+#: A healthy node's rotation slot may be deferred until its effective
+#: period reaches ``DEFER_FACTOR_MAX`` times the base period.
+DEFER_FACTOR_MAX = 3.0
+#: Belief above which a suspect is recovered immediately instead of
+#: waiting for its advanced rotation slot.
+ESCALATE_THRESHOLD = 0.85
+#: Quarantine tightening against a suspect: the neighbors' hello
+#: timeout toward it is scaled down by this factor ...
+TIGHTEN_TIMEOUT_SCALE = 0.5
+#: ... and its probation is stretched by this factor.
+TIGHTEN_PROBATION_SCALE = 2.0
+#: Global budget: simultaneous defense-initiated node downtimes.
+MAX_CONCURRENT_DOWN = 1
+#: Global budget: nodes under tightened quarantine at once.
+MAX_TIGHTENED_NODES = 3
+
 
 class BeliefState:
     """Belief bookkeeping for one node."""
@@ -119,14 +139,14 @@ class BeliefEstimator:
         cooldown = self.config.action_cooldown
         if state.suspect:
             if (
-                state.score <= self.config.belief_low
+                state.score <= BELIEF_LOW
                 and now - state.last_transition >= cooldown
             ):
                 state.suspect = False
                 state.last_transition = now
                 state.transitions.append((now, False))
         elif (
-            state.score >= self.config.belief_high
+            state.score >= BELIEF_HIGH
             and now - state.last_transition >= cooldown
         ):
             state.suspect = True
@@ -360,9 +380,7 @@ class AdaptiveDefense:
                 f"(need period >= downtime * {len(self._order)})"
             )
         self.estimator = BeliefEstimator(self.config)
-        self.budget = GlobalBudget(
-            self.config.max_concurrent_down, self.config.max_tightened_nodes
-        )
+        self.budget = GlobalBudget(MAX_CONCURRENT_DOWN, MAX_TIGHTENED_NODES)
         # Controller state.
         self._due: Dict[Any, float] = {}
         self._anchor: Dict[Any, float] = {}
@@ -519,9 +537,7 @@ class AdaptiveDefense:
             if suspect and not tightened:
                 if self.budget.acquire_tighten(node_id):
                     self._set_vigilance(
-                        node_id,
-                        self.config.tighten_timeout_scale,
-                        self.config.tighten_probation_scale,
+                        node_id, TIGHTEN_TIMEOUT_SCALE, TIGHTEN_PROBATION_SCALE
                     )
                     self.tightenings += 1
                     stats.counter("defense.tightened").add()
@@ -538,7 +554,7 @@ class AdaptiveDefense:
                 # supervisor-driven (live) / forced (sim) restart.
                 self._due[node_id] = now
                 self._last_action[node_id] = now
-                if score >= self.config.escalate_threshold:
+                if score >= ESCALATE_THRESHOLD:
                     self.escalations += 1
                     stats.counter("defense.escalations").add()
                     stats.trace.event(now, "defense.escalate", str(node_id))
@@ -576,9 +592,9 @@ class AdaptiveDefense:
             score = self.estimator.score(node_id, now)
             if (
                 self.adaptive
-                and score <= self.config.belief_low
+                and score <= BELIEF_LOW
                 and now + self.slot - self._anchor[node_id]
-                <= self.period * self.config.defer_factor_max
+                <= self.period * DEFER_FACTOR_MAX
             ):
                 # Demonstrably healthy: defer one slot, bounded by the
                 # stretched-period cap.

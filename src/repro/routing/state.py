@@ -25,6 +25,11 @@ from repro.topology.mtmw import Mtmw
 #: Weight at (or above) which a link is considered failed / unusable.
 FAILED_WEIGHT = 1e6
 
+#: Per-issuer token bucket on accepted link-state updates: sustained
+#: updates per second and burst depth.
+ROUTING_UPDATE_RATE = 10.0
+ROUTING_UPDATE_BURST = 20
+
 
 class RoutingState:
     """Validated link-state database + route computation for one node."""
@@ -33,8 +38,8 @@ class RoutingState:
         self,
         mtmw: Mtmw,
         pki: Pki,
-        update_rate_per_second: float = 10.0,
-        update_burst: int = 20,
+        update_rate_per_second: float = ROUTING_UPDATE_RATE,
+        update_burst: int = ROUTING_UPDATE_BURST,
     ):
         self.mtmw = mtmw
         self.pki = pki

@@ -35,7 +35,6 @@ _EXPORTS = {
     "LiveReport": "repro.runtime.live",
     "NodeProcess": "repro.runtime.live",
     "NodeSupervisor": "repro.runtime.supervision",
-    "SupervisionConfig": "repro.runtime.supervision",
     "decode_datagram": "repro.runtime.wire",
     "encode_datagram": "repro.runtime.wire",
 }

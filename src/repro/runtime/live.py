@@ -29,11 +29,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.clients.generators import (
-    ClientTier,
-    ClientWorkloadConfig,
-    ranked_destinations,
-)
+from repro.clients.generators import ranked_destinations
 from repro.clients.session import SessionTier, SessionWorkloadConfig
 from repro.crypto.pki import Pki
 from repro.errors import ConfigurationError, LiveRuntimeError
@@ -48,7 +44,7 @@ from repro.runtime.chaos import (
     LiveChaosEngine,
 )
 from repro.runtime.scheduler import AsyncioScheduler
-from repro.runtime.supervision import NodeSupervisor, SupervisionConfig
+from repro.runtime.supervision import NodeSupervisor
 from repro.runtime.transport import AsyncioUdpTransport
 from repro.sim.stats import StatsRegistry
 from repro.topology import generators
@@ -74,6 +70,9 @@ TRANSPORT_COUNTERS = (
     "send_drops",
     "datagrams_drained",
 )
+
+#: Seconds between the armed invariant monitor's periodic checks.
+INVARIANT_CHECK_INTERVAL = 0.5
 
 #: ``LiveConfig.chaos_preset`` values -> schedule factories.
 CHAOS_PRESETS = {
@@ -101,19 +100,9 @@ class LiveConfig:
     host: str = "127.0.0.1"
     drain: float = 1.5
     overlay: OverlayConfig = field(default_factory=OverlayConfig)
-    #: When set, every flow injects exactly this many messages and then
-    #: stops on its own (the sim-vs-live conformance test uses this to
-    #: offer the identical message set to both substrates).
-    messages_per_flow: Optional[int] = None
     #: False disables the built-in CBR flow plan entirely (a scripted or
-    #: client-tier driver offers the load instead).
+    #: session-tier driver offers the load instead).
     flow_traffic: bool = True
-    #: When set, a :class:`~repro.clients.generators.ClientTier`
-    #: population workload (diurnal Poisson arrivals, Zipf fan-in,
-    #: heavy-tailed bursts) runs on top of — or instead of — the flow
-    #: plan, offered through each node's admission stage when
-    #: ``overlay.admission`` is configured.
-    clients: Optional[ClientWorkloadConfig] = None
     #: When set, a :class:`~repro.clients.session.SessionTier` — the
     #: client-side reliability state machine (deadlines, budgeted
     #: retries, idempotency keys + destination dedup, ingress failover
@@ -128,8 +117,6 @@ class LiveConfig:
     #: from the run seed.
     chaos_preset: Optional[str] = None
     chaos_intensity: float = 1.0
-    #: Restart policy for the always-on node supervisor.
-    supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
     #: Proactive-recovery mode: ``None`` (no rotation), ``"fixed"``
     #: (staggered schedule through the defense engine's baseline path),
     #: or ``"adaptive"`` (belief-driven feedback controller).  The
@@ -139,7 +126,6 @@ class LiveConfig:
     #: Arm the sim's InvariantMonitor (dedup / ordering / quarantine
     #: routing) against the live deployment.
     monitor_invariants: bool = True
-    invariant_check_interval: float = 0.5
 
     def __post_init__(self) -> None:
         if self.nodes < 2:
@@ -150,8 +136,6 @@ class LiveConfig:
             raise ConfigurationError("rate must be positive")
         if self.size_bytes < 1:
             raise ConfigurationError("size_bytes must be >= 1")
-        if self.messages_per_flow is not None and self.messages_per_flow < 1:
-            raise ConfigurationError("messages_per_flow must be >= 1 when set")
         if self.chaos_preset is not None and self.chaos_preset not in CHAOS_PRESETS:
             raise ConfigurationError(
                 f"unknown chaos preset {self.chaos_preset!r} "
@@ -168,8 +152,6 @@ class LiveConfig:
                 f"recovery must be None, 'fixed', or 'adaptive' "
                 f"(got {self.recovery!r})"
             )
-        if self.invariant_check_interval <= 0:
-            raise ConfigurationError("invariant_check_interval must be positive")
 
     @property
     def inject_seconds(self) -> float:
@@ -244,9 +226,8 @@ class LiveReport:
     invariants: Optional[Dict[str, Any]] = None
     #: Adaptive-defense summary; None when no defense controller ran.
     adaptive: Optional[Dict[str, Any]] = None
-    #: Client-tier offer accounting + aggregated per-node admission
-    #: counters; None when neither a client tier nor an admission stage
-    #: was configured.
+    #: Aggregated per-node admission counters; None when no admission
+    #: stage was configured.
     admission: Optional[Dict[str, Any]] = None
     #: Session-tier client-visible outcome accounting (success ratio,
     #: retry amplification, failovers, invariant violations); None when
@@ -446,7 +427,6 @@ class LiveDeployment:
         self.addresses: Dict[NodeId, Tuple[str, int]] = {}
         self._stats: Optional[StatsRegistry] = None
         self.traffic: List[CbrTraffic] = []
-        self.client_tier: Optional[ClientTier] = None
         self.session_tier: Optional[SessionTier] = None
         self._interrupted = False
         self._started_at: Optional[float] = None
@@ -579,10 +559,10 @@ class LiveDeployment:
         # and restart passes through its state-loss bookkeeping.
         if config.monitor_invariants:
             self.monitor = InvariantMonitor(
-                self, check_interval=config.invariant_check_interval
+                self, check_interval=INVARIANT_CHECK_INTERVAL
             )
             self.monitor.arm()
-        self.supervisor = NodeSupervisor(self, config.supervision)
+        self.supervisor = NodeSupervisor(self)
         self.supervisor.arm()
         if self.chaos_schedule is not None:
             assert self.injector is not None
@@ -669,7 +649,7 @@ class LiveDeployment:
         link = process.overlay.connect(
             remote, process.transport.send_channel(remote), rx
         )
-        # One PoR ACK per received datagram, not per ack_coalesce frames.
+        # One PoR ACK per received datagram, not per ACK_COALESCE frames.
         rx.on_datagram_start = link.por.begin_datagram
         rx.on_datagram_end = link.por.end_datagram
 
@@ -701,8 +681,7 @@ class LiveDeployment:
 
     def _start_traffic(self) -> None:
         """One CBR flow per node; alternating priority/reliable semantics.
-        Client- and session-tier population workloads ride on top when
-        configured.  Only locally hosted sources are driven (a flow's
+        A session-tier workload rides on top when configured.  Only locally hosted sources are driven (a flow's
         destination may be remote; delivery lands in its host's stats),
         while destination rankings span the full overlay."""
         config = self.config
@@ -711,22 +690,10 @@ class LiveDeployment:
             for source, dest, semantics in plan[:: self.flow_stride]:
                 if source in self.processes:
                     self._launch_flow(source, dest, semantics)
-        local = sorted(self.local_nodes)
-        if config.clients is not None:
-            self.client_tier = ClientTier(
-                self,
-                local,
-                ranked_destinations(
-                    self.sim, self.topology.nodes, "overload:dest-rank"
-                ),
-                config=config.clients,
-                method=config.method,
-            )
-            self.client_tier.start()
         if config.sessions is not None:
             self.session_tier = SessionTier(
                 self,
-                local,
+                sorted(self.local_nodes),
                 ranked_destinations(self.sim, self.topology.nodes, "slo:dest-rank"),
                 workload=config.sessions,
                 name=self.tier_name,
@@ -745,7 +712,6 @@ class LiveDeployment:
             size_bytes=config.size_bytes,
             semantics=semantics,
             method=config.method,
-            max_messages=config.messages_per_flow,
         )
         self.traffic.append(generator)
         generator.start()
@@ -753,8 +719,6 @@ class LiveDeployment:
     def _stop_injection(self) -> None:
         for generator in self.traffic:
             generator.stop()
-        if self.client_tier is not None:
-            self.client_tier.stop()
         if self.session_tier is not None:
             self.session_tier.stop()
 
@@ -932,7 +896,7 @@ class LiveDeployment:
             )
             if process.overlay.admission is not None
         }
-        if per_node_admission or self.client_tier is not None:
+        if per_node_admission:
             admission_summary = {"per_node": per_node_admission}
             totals: Dict[str, int] = {}
             for snapshot in per_node_admission.values():
@@ -940,8 +904,6 @@ class LiveDeployment:
                     if isinstance(value, int):
                         totals[key] = totals.get(key, 0) + value
             admission_summary["totals"] = totals
-            if self.client_tier is not None:
-                admission_summary["clients"] = self.client_tier.snapshot()
         return LiveReport(
             nodes=self.config.nodes,
             duration=self.config.duration,

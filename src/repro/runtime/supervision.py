@@ -11,13 +11,13 @@ LiveDeployment` node processes.
 Restart discipline follows the standard supervisor pattern:
 
 * **Exponential backoff with jitter** — the *n*-th restart of a node
-  waits ``initial * factor**n`` seconds (capped), scaled by a seeded
-  ±jitter so a mass failure does not produce a synchronized thundering
-  herd of rebinds.
+  waits ``BACKOFF_INITIAL * BACKOFF_FACTOR**n`` seconds (capped), scaled
+  by a seeded ±jitter so a mass failure does not produce a synchronized
+  thundering herd of rebinds.
 * **Max-restart circuit breaker** — a node that keeps dying is marked
-  ``broken`` after ``max_restarts`` attempts and left down; flapping
+  ``broken`` after ``MAX_RESTARTS`` attempts and left down; flapping
   forever would only mask a real defect.
-* **Watchdog** — an asyncio task sweeps every ``watchdog_interval``
+* **Watchdog** — an asyncio task sweeps every ``WATCHDOG_INTERVAL``
   seconds: it notices sockets that died without anyone calling
   :meth:`NodeSupervisor.kill` (and schedules their restart), and it
   performs due restarts.  Restarts are asynchronous (rebinding a socket
@@ -34,10 +34,9 @@ port) and re-point every neighbor's peer table at the new address.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ConfigurationError, LiveRuntimeError
+from repro.errors import LiveRuntimeError
 
 #: NodeRecord.state values.
 RUNNING = "running"
@@ -48,42 +47,22 @@ BROKEN = "broken"
 DEPARTED = "departed"
 
 
-@dataclass(frozen=True)
-class SupervisionConfig:
-    """Restart-policy knobs (see module docstring)."""
-
-    backoff_initial: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    #: Relative jitter: each backoff is scaled by 1 ± jitter.
-    backoff_jitter: float = 0.1
-    #: Circuit breaker: give up on a node after this many restart
-    #: attempts (successful or failed).
-    max_restarts: int = 8
-    watchdog_interval: float = 0.05
-    #: Bind attempts per restart: the supervisor first tries to reclaim
-    #: the port the node was bound to before it died (so peers'
-    #: registrations stay valid), then falls back to fresh ephemeral
-    #: binds.  Under many processes on one host an ephemeral bind can
-    #: race another process grabbing the same port, so even port-0 binds
-    #: get bounded retries.
-    rebind_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.backoff_initial <= 0:
-            raise ConfigurationError("backoff_initial must be positive")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if self.backoff_max < self.backoff_initial:
-            raise ConfigurationError("backoff_max must be >= backoff_initial")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ConfigurationError("backoff_jitter must be in [0, 1)")
-        if self.max_restarts < 1:
-            raise ConfigurationError("max_restarts must be >= 1")
-        if self.watchdog_interval <= 0:
-            raise ConfigurationError("watchdog_interval must be positive")
-        if self.rebind_attempts < 1:
-            raise ConfigurationError("rebind_attempts must be >= 1")
+# Restart policy (see module docstring).
+BACKOFF_INITIAL = 0.25
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+#: Relative jitter: each backoff is scaled by 1 ± jitter.
+BACKOFF_JITTER = 0.1
+#: Circuit breaker: give up on a node after this many restart attempts
+#: (successful or failed).
+MAX_RESTARTS = 8
+WATCHDOG_INTERVAL = 0.05
+#: Bind attempts per restart: the supervisor first tries to reclaim the
+#: port the node was bound to before it died (so peers' registrations
+#: stay valid), then falls back to fresh ephemeral binds.  Under many
+#: processes on one host an ephemeral bind can race another process
+#: grabbing the same port, so even port-0 binds get bounded retries.
+REBIND_ATTEMPTS = 3
 
 
 class NodeRecord:
@@ -133,9 +112,8 @@ class NodeSupervisor:
     observes every supervised state loss.
     """
 
-    def __init__(self, deployment: Any, config: Optional[SupervisionConfig] = None):
+    def __init__(self, deployment: Any):
         self.deployment = deployment
-        self.config = config or SupervisionConfig()
         self.records: Dict[Any, NodeRecord] = {}
         self.events: List[tuple] = []  # (time, text) observability log
         # One seeded jitter stream *per node*: with a single shared
@@ -228,7 +206,7 @@ class NodeSupervisor:
     async def _watchdog(self) -> None:
         try:
             while True:
-                await asyncio.sleep(self.config.watchdog_interval)
+                await asyncio.sleep(WATCHDOG_INTERVAL)
                 self._detect_dead_sockets()
                 for node_id in self._due_restarts():
                     await self._restart(node_id)
@@ -258,7 +236,7 @@ class NodeSupervisor:
         record = self._record(node_id)
         now = self.deployment.sim.now
         process = self.deployment.processes[node_id]
-        if record.restarts + record.consecutive_failures >= self.config.max_restarts:
+        if record.restarts + record.consecutive_failures >= MAX_RESTARTS:
             record.state = BROKEN
             process.stats.counter("supervisor.broken").add()
             self.events.append((
@@ -314,10 +292,9 @@ class NodeSupervisor:
         attempts failing re-raises the last ``OSError`` into the normal
         restart-failure backoff path.
         """
-        attempts = self.config.rebind_attempts
         last_port = getattr(transport, "last_local_port", None)
         last_error: Optional[BaseException] = None
-        for attempt in range(attempts):
+        for attempt in range(REBIND_ATTEMPTS):
             port = last_port if (attempt == 0 and last_port) else 0
             try:
                 return await transport.reopen(port=port)
@@ -335,16 +312,13 @@ class NodeSupervisor:
         node's backoff sequence is a pure function of the run seed and
         its own kill count — independent of when other nodes die."""
         attempt = record.restarts + record.consecutive_failures
-        base = min(
-            self.config.backoff_initial * self.config.backoff_factor ** attempt,
-            self.config.backoff_max,
-        )
+        base = min(BACKOFF_INITIAL * BACKOFF_FACTOR ** attempt, BACKOFF_MAX)
         rng = self._rngs.get(node_id)
         if rng is None:
             rng = self._rngs[node_id] = self.deployment.sim.rngs.stream(
                 f"supervision:{node_id}"
             )
-        jitter = 1.0 + self.config.backoff_jitter * (2.0 * rng.random() - 1.0)
+        jitter = 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
         return base * jitter
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ during the wakeup is flushed.  What a hop produces is therefore on the
 socket before the loop runs another node, and one hop costs one loop
 iteration, not two.  Within a wakeup each datagram is bracketed too
 (``UdpReceiveChannel.on_datagram_start`` / ``on_datagram_end``) so the
-link acknowledges once per datagram, not once per ``ack_coalesce``
+link acknowledges once per datagram, not once per ``ACK_COALESCE``
 frames.  The simulator has neither bracket.
 
 Robustness: anything that is not a well-formed, correctly addressed

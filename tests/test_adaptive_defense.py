@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults.schedule import ChaosSpec
+from repro.overlay import node as node_module
 from repro.overlay.config import DefenseConfig, OverlayConfig
+from repro.resilience import adaptive
 from repro.resilience.adaptive import (
     SIGNAL_WEIGHTS,
     AdaptiveDefense,
@@ -43,36 +45,47 @@ KINDS = sorted(SIGNAL_WEIGHTS)
 class TestDefenseConfig:
     def test_defaults_valid(self):
         config = DefenseConfig()
-        assert 0 <= config.belief_low < config.belief_high <= 1
         assert config.recovery_downtime < config.recovery_period
 
+    def test_constants_keep_their_invariants(self):
+        """The fixed thresholds satisfy the relations the controller and
+        the quarantine prober rely on."""
+        a = adaptive
+        assert 0 <= a.BELIEF_LOW < a.BELIEF_HIGH <= a.ESCALATE_THRESHOLD <= 1
+        assert a.DEFER_FACTOR_MAX >= 1
+        assert 0 < a.TIGHTEN_TIMEOUT_SCALE <= 1 <= a.TIGHTEN_PROBATION_SCALE
+        assert a.MAX_CONCURRENT_DOWN >= 1 and a.MAX_TIGHTENED_NODES >= 0
+        n = node_module
+        assert 0 < n.PROBE_BACKOFF_INITIAL <= n.PROBE_BACKOFF_MAX
+        assert n.PROBE_BACKOFF_FACTOR >= 1 and 0 <= n.PROBE_JITTER < 1
+        assert n.QUARANTINE_PROBATION >= 0
+
     def test_overlay_config_embeds_defense(self):
-        overlay = OverlayConfig()
-        assert isinstance(overlay.defense, DefenseConfig)
-        # The legacy flat probe knobs delegate into the block.
-        assert overlay.probe_backoff_initial == overlay.defense.probe_backoff_initial
-        assert overlay.quarantine_probation == overlay.defense.quarantine_probation
+        assert isinstance(OverlayConfig().defense, DefenseConfig)
 
     @pytest.mark.parametrize(
         "kwargs",
+        # Each remaining check at and past its boundary, alone and among
+        # explicitly valid values.
         [
-            {"belief_low": 0.7, "belief_high": 0.6},
-            {"belief_high": 1.5},
-            {"belief_low": -0.1},
+            {"recovery_period": 0.0},
+            {"recovery_period": -1.0},
+            {"belief_half_life": -1.0},
             {"belief_half_life": 0.0},
             {"action_cooldown": -1.0},
             {"control_interval": 0.0},
-            {"defer_factor_max": 0.5},
-            {"escalate_threshold": 0.1},
-            {"tighten_timeout_scale": 0.0},
-            {"tighten_timeout_scale": 1.5},
-            {"tighten_probation_scale": 0.5},
-            {"max_concurrent_down": 0},
-            {"max_tightened_nodes": -1},
+            {"control_interval": -0.5},
+            {"action_cooldown": -1e-9},
+            {"recovery_downtime": 0.0},
+            {"recovery_downtime": -1.0},
+            {"recovery_downtime": 120.0},
+            {"recovery_period": 1.0},
+            {"recovery_period": 0.5},
             {"recovery_period": 1.0, "recovery_downtime": 2.0},
-            {"probe_backoff_initial": 0.0},
-            {"probe_jitter": 1.5},
-            {"quarantine_probation": -1.0},
+            {"recovery_period": 10.0, "recovery_downtime": 10.0},
+            {"recovery_period": -120.0, "recovery_downtime": -1.0},
+            {"belief_half_life": -20.0, "action_cooldown": 10.0,
+             "control_interval": 0.5},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -125,10 +138,7 @@ class TestBeliefProperties:
     def test_hysteresis_never_oscillates_within_cooldown(self, seed, steps):
         """Suspect/clear transitions are at least one action_cooldown
         apart, whatever the signal pattern."""
-        config = DefenseConfig(
-            belief_half_life=2.0, action_cooldown=5.0,
-            belief_low=0.2, belief_high=0.6,
-        )
+        config = DefenseConfig(belief_half_life=2.0, action_cooldown=5.0)
         estimator = BeliefEstimator(config)
         rng = random.Random(seed)
         now = 0.0
@@ -196,11 +206,11 @@ def chaos_deployment(seed=0, seconds=40.0, adaptive=True):
 class TestBudgetUnderChaos:
     def test_budget_never_exceeded_under_full_preset(self):
         """The acceptance bound: under the full chaos preset the defense
-        never holds more than max_concurrent_down nodes down, the armed
+        never holds more than MAX_CONCURRENT_DOWN nodes down, the armed
         invariant monitor confirms it, and recoveries still happen."""
         deployment = chaos_deployment(seed=0)
         defense = deployment.defense
-        limit = defense.config.max_concurrent_down
+        limit = adaptive.MAX_CONCURRENT_DOWN
         assert defense.budget.peak_down <= limit
         assert defense.budget.peak_total_down <= limit
         assert defense.recoveries_completed > 0
@@ -278,13 +288,12 @@ class TestLocalController:
         assert adaptive_count < fixed_count
         assert adaptive_seconds < fixed_seconds
 
-    def test_defer_bounded_by_stretched_period(self):
-        """A healthy node is never deferred past period * defer_factor_max
+    def test_defer_bounded_by_stretched_period(self, monkeypatch):
+        """A healthy node is never deferred past period * DEFER_FACTOR_MAX
         since its last recovery: even an all-quiet run still rotates."""
+        monkeypatch.setattr(adaptive, "DEFER_FACTOR_MAX", 2.0)
         deployment = Deployment(seed=4)
-        config = DefenseConfig(
-            recovery_period=10.0, recovery_downtime=0.5, defer_factor_max=2.0
-        )
+        config = DefenseConfig(recovery_period=10.0, recovery_downtime=0.5)
         defense = deployment.add_defense(adaptive=True, config=config)
         deployment.run(65.0)
         # Horizon of 65 s with a 20 s stretched period: every node must

@@ -15,9 +15,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.clients import session as session_module
 from repro.clients.session import (
     ACK_PREFIX,
+    PRIORITY_FLOOR,
     REQUEST_PREFIX,
+    REQUEST_PRIORITY,
     CircuitBreaker,
     RetryBudget,
     ScriptedSessionRequest,
@@ -27,6 +30,7 @@ from repro.clients.session import (
 )
 from repro.errors import ConfigurationError
 from repro.messaging.admission import AdmissionConfig, AdmissionState
+from repro.messaging.priority import MAX_PRIORITY, MIN_PRIORITY
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
 from repro.topology import generators
@@ -88,22 +92,36 @@ def test_circuit_breaker_full_cycle():
     assert breaker.state == "closed" and breaker.allow(2.6)
 
 
+# Each remaining check at and past its boundary, alone and among
+# explicitly valid values.
 @pytest.mark.parametrize("kwargs", [
-    {"deadline": 0.0},
-    {"attempt_timeout": 5.0, "deadline": 4.0},
+    {"max_attempts": -1},
+    {"max_attempts": 0, "retry_budget": 0.25, "backups": 2},
     {"max_attempts": 0},
     {"retry_budget": -0.1},
-    {"backoff_base": 0.0},
-    {"backoff_base": 1.0, "backoff_cap": 0.5},
-    {"priority": 3, "priority_floor": 5},
-    {"ack_priority": 99},
-    {"dedup_window": 1.0, "deadline": 4.0},
-    {"breaker_threshold": 0},
+    {"retry_budget": -1.0},
+    {"retry_budget": -1e-9},
+    {"retry_budget": -0.5, "max_attempts": 5},
+    {"backups": -5},
+    {"backups": -1, "max_attempts": 1},
+    {"max_attempts": -100, "backups": 0},
     {"backups": -1},
 ])
 def test_session_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         SessionConfig(**kwargs)
+
+
+def test_session_constants_keep_their_invariants():
+    """The fixed timers, priorities and breaker settings satisfy the
+    relations the session machinery relies on."""
+    m = session_module
+    assert 0 < m.ATTEMPT_TIMEOUT <= m.DEADLINE <= m.DEDUP_WINDOW
+    assert 0 < m.BACKOFF_BASE <= m.BACKOFF_CAP
+    assert MIN_PRIORITY <= m.PRIORITY_FLOOR <= m.REQUEST_PRIORITY <= MAX_PRIORITY
+    assert MIN_PRIORITY <= m.ACK_PRIORITY <= MAX_PRIORITY
+    assert m.BREAKER_THRESHOLD >= 1 and m.BREAKER_COOLOFF > 0
+    assert m.RETRY_BURST >= 0 and m.REQUEST_EXPIRE > 0
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +209,6 @@ def test_open_breaker_diverts_attempts_to_backup():
 NACK_ADMISSION = AdmissionConfig(
     capacity_rate=0.5, floor_min=0.5, floor_max=0.5, burst_tokens=1.0,
     surge_max=1.0, park_capacity=4, park_timeout=0.01,
-    source_idle_timeout=100.0,
 )
 
 
@@ -274,18 +291,17 @@ def test_priority_downgrades_under_pressure_never_below_floor():
     tier = build_tier(net)
     session = tier.sessions[0]
     node = net.node(session.home)
-    config = tier.session_config
-    assert session._effective_priority(node) == config.priority
+    assert session._effective_priority(node) == REQUEST_PRIORITY
     node.admission = SimpleNamespace(state=AdmissionState.PARK)
-    assert session._effective_priority(node) == config.priority - 1
+    assert session._effective_priority(node) == REQUEST_PRIORITY - 1
     node.admission = SimpleNamespace(state=AdmissionState.REJECT)
-    assert session._effective_priority(node) == config.priority - 2
+    assert session._effective_priority(node) == REQUEST_PRIORITY - 2
     # Budget-dry pressure stacks, but only once real accrual happened
     # (the bucket starts empty by design — no cold-start downgrade).
     tier.budget.accrued = 5.0
     tier.budget.tokens = 0.0
     assert session._effective_priority(node) == max(
-        config.priority_floor, config.priority - 3
+        PRIORITY_FLOOR, REQUEST_PRIORITY - 3
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clients import generators as client_generators
 from repro.clients.generators import (
     ClientTier,
     ClientWorkloadConfig,
@@ -19,6 +20,7 @@ from repro.clients.generators import (
 )
 from repro.errors import ConfigurationError
 from repro.messaging.admission import (
+    SOURCE_IDLE_TIMEOUT,
     AdmissionConfig,
     AdmissionController,
     AdmissionOutcome,
@@ -98,13 +100,14 @@ def test_surge_multiplier_decays_across_park_band():
 
 
 def test_idle_sources_are_pruned():
-    controller, clock, _ = make_controller(source_idle_timeout=5.0)
+    controller, clock, _ = make_controller()
     offer(controller, source="a")
     offer(controller, source="b")
     assert controller.active_sources == 2
-    clock.now += 3.0
+    clock.now += 0.6 * SOURCE_IDLE_TIMEOUT
     offer(controller, source="b")
-    clock.now += 3.0  # "a" last offered 6 s ago, "b" 3 s ago
+    # "a" last offered 1.2 idle timeouts ago, "b" 0.6.
+    clock.now += 0.6 * SOURCE_IDLE_TIMEOUT
     controller.tick()
     assert controller.active_sources == 1
     assert controller.source_tokens("a") is None
@@ -285,12 +288,11 @@ def test_crash_clears_admission_state():
 # ----------------------------------------------------------------------
 # Client workload generators
 # ----------------------------------------------------------------------
-def run_tier(seed=0, seconds=5.0, admission=None, **workload):
+def run_tier(seed=0, seconds=5.0, admission=None):
     net = build_net(admission=admission, seed=seed)
     nodes = sorted(net.nodes)
     tier = ClientTier(
-        net, nodes, nodes,
-        config=ClientWorkloadConfig(arrival_rate=30.0, **workload),
+        net, nodes, nodes, config=ClientWorkloadConfig(arrival_rate=30.0)
     )
     tier.start()
     net.run(seconds)
@@ -299,39 +301,42 @@ def run_tier(seed=0, seconds=5.0, admission=None, **workload):
     return tier, net
 
 
+def offer_accounting(tier):
+    return (
+        tier.bursts_started, tier.offered, dict(tier.outcomes),
+        tier.skipped_crashed, tier.unroutable,
+    )
+
+
 def test_client_tier_offers_accounted_and_delivered():
     tier, net = run_tier()
-    snapshot = tier.snapshot()
-    assert snapshot["offered"] > 0
+    assert tier.offered > 0
     accounted = (
-        sum(snapshot["outcomes"].values())
-        + snapshot["skipped_crashed"]
-        + snapshot["unroutable"]
+        sum(tier.outcomes.values()) + tier.skipped_crashed + tier.unroutable
     )
-    assert accounted == snapshot["offered"]
+    assert accounted == tier.offered
     # No admission stage: everything was admitted.
-    assert snapshot["outcomes"]["admitted"] == snapshot["offered"]
+    assert tier.outcomes["admitted"] == tier.offered
 
 
 def test_client_tier_is_deterministic_per_seed():
     first, _ = run_tier(seed=7)
     second, _ = run_tier(seed=7)
     third, _ = run_tier(seed=8)
-    assert first.snapshot() == second.snapshot()
-    assert first.snapshot() != third.snapshot()
+    assert offer_accounting(first) == offer_accounting(second)
+    assert offer_accounting(first) != offer_accounting(third)
 
 
-def test_client_tier_respects_admission_stage():
+def test_client_tier_respects_admission_stage(monkeypatch):
+    monkeypatch.setattr(client_generators, "BURST_MAX", 32)
     tier, net = run_tier(
         admission=AdmissionConfig(
             capacity_rate=20.0, floor_min=1.0, floor_max=2.0,
             burst_tokens=1.0, surge_max=1.0,
         ),
-        burst_max=32,
     )
-    snapshot = tier.snapshot()
-    outcomes = snapshot["outcomes"]
-    assert outcomes["admitted"] < snapshot["offered"]
+    outcomes = tier.outcomes
+    assert outcomes["admitted"] < tier.offered
     assert outcomes["parked"] + outcomes["rejected"] > 0
     # Conservation across the whole deployment's controllers.
     for node in net.nodes.values():
@@ -343,10 +348,10 @@ def test_diurnal_rate_swings_between_bounds():
     net = build_net()
     tier = ClientTier(
         net, [1, 2], [1, 2],
-        config=ClientWorkloadConfig(
-            arrival_rate=40.0, diurnal_amplitude=0.5, diurnal_period=40.0
-        ),
+        config=ClientWorkloadConfig(arrival_rate=40.0),
     )
+    assert client_generators.DIURNAL_AMPLITUDE == 0.5
+    assert client_generators.DIURNAL_PERIOD == 40.0
     tier.start()
     assert tier.rate_at(0.0) == pytest.approx(40.0)
     assert tier.rate_at(10.0) == pytest.approx(60.0)  # peak at T/4

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.cluster import deployment as cluster_deployment
 from repro.cluster.deployment import ClusterDeployment, run_cluster
 from repro.cluster.spec import ClusterConfig
 
@@ -131,16 +132,17 @@ def test_cluster_churn_regression_sessions_survive():
     assert sessions["succeeded"] / routable >= 0.9
 
 
-def test_dead_worker_is_attributed_not_hung():
+def test_dead_worker_is_attributed_not_hung(monkeypatch):
     """Regression: killing a worker mid-run must surface an exit-code
     attribution naming the shard's nodes — and never hang the
     coordinator's stop()/join path."""
+
+    monkeypatch.setattr(cluster_deployment, "REPORT_TIMEOUT", 5.0)
 
     async def check():
         config = ClusterConfig(
             nodes=8, shards=2, duration=3.0, seed=13,
             rate_msgs_per_sec=5.0, joins=0, leaves=0,
-            report_timeout=5.0,
         )
         deployment = ClusterDeployment(config)
         await deployment.start()

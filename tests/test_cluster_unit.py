@@ -102,6 +102,18 @@ def test_control_frame_roundtrip_and_forgery():
         decode_frame(key, b"not json at all")
 
 
+def test_deeply_nested_control_frame_is_malformed_not_a_crash():
+    """Nesting deeper than the JSON parser's stack (200 kB, far below
+    MAX_FRAME) is rejected like any other malformed frame, before the
+    MAC is checked, instead of escaping as RecursionError."""
+    key = control_key(42)
+    nested = b"[" * 100_000 + b"]" * 100_000
+    with pytest.raises(LiveRuntimeError, match="malformed"):
+        decode_frame(key, nested)
+    with pytest.raises(LiveRuntimeError, match="malformed"):
+        decode_frame(key, b'{"mac": "00", "body": ' + nested + b"}")
+
+
 def test_control_frames_over_real_stream():
     async def check():
         key = control_key(7)

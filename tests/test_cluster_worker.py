@@ -72,13 +72,10 @@ def _payload(
         "kpaths": kpaths,
         "flow_stride": flow_stride,
         "chaos": None,
-        "supervision": {},
-        "monitor_invariants": True,
         "epoch": 0.0,
         "control_host": "127.0.0.1",
         "control_port": control_port,
         "seed_nodes": seed_nodes or {"0": nodes[0]},
-        "heartbeat_interval": 0.1,
     }
 
 
@@ -139,10 +136,11 @@ class FakeCoordinator:
         return hello["addresses"]
 
 
-def test_worker_end_to_end_with_membership_churn():
+def test_worker_end_to_end_with_membership_churn(monkeypatch):
     """The full worker lifecycle in one loop: boot barrier, traffic,
     heartbeats, a hosted JOIN (with UDP seed-node discovery), forged and
     stale JOIN rejections, a LEAVE drain, a peer update, STOP, report."""
+    monkeypatch.setattr(worker_mod, "HEARTBEAT_INTERVAL", 0.1)
     topo = large_overlay(8, degree=4, seed=SEED)
     nodes = sorted(topo.nodes)
     mkey = membership_key(SEED)

@@ -23,6 +23,7 @@ import asyncio
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
+from repro.clients.session import BREAKER_THRESHOLD
 from repro.messaging.message import Message
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
@@ -54,12 +55,9 @@ class DeliveryLog:
         self.latencies[key].append(node.sim.now - message.sent_at)
 
 
-def _run_sim(flows) -> Tuple[DeliveryLog, List[CbrTraffic]]:
-    """The scenario on the discrete-event simulator."""
-    log = DeliveryLog()
-    net = OverlayNetwork.build(live_topology(NODES), OverlayConfig(), seed=SEED)
-    for node in net.nodes.values():
-        node.delivery_observers.append(log.record)
+def _start_flows(net, flows) -> List[CbrTraffic]:
+    """Exactly ``MESSAGES_PER_FLOW`` CBR messages per flow, the same
+    generators on either substrate."""
     generators = []
     for source, dest, semantics in flows:
         generator = CbrTraffic(
@@ -74,35 +72,41 @@ def _run_sim(flows) -> Tuple[DeliveryLog, List[CbrTraffic]]:
         )
         generators.append(generator)
         generator.start()
+    return generators
+
+
+def _run_sim(flows) -> Tuple[DeliveryLog, List[CbrTraffic]]:
+    """The scenario on the discrete-event simulator."""
+    log = DeliveryLog()
+    net = OverlayNetwork.build(live_topology(NODES), OverlayConfig(), seed=SEED)
+    for node in net.nodes.values():
+        node.delivery_observers.append(log.record)
+    generators = _start_flows(net, flows)
     net.sim.run(until=10.0)
     return log, generators
 
 
-def _run_live() -> Tuple[DeliveryLog, LiveDeployment]:
+def _run_live(flows) -> Tuple[DeliveryLog, LiveDeployment, List[CbrTraffic]]:
     """The identical scenario on real asyncio/UDP sockets."""
 
     async def drive():
         config = LiveConfig(
-            nodes=NODES,
-            duration=3.0,
-            seed=SEED,
-            rate_msgs_per_sec=RATE_MSGS_PER_SEC,
-            size_bytes=SIZE_BYTES,
-            messages_per_flow=MESSAGES_PER_FLOW,
+            nodes=NODES, duration=3.0, seed=SEED, flow_traffic=False
         )
         deployment = LiveDeployment(config)
         log = DeliveryLog()
         await deployment.start()
-        # Attaching synchronously after start() is race-free: a delivery
-        # needs at least one event-loop turn (a UDP datagram round trip),
-        # and we have not yielded to the loop yet.
+        # Attaching and starting synchronously after start() is
+        # race-free: a delivery needs at least one event-loop turn (a UDP
+        # datagram round trip), and we have not yielded to the loop yet.
         for process in deployment.processes.values():
             process.overlay.delivery_observers.append(log.record)
+        generators = _start_flows(deployment, flows)
         try:
             await deployment.serve()
         finally:
             await deployment.stop()
-        return log, deployment
+        return log, deployment, generators
 
     return asyncio.run(drive())
 
@@ -112,11 +116,11 @@ def test_sim_and_live_agree_on_deliveries():
     assert len(flows) == NODES  # 4-node clique: every node sources a flow
 
     sim_log, sim_generators = _run_sim(flows)
-    live_log, deployment = _run_live()
+    live_log, deployment, live_generators = _run_live(flows)
 
     # Both substrates injected exactly the configured message count.
     assert [g.messages_sent for g in sim_generators] == [MESSAGES_PER_FLOW] * len(flows)
-    assert [g.messages_sent for g in deployment.traffic] == [MESSAGES_PER_FLOW] * len(flows)
+    assert [g.messages_sent for g in live_generators] == [MESSAGES_PER_FLOW] * len(flows)
     assert not deployment._runtime_errors
 
     flow_keys = {(source, dest) for source, dest, _ in flows}
@@ -175,8 +179,9 @@ def test_time_until_idle_parity_between_substrates():
 #: A pure count-based admission config: ``park_capacity=0`` removes the
 #: park buffer (no tick-timing-dependent releases), ``floor_min ==
 #: floor_max`` pins the allowance at exactly 4 msgs/s regardless of
-#: surge or active-source churn, and a huge idle timeout keeps meters
-#: from being re-minted with fresh buckets mid-plan.  Under this config
+#: surge or active-source churn, and the plan's per-client gaps stay far
+#: below ``SOURCE_IDLE_TIMEOUT`` (10 s), so no meter is re-minted with a
+#: fresh bucket mid-plan.  Under this config
 #: every admission decision is a deterministic function of the offer
 #: counts and inter-burst gaps alone — the wall clock only trickles in
 #: sub-token refill amounts — so sim and live must agree exactly.
@@ -189,7 +194,6 @@ def _admission_config():
         floor_max=4.0,
         surge_max=1.0,
         park_capacity=0,
-        source_idle_timeout=100.0,
     )
 
 
@@ -316,7 +320,6 @@ def _session_admission_config():
         surge_max=1.0,
         park_capacity=4,
         park_timeout=0.01,
-        source_idle_timeout=100.0,
     )
 
 
@@ -440,7 +443,7 @@ def test_typed_nack_crosses_the_real_udp_wire():
         tier._install_observers()
         session = tier.sessions[0]
         breaker = tier.breaker(session.home)
-        for _ in range(tier.session_config.breaker_threshold):
+        for _ in range(BREAKER_THRESHOLD):
             breaker.record_failure(deployment.sim.now)
         dest = sorted(deployment.nodes)[2]
         session.submit(dest)  # drains the backup ingress's bucket

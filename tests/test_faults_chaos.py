@@ -9,6 +9,7 @@ from repro.faults.invariants import InvariantMonitor
 from repro.faults.schedule import ChaosSpec, Fault, FaultSchedule
 from repro.messaging.message import Message, Semantics
 from repro.overlay.config import OverlayConfig
+from repro.overlay import node as node_module
 from repro.overlay.network import OverlayNetwork
 from repro.routing.state import FAILED_WEIGHT
 from repro.topology.generators import chordal_ring, clique, ring
@@ -57,7 +58,7 @@ class TestQuarantine:
         assert link.probes_sent > 0
         net.restore_link(1, 2)
         # Probe hears the neighbor, probation runs, link reinstated.
-        net.run(net.config.probe_backoff_max + net.config.quarantine_probation + 3.0)
+        net.run(node_module.PROBE_BACKOFF_MAX + node_module.QUARANTINE_PROBATION + 3.0)
         assert link.monitor_up
         assert link.reinstatements == 1
         assert net.node(1).routing.is_link_usable(1, 2)
@@ -81,7 +82,7 @@ class TestQuarantine:
         link = net.node(1).links[2]
         before = link.probes_sent
         net.run(40.0)
-        # Backed off to probe_backoff_max: at most ~1 probe/4 s (+ jitter).
+        # Backed off to PROBE_BACKOFF_MAX: at most ~1 probe/4 s (+ jitter).
         assert link.probes_sent - before <= 14
 
     def test_gray_failure_one_direction_quarantines_link(self):

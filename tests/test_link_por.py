@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import ConfigurationError, ProtocolError
+from repro.link import por
 from repro.link.por import PorConfig, connect_por_pair
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.engine import Simulator
@@ -70,9 +71,9 @@ class TestReliableInOrderDelivery:
         assert delivered_b == list(range(60))
         assert b.duplicates_dropped >= 0  # counted, never delivered twice
 
-    def test_window_not_exceeded(self):
-        config = PorConfig(window=4)
-        sim, a, b, _, _ = make_link(config=config)
+    def test_window_not_exceeded(self, monkeypatch):
+        monkeypatch.setattr(por, "WINDOW", 4)
+        sim, a, b, _, _ = make_link()
         for i in range(4):
             a.send(i, 100)
         assert a.in_flight == 4
@@ -80,9 +81,9 @@ class TestReliableInOrderDelivery:
         with pytest.raises(ProtocolError):
             a.send(99, 100)
 
-    def test_window_reopens_after_ack(self):
-        config = PorConfig(window=2)
-        sim, a, b, _, delivered_b = make_link(config=config)
+    def test_window_reopens_after_ack(self, monkeypatch):
+        monkeypatch.setattr(por, "WINDOW", 2)
+        sim, a, b, _, delivered_b = make_link()
         ready = []
         a.on_ready = lambda: ready.append(sim.now)
         a.send(0, 100)
@@ -96,24 +97,24 @@ class TestReliableInOrderDelivery:
 
 
 class TestPacing:
-    def test_can_accept_respects_channel_backlog(self):
+    def test_can_accept_respects_channel_backlog(self, monkeypatch):
         # 100-byte payload + 48 overhead at 8 kbps = 148 ms serialization.
-        config = PorConfig(pacing_slack=0.01)
-        sim, a, b, _, _ = make_link(bandwidth=8000.0, config=config)
+        monkeypatch.setattr(por, "PACING_SLACK", 0.01)
+        sim, a, b, _, _ = make_link(bandwidth=8000.0)
         a.send(0, 100)
         assert not a.can_accept()
         assert a.time_until_ready() == pytest.approx(0.148 - 0.01, abs=1e-6)
 
-    def test_time_until_ready_none_when_window_full(self):
-        config = PorConfig(window=1)
-        sim, a, b, _, _ = make_link(config=config)
+    def test_time_until_ready_none_when_window_full(self, monkeypatch):
+        monkeypatch.setattr(por, "WINDOW", 1)
+        sim, a, b, _, _ = make_link()
         a.send(0, 100)
         assert a.time_until_ready() is None
 
-    def test_throughput_approaches_link_capacity(self):
+    def test_throughput_approaches_link_capacity(self, monkeypatch):
         """A saturating sender should achieve most of the channel rate."""
-        config = PorConfig(window=64, pacing_slack=0.002)
-        sim, a, b, _, _ = make_link(bandwidth=1e6, latency=0.020, config=config)
+        monkeypatch.setattr(por, "WINDOW", 64)
+        sim, a, b, _, _ = make_link(bandwidth=1e6, latency=0.020)
         sent = [0]
         finished = []
         b.on_deliver = lambda p, s: finished.append(sim.now)
@@ -137,12 +138,12 @@ class TestPacing:
 
 
 class TestProofOfReceipt:
-    def test_optimistic_ack_rejected(self):
+    def test_optimistic_ack_rejected(self, monkeypatch):
         """A fabricated ACK for unreceived data must not advance the window."""
         from repro.link.por import PorAck
 
-        config = PorConfig(window=8)
-        sim, a, b, _, _ = make_link(latency=1.0, config=config)  # slow link
+        monkeypatch.setattr(por, "WINDOW", 8)
+        sim, a, b, _, _ = make_link(latency=1.0)  # slow link
         for i in range(8):
             a.send(i, 100)
         # Attacker (the receiver) optimistically acks everything without
@@ -293,25 +294,37 @@ class TestCrashRecovery:
 
 
 class TestConfigValidation:
-    def test_bad_window(self):
-        with pytest.raises(ConfigurationError):
-            PorConfig(window=0)
-
     def test_bad_rto_ordering(self):
         with pytest.raises(ConfigurationError):
             PorConfig(min_rto=0.5, initial_rto=0.1)
 
+    def test_bad_window(self):
+        """The window is one constant for every link: no endpoint can be
+        configured with a window of its own, and the constant admits at
+        least one packet."""
+        with pytest.raises(TypeError):
+            PorConfig(window=0)
+        assert por.WINDOW >= 1
+
     def test_negative_slack(self):
-        with pytest.raises(ConfigurationError):
+        """Likewise the pacing slack: not a per-link setting, and never
+        negative (a negative slack would refuse even an idle channel)."""
+        with pytest.raises(TypeError):
             PorConfig(pacing_slack=-1.0)
+        assert por.PACING_SLACK >= 0
+
+    def test_constants_keep_their_invariants(self):
+        assert por.ACK_COALESCE >= 1
+        assert 0 <= por.ACK_DELAY < PorConfig().initial_rto <= por.MAX_RTO
 
 
 class TestAckCoalescing:
-    def test_in_order_burst_halves_ack_traffic(self):
+    def test_in_order_burst_halves_ack_traffic(self, monkeypatch):
         """Delayed ACKs (factor 2): a long in-order stream generates about
         one ACK per two data packets, not one per packet."""
-        config = PorConfig(window=64, ack_coalesce=2, ack_delay=0.002)
-        sim, a, b, _, delivered_b = make_link(config=config)
+        assert por.ACK_COALESCE == 2
+        monkeypatch.setattr(por, "WINDOW", 64)
+        sim, a, b, _, delivered_b = make_link()
         for i in range(40):
             a.send(i, 100)
         sim.run(until=5.0)
@@ -319,13 +332,15 @@ class TestAckCoalescing:
         assert a.in_flight == 0  # every packet acknowledged
         assert b.acks_sent <= 40 // 2 + 2  # coalesced, plus boundary flushes
 
-    def test_gap_flushes_ack_immediately(self):
+    def test_gap_flushes_ack_immediately(self, monkeypatch):
         """A sequence gap must produce an immediate NACK-bearing ACK —
         fast retransmit cannot wait out the delayed-ACK timer."""
         from repro.link.por import PorData
 
-        config = PorConfig(window=64, ack_coalesce=8, ack_delay=0.1)
-        sim, a, b, _, _ = make_link(config=config)
+        monkeypatch.setattr(por, "WINDOW", 64)
+        monkeypatch.setattr(por, "ACK_COALESCE", 8)
+        monkeypatch.setattr(por, "ACK_DELAY", 0.1)
+        sim, a, b, _, _ = make_link()
         a.send(0, 100)
         sim.run(until=0.1)
         acks_before = b.acks_sent
@@ -334,26 +349,29 @@ class TestAckCoalescing:
         b._on_packet(PorData(0, 2, nonce, "skip", 100))
         assert b.acks_sent == acks_before + 1  # flushed now, not deferred
 
-    def test_delayed_ack_timer_bounds_deferral(self):
+    def test_delayed_ack_timer_bounds_deferral(self, monkeypatch):
         """A lone packet (no follow-up to coalesce with) is still ACKed
-        within ack_delay, so the sender's RTT sample barely inflates."""
-        config = PorConfig(window=8, ack_coalesce=4, ack_delay=0.005)
-        sim, a, b, _, delivered_b = make_link(latency=0.0, config=config)
+        within ACK_DELAY, so the sender's RTT sample barely inflates."""
+        monkeypatch.setattr(por, "WINDOW", 8)
+        monkeypatch.setattr(por, "ACK_COALESCE", 4)
+        monkeypatch.setattr(por, "ACK_DELAY", 0.005)
+        sim, a, b, _, delivered_b = make_link(latency=0.0)
         a.send("only", 100)
         sim.run(until=0.001)
         assert delivered_b == ["only"]
         assert a.in_flight == 1  # ACK still held back
         sim.run(until=0.050)
-        assert a.in_flight == 0  # flush timer fired well within ack_delay+slack
+        assert a.in_flight == 0  # flush timer fired well within ACK_DELAY+slack
         assert b.acks_sent == 1
 
     def test_ack_delay_must_stay_below_rto(self):
         with pytest.raises(ConfigurationError):
-            PorConfig(initial_rto=0.2, ack_delay=0.2)
+            PorConfig(initial_rto=por.ACK_DELAY, min_rto=por.ACK_DELAY)
 
-    def test_coalescing_disabled_acks_every_packet(self):
-        config = PorConfig(window=64, ack_coalesce=1)
-        sim, a, b, _, delivered_b = make_link(config=config)
+    def test_coalescing_disabled_acks_every_packet(self, monkeypatch):
+        monkeypatch.setattr(por, "WINDOW", 64)
+        monkeypatch.setattr(por, "ACK_COALESCE", 1)
+        sim, a, b, _, delivered_b = make_link()
         for i in range(10):
             a.send(i, 100)
         sim.run(until=2.0)
@@ -393,7 +411,7 @@ class TestAckPerDatagram:
         a._on_packet(acks[0])  # the proof covers all seven
         assert a.in_flight == 0 and a.bogus_acks_rejected == 0
         # The same frames outside a datagram (the simulator's path) ACK
-        # per ack_coalesce packets, as before.
+        # per ACK_COALESCE packets, as before.
         sim2, a2, b2, _, _ = make_link()
         data2, acks2 = capture_sends(a2), capture_sends(b2)
         for i in range(7):
@@ -433,9 +451,9 @@ class TestAckPerDatagram:
         assert delivered_b == list(range(6))
         assert [ack.cum_seq for ack in acks] == [5]
 
-    def test_a_lone_frame_still_waits_for_the_ack_delay_timer(self):
-        config = PorConfig(ack_coalesce=2, ack_delay=0.004)
-        sim, a, b, _, delivered_b = make_link(config=config)
+    def test_a_lone_frame_still_waits_for_the_ack_delay_timer(self, monkeypatch):
+        monkeypatch.setattr(por, "ACK_DELAY", 0.004)
+        sim, a, b, _, delivered_b = make_link()
         data, acks = capture_sends(a), capture_sends(b)
         a.send("only", 100)
         deliver_datagram(b, data)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.messaging.message import E2eAck, Message, NeighborAck, Semantics
+from repro.messaging import reliable
 from repro.messaging.reliable import FlowState, ReliableLinkState, _Cursor
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
@@ -161,10 +162,11 @@ class TestEnginePaths:
         assert state.acked == 7
         assert state.stored_h == 7
 
-    def test_check_stalls_rewinds_after_timeout(self):
+    def test_check_stalls_rewinds_after_timeout(self, monkeypatch):
         """A cursor ahead of the neighbor with no progress is rewound by
         the stall check, and the message actually gets retransmitted."""
-        net = build_pair(reliable_stall_timeout=1.0)
+        monkeypatch.setattr(reliable, "RELIABLE_STALL_TIMEOUT", 1.0)
+        net = build_pair()
         node2 = net.node(2)
         cursor = node2.links[3].reliable.cursor((1, 3))
         state = node2.reliable.flow_state((1, 3))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ProtocolError
 from repro.messaging.message import Hello, Message, Semantics
 from repro.overlay.config import CryptoMode, DisseminationMethod, OverlayConfig
+from repro.overlay import node as node_module
 from repro.overlay.network import OverlayNetwork
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.cpu import CpuCosts
@@ -71,10 +72,9 @@ class TestSendValidation:
         m2 = net.node(1).send_priority(3)
         assert m2.seq == m1.seq + 1
 
-    def test_send_uses_config_defaults(self):
-        config = OverlayConfig(
-            link_bandwidth_bps=None, default_priority=7, default_expire_after=3.0
-        )
+    def test_send_uses_config_defaults(self, monkeypatch):
+        monkeypatch.setattr(node_module, "DEFAULT_PRIORITY", 7)
+        config = OverlayConfig(link_bandwidth_bps=None, default_expire_after=3.0)
         net = OverlayNetwork.build(ring(4), config)
         message = net.node(1).send_priority(3)
         assert message.priority == 7
@@ -155,7 +155,6 @@ class TestCpuModel:
                 rsa_sign=0.0, rsa_verify=0.0, hmac=0.0,
                 process_packet=0.050, tx_packet=0.0, duplicate_packet=0.001,
             ),
-            cpu_drop_backlog=0.05,
         )
         net = OverlayNetwork.build(line(3), config)
         for _ in range(50):  # far beyond 20/s CPU capacity at the next hop

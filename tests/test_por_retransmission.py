@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.pki import Pki
+from repro.link import por
 from repro.link.por import PorAck, PorConfig, PorData, connect_por_pair
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.engine import Simulator
@@ -23,9 +24,10 @@ def make_link(seed=0, latency=0.010, loss=0.0, bandwidth=None, config=None):
 
 
 class TestNackRecovery:
-    def test_single_loss_recovered_by_nack_not_rto(self):
+    def test_single_loss_recovered_by_nack_not_rto(self, monkeypatch):
         """One dropped packet is repaired in ~1 RTT, far below the RTO."""
-        config = PorConfig(initial_rto=5.0, min_rto=5.0, max_rto=10.0)
+        monkeypatch.setattr(por, "MAX_RTO", 10.0)
+        config = PorConfig(initial_rto=5.0, min_rto=5.0)
         sim, a, b, delivered = make_link(config=config)
         # Drop exactly the second packet on the wire.
         original = a.out_channel.send
@@ -70,8 +72,9 @@ class TestNackRecovery:
         sim.run(until=0.05)
         assert any(1 in missing or 3 in missing for missing in captured)
 
-    def test_duplicate_cum_acks_trigger_head_retransmit(self):
-        config = PorConfig(initial_rto=5.0, min_rto=5.0, max_rto=10.0)
+    def test_duplicate_cum_acks_trigger_head_retransmit(self, monkeypatch):
+        monkeypatch.setattr(por, "MAX_RTO", 10.0)
+        config = PorConfig(initial_rto=5.0, min_rto=5.0)
         sim, a, b, delivered = make_link(config=config)
         # Lose the FIRST packet: everything else is out of order at b.
         original = a.out_channel.send
@@ -126,8 +129,9 @@ class TestRtoAdaptation:
         assert a.data_retransmitted >= 1
         assert a._srtt is None or a._srtt > 0.05
 
-    def test_backoff_caps_at_max_rto(self):
-        config = PorConfig(initial_rto=0.05, min_rto=0.05, max_rto=0.4)
+    def test_backoff_caps_at_max_rto(self, monkeypatch):
+        monkeypatch.setattr(por, "MAX_RTO", 0.4)
+        config = PorConfig(initial_rto=0.05, min_rto=0.05)
         sim, a, b, _ = make_link(config=config)
         a.out_channel.take_down()
         a.send(0, 100)

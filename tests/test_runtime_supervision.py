@@ -15,14 +15,9 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError, LiveRuntimeError
-from repro.runtime.supervision import (
-    BROKEN,
-    DOWN,
-    RUNNING,
-    NodeSupervisor,
-    SupervisionConfig,
-)
+from repro.errors import LiveRuntimeError
+from repro.runtime import supervision
+from repro.runtime.supervision import BROKEN, DOWN, RUNNING, NodeSupervisor
 
 
 class FakeRngs:
@@ -141,14 +136,24 @@ class FakeDeployment:
         self.lifecycle.append(("recover", node_id))
 
 
-FAST = SupervisionConfig(
-    backoff_initial=0.05,
-    backoff_factor=2.0,
-    backoff_max=1.0,
-    backoff_jitter=0.1,
-    max_restarts=8,
-    watchdog_interval=0.01,
-)
+#: The production restart policy, read before any test patches it.
+POLICY = {
+    name: getattr(supervision, name)
+    for name in (
+        "BACKOFF_INITIAL", "BACKOFF_FACTOR", "BACKOFF_MAX", "BACKOFF_JITTER",
+        "MAX_RESTARTS", "WATCHDOG_INTERVAL", "REBIND_ATTEMPTS",
+    )
+}
+
+
+@pytest.fixture(autouse=True)
+def fast_policy(monkeypatch):
+    """Test-speed restart timings (the factor, jitter and restart cap
+    keep their production values)."""
+    monkeypatch.setattr(supervision, "BACKOFF_INITIAL", 0.05)
+    monkeypatch.setattr(supervision, "BACKOFF_MAX", 1.0)
+    monkeypatch.setattr(supervision, "WATCHDOG_INTERVAL", 0.01)
+    return monkeypatch
 
 
 def run(coro):
@@ -167,24 +172,17 @@ async def eventually(predicate, timeout=3.0, interval=0.01):
 # ----------------------------------------------------------------------
 # Configuration and lifecycle guards
 # ----------------------------------------------------------------------
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(backoff_initial=0.0)
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(backoff_factor=0.5)
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(backoff_max=0.01, backoff_initial=0.25)
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(backoff_jitter=1.0)
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(max_restarts=0)
-    with pytest.raises(ConfigurationError):
-        SupervisionConfig(watchdog_interval=0.0)
+def test_restart_policy_constants_keep_their_invariants():
+    p = POLICY
+    assert 0 < p["BACKOFF_INITIAL"] <= p["BACKOFF_MAX"]
+    assert p["BACKOFF_FACTOR"] >= 1 and 0 <= p["BACKOFF_JITTER"] < 1
+    assert p["MAX_RESTARTS"] >= 1 and p["REBIND_ATTEMPTS"] >= 1
+    assert p["WATCHDOG_INTERVAL"] > 0
 
 
 def test_double_arm_and_unknown_node_rejected():
     async def check():
-        supervisor = NodeSupervisor(FakeDeployment(), FAST)
+        supervisor = NodeSupervisor(FakeDeployment())
         supervisor.arm()
         try:
             with pytest.raises(LiveRuntimeError):
@@ -203,7 +201,7 @@ def test_double_arm_and_unknown_node_rejected():
 def test_kill_closes_socket_and_watchdog_restarts():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             supervisor.kill("a", reason="test")
@@ -234,7 +232,7 @@ def test_kill_closes_socket_and_watchdog_restarts():
 def test_backoffs_grow_exponentially_within_jitter_bounds():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             record = supervisor.records["a"]
@@ -249,7 +247,7 @@ def test_backoffs_grow_exponentially_within_jitter_bounds():
             # jitter bands (base * [0.9, 1.1]) never overlap.
             assert backoffs[0] < backoffs[1] < backoffs[2]
             for attempt, backoff in enumerate(backoffs):
-                base = FAST.backoff_initial * FAST.backoff_factor ** attempt
+                base = supervision.BACKOFF_INITIAL * supervision.BACKOFF_FACTOR ** attempt
                 assert base * 0.9 <= backoff <= base * 1.1
         finally:
             supervisor.stop()
@@ -257,14 +255,15 @@ def test_backoffs_grow_exponentially_within_jitter_bounds():
     run(check())
 
 
-def test_backoff_caps_at_configured_maximum():
+def test_backoff_caps_at_configured_maximum(fast_policy):
+    fast_policy.setattr(supervision, "BACKOFF_INITIAL", 0.02)
+    fast_policy.setattr(supervision, "BACKOFF_FACTOR", 10.0)
+    fast_policy.setattr(supervision, "BACKOFF_MAX", 0.05)
+    fast_policy.setattr(supervision, "BACKOFF_JITTER", 0.0)
+
     async def check():
-        config = SupervisionConfig(
-            backoff_initial=0.02, backoff_factor=10.0, backoff_max=0.05,
-            backoff_jitter=0.0, watchdog_interval=0.01,
-        )
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, config)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             record = supervisor.records["a"]
@@ -273,7 +272,7 @@ def test_backoff_caps_at_configured_maximum():
                 assert await eventually(
                     lambda: record.restarts == expected_restarts
                 )
-            assert record.backoffs[1] == config.backoff_max
+            assert record.backoffs[1] == supervision.BACKOFF_MAX
         finally:
             supervisor.stop()
 
@@ -283,7 +282,7 @@ def test_backoff_caps_at_configured_maximum():
 def test_held_node_waits_for_release():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             supervisor.kill("b", reason="chaos", hold=True)
@@ -302,7 +301,7 @@ def test_held_node_waits_for_release():
 def test_overlapping_kill_extends_hold_without_double_counting():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             supervisor.kill("a")
@@ -325,7 +324,7 @@ def test_overlapping_kill_extends_hold_without_double_counting():
 def test_watchdog_notices_silently_dead_socket():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             # The socket dies without anyone calling kill().
@@ -340,22 +339,24 @@ def test_watchdog_notices_silently_dead_socket():
     run(check())
 
 
-def test_circuit_breaker_gives_up_after_max_restarts():
+def test_circuit_breaker_gives_up_after_max_restarts(fast_policy):
+    fast_policy.setattr(supervision, "BACKOFF_INITIAL", 0.01)
+    fast_policy.setattr(supervision, "BACKOFF_FACTOR", 1.0)
+    fast_policy.setattr(supervision, "BACKOFF_MAX", 0.01)
+    fast_policy.setattr(supervision, "BACKOFF_JITTER", 0.0)
+    fast_policy.setattr(supervision, "MAX_RESTARTS", 3)
+
     async def check():
-        config = SupervisionConfig(
-            backoff_initial=0.01, backoff_factor=1.0, backoff_max=0.01,
-            backoff_jitter=0.0, max_restarts=3, watchdog_interval=0.01,
-        )
         deployment = FakeDeployment()
         deployment.processes["a"].transport.fail_reopen = True
-        supervisor = NodeSupervisor(deployment, config)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             supervisor.kill("a")
             record = supervisor.records["a"]
             assert await eventually(lambda: record.state == BROKEN)
             assert record.restarts == 0
-            assert record.consecutive_failures == config.max_restarts
+            assert record.consecutive_failures == supervision.MAX_RESTARTS
             # Broken is terminal: further kills are no-ops...
             supervisor.kill("a")
             assert record.kills == 1
@@ -376,7 +377,7 @@ def test_circuit_breaker_gives_up_after_max_restarts():
 def test_summary_shape_and_counters():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             supervisor.kill("a")
@@ -406,7 +407,7 @@ def test_summary_shape_and_counters():
 def test_rebind_reclaims_previous_port_first():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             transport = deployment.processes["a"].transport
@@ -428,7 +429,7 @@ def test_rebind_reclaims_previous_port_first():
 def test_rebind_falls_back_to_ephemeral_when_port_taken():
     async def check():
         deployment = FakeDeployment()
-        supervisor = NodeSupervisor(deployment, FAST)
+        supervisor = NodeSupervisor(deployment)
         supervisor.arm()
         try:
             transport = deployment.processes["a"].transport
@@ -453,10 +454,7 @@ def test_rebind_falls_back_to_ephemeral_when_port_taken():
 def test_rebind_attempts_are_bounded():
     async def check():
         deployment = FakeDeployment()
-        config = SupervisionConfig(
-            backoff_initial=0.05, watchdog_interval=0.01, rebind_attempts=3
-        )
-        supervisor = NodeSupervisor(deployment, config)
+        supervisor = NodeSupervisor(deployment)
         transport = deployment.processes["a"].transport
         transport.last_local_port = 45_678
         transport.fail_reopen = True  # every bind fails
@@ -485,7 +483,7 @@ def test_rebind_against_real_prebound_socket():
         squatter.bind(("127.0.0.1", old_port))
         try:
             deployment = FakeDeployment()
-            supervisor = NodeSupervisor(deployment, FAST)
+            supervisor = NodeSupervisor(deployment)
             address = await supervisor._rebind(transport)
             assert address[1] != old_port  # fell back to an ephemeral port
             assert not transport.closed

@@ -32,10 +32,7 @@ MINUTES = 10
 @pytest.mark.slow
 def test_soak_ten_simulated_minutes():
     deployment = Deployment(
-        config=OverlayConfig(
-            link_bandwidth_bps=SCALED_LINK_BPS,
-            max_message_lifetime=30.0,
-        ),
+        config=OverlayConfig(link_bandwidth_bps=SCALED_LINK_BPS),
         seed=77,
     )
     net = deployment.network

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import WireDecodeError
-from repro.link.por import PorData, _HelloWrapper, connect_por_pair
+from repro.link.por import WINDOW, PorData, _HelloWrapper, connect_por_pair
 from repro.messaging.message import Hello, Message, Semantics
 from repro.runtime.transport import AsyncioUdpTransport
 from repro.runtime.wire import MAX_BODY, MessageMemo, decode_datagram, encode_datagram
@@ -261,7 +261,7 @@ def test_por_rejects_sequence_numbers_beyond_reorder_horizon():
     sim.run(until=1.0)
     assert delivered_b == [b"hi"]
 
-    window = end_b.config.window
+    window = WINDOW
     expected = end_b._chain.next_seq
     hostile = PorData(
         end_b._rx_epoch, expected + 2**40, b"\x00" * 16, b"evil", 64

@@ -180,6 +180,12 @@ CLI_RUNS = (
      "--rate", "5", "--seed", "4", "--chaos", "soak"],
 )
 
+#: Runs whose gate cannot pass under the profile hook, so exit 1 is their
+#: expected status: the hook slows perfbench's timed loops about twofold
+#: (a quick run read 0.46x and 0.56x of the baseline), and the gate code
+#: that reports the regression is still entered.
+GATE_FAILS_UNDER_HOOK = ("repro perfbench",)
+
 E2E_WORKLOADS = (
     "link_small", "cloud_kpaths", "cloud_flood", "cloud_reliable",
     "cloud_paced", "sim_cloud",
@@ -333,7 +339,7 @@ def _unentered(path: pathlib.Path, entered: set):
 
 def _run_entry_points(groups, out: str):
     """Run the entry-point groups under the profile hook; the labels of the
-    runs that did not exit 0."""
+    runs that did not exit 0 (or, for ``GATE_FAILS_UNDER_HOOK``, 1)."""
     failures = []
     threading.setprofile(_profile)
     sys.setprofile(_profile)
@@ -348,7 +354,9 @@ def _run_entry_points(groups, out: str):
                 except Exception:
                     traceback.print_exc()
                     result = "exception"
-                if result not in (None, 0) and not isinstance(result, dict):
+                expected = (None, 0, 1) if label.startswith(
+                    GATE_FAILS_UNDER_HOOK) else (None, 0)
+                if result not in expected and not isinstance(result, dict):
                     failures.append(f"{label}: exit {result}")
     finally:
         sys.setprofile(None)
