@@ -730,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--k", type=int, default=2,
                       help="number of disjoint paths when --method kpaths")
     live.add_argument("--rate", type=float, default=20.0,
-                      help="offered load per flow, messages/second")
+                      help="offered load per flow, messages/second; a priority "
+                           "flow offers at most 400 (8 messages per 20 ms tick)")
     live.add_argument("--size", type=int, default=256,
                       help="message payload size in bytes")
     live.add_argument("--seed", type=int, default=0)
@@ -767,7 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock seconds, including the drain window")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--rate", type=float, default=10.0,
-                         help="offered load per flow, messages/second")
+                         help="offered load per flow, messages/second; a "
+                              "priority flow offers at most 400 (8 messages "
+                              "per 20 ms tick)")
     cluster.add_argument("--size", type=int, default=200,
                          help="message payload size in bytes")
     cluster.add_argument("--drain", type=float, default=2.0,

@@ -24,6 +24,7 @@ The verify cache additionally records the PKI instance and its key
 The live wire codec keeps a fourth slot on the same terms: the message's
 encoded payload section, so one node serialises a message once however
 many out-links it floods it to (``runtime/wire.py``, DESIGN.md §13).
+``E2eAck`` has the same slot for the same reason.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from sys import intern
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.pki import Pki
@@ -172,7 +173,13 @@ class Message:
         """Return a copy carrying the source's signature."""
         fields = self.signed_fields()
         signature = pki.identity(self.source).sign(fields)
-        signed = replace(self, signature=signature)
+        # One constructor call, not ``replace`` (which inspects every field
+        # first): this runs once per message a source sends.
+        signed = Message(
+            self.source, self.dest, self.seq, self.semantics, self.priority,
+            self.expiration, self.size_bytes, self.flooding, self.paths,
+            self.sent_at, self.payload, signature,
+        )
         # The signed fields do not cover the signature itself, so the
         # fresh copy may inherit the canonical tuple (but nothing else).
         object.__setattr__(signed, "_signed_fields_cache", fields)
@@ -265,6 +272,11 @@ class E2eAck:
     _verify_cache: Optional[Tuple[Any, int, bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The encoded payload section, on ``Message._wire_cache``'s terms: a
+    #: node forwards one ACK on every out-link and encodes it once.
+    _wire_cache: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def make_cumulative(by_source: Dict[NodeId, int]) -> Tuple[Tuple[str, int], ...]:
@@ -276,18 +288,25 @@ class E2eAck:
         cached = self._signed_fields_cache
         if cached is not None:
             return cached
-        fields = ("e2e-ack", str(self.dest), self.stamp, self.cumulative)
+        fields = self._signed(self.dest, self.stamp, self.cumulative)
         object.__setattr__(self, "_signed_fields_cache", fields)
         return fields
+
+    @staticmethod
+    def _signed(
+        dest: NodeId, stamp: int, cumulative: Tuple[Tuple[str, int], ...]
+    ) -> Tuple[Any, ...]:
+        return ("e2e-ack", str(dest), stamp, cumulative)
 
     @classmethod
     def create(
         cls, pki: Pki, dest: NodeId, stamp: int, by_source: Dict[NodeId, int]
     ) -> "E2eAck":
         cumulative = cls.make_cumulative(by_source)
-        unsigned = cls(dest, stamp, cumulative)
-        signature = pki.identity(dest).sign(unsigned.signed_fields())
-        return cls(dest, stamp, cumulative, signature)
+        fields = cls._signed(dest, stamp, cumulative)
+        ack = cls(dest, stamp, cumulative, pki.identity(dest).sign(fields))
+        object.__setattr__(ack, "_signed_fields_cache", fields)
+        return ack
 
     def verify(self, pki: Pki) -> bool:
         """Check the destination signature against the PKI (cached per

@@ -73,6 +73,7 @@ from repro.runtime.wire import (
     decode_datagram,
     encode_batch_datagram,
     encode_datagram,
+    split_batch,
 )
 
 Address = Tuple[str, int]
@@ -212,17 +213,28 @@ class UdpSendChannel:
         if len(packets) == 1:
             self._send_one(packets[0])
             return
+        node = self._transport.node_id
         try:
-            data = encode_batch_datagram(
-                self._transport.node_id, self.peer, packets
-            )
+            data = encode_batch_datagram(node, self.peer, packets)
         except WireEncodeError:
-            # Oversized container or one unencodable packet: fall back
-            # to classic per-packet datagrams (each individually guarded).
-            for packet in packets:
-                self._send_one(packet)
+            # Too large for one container: the fewest containers that
+            # fit.  A packet the codec cannot carry sends every packet as
+            # its own classic datagram (each individually guarded).
+            try:
+                runs = split_batch(node, self.peer, packets)
+            except WireEncodeError:
+                runs = [[packet] for packet in packets]
+            for run in runs:
+                if len(run) == 1:
+                    self._send_one(run[0])
+                else:
+                    data = encode_batch_datagram(node, self.peer, run)
+                    self._send_batch(data, len(run))
             return
-        self.packets_sent += len(packets)
+        self._send_batch(data, len(packets))
+
+    def _send_batch(self, data: bytes, packets: int) -> None:
+        self.packets_sent += packets
         self.bytes_sent += len(data)
         self.datagrams_sent += 1
         self._transport.sendto(self.peer, data, channel=self)

@@ -45,23 +45,38 @@ Zero-copy discipline:
 
 * **Decode** wraps the input in a :class:`memoryview` and unpacks fixed
   fields in place (``struct.unpack_from``); the CRC is chained over
-  header and body views without re-concatenating them, and batch frames
-  are sliced as sub-views.  Only variable-length fields that outlive the
-  datagram (nonces, proofs, application payloads, text) are materialized,
-  and every length prefix is bounds-checked against the remaining budget
-  *before* any allocation, so a hostile length claim fails fast.
+  header and body views without re-concatenating them, and a batch
+  frame is read under a per-frame limit.  Only variable-length fields
+  that outlive the datagram (nonces, proofs, application payloads, text)
+  are materialized, and every length prefix is bounds-checked against
+  the remaining budget *before* any allocation, so a hostile length claim
+  fails fast.
 * **Encode** writes into a pooled ``bytearray`` via ``pack_into``
   (header reserved up front, CRC back-patched) and copies out the final
   immutable ``bytes`` once.  Pool ownership rule: a buffer is owned by
   exactly one encode call and is returned to the pool before the call
   returns; the caller only ever sees the immutable copy.
 
+Compiled heads: the shapes the live stack sends -- int node ids,
+``PorData``/``PorAck`` heads as SIMULATED crypto gives them, and
+``Message``, ``E2eAck`` and ``NeighborAck`` with int ids and SIMULATED
+signatures -- are packed and unpacked through precompiled
+``struct.Struct`` layouts, a few calls per frame, with the same bytes as
+the field-by-field path.  That path serves every other shape (str ids,
+REAL-mode ``bytes`` signatures and MACs, ``str`` payloads, NACK lists,
+paths longer than :data:`MAX_COMPILED_HOPS`) and is the reference the
+tests compare the layouts against.  Which path a frame takes depends
+only on what the object or the bytes contain; a compiled decode that
+finds anything unexpected consumes nothing and defers to the field path,
+so a malformed frame raises the same error either way.
+
 Encode once, recognise a repeat: a :class:`Message`'s payload section is
-cached on the message as three pieces (``Message._wire_cache``), filled by
-the first encode or by the decoder from the received bytes, so further
-out-links and relays copy bytes instead of walking fields; and a
-per-node :class:`MessageMemo` lets the decoder hand back the *same*
-``Message`` object for a byte-identical flooded copy (DESIGN.md §13).
+cached on the message as three pieces (``Message._wire_cache``), and an
+``E2eAck``'s as one, filled by the first encode or by the decoder from the
+received bytes, so further out-links and relays copy bytes instead of
+walking fields; and a per-node :class:`MessageMemo` lets the decoder hand
+back the *same* ``Message`` object for a byte-identical flooded copy
+(DESIGN.md §13).
 
 Malformed input *never* escapes as ``struct.error`` / ``IndexError`` /
 ``UnicodeDecodeError``: :func:`decode_datagram` raises
@@ -160,14 +175,56 @@ _S_I64 = struct.Struct(">q")
 _S_F64 = struct.Struct(">d")
 _S_VLF = struct.Struct(">BBI")  # version, flags, body_len
 _S_HDR = struct.Struct(">BBII")  # version, flags, body_len, crc
+
+# Compiled heads: the shapes the live stack sends, each a few
+# pack/unpack_from calls through the layouts below instead of one writer
+# or reader call per scalar.  Same bytes as the field-by-field path, which
+# still serves every other shape (see "Compiled heads" in DESIGN.md §13).
+# In every layout an int node id is its kind byte (_ID_INT) plus an i64.
+#   _ID_INT, sender, _ID_INT, receiver
+_S_INT_IDS = struct.Struct(">BqBq")
 # The two envelopes nearly every frame carries, in the shape the PoR link
 # gives them in SIMULATED crypto mode (standard nonce/proof size, no MAC
-# bytes, no NACK list): the whole head in one pack/unpack.  Same bytes as
-# the field-by-field path, which still serves every other shape.
+# bytes, no NACK list), unframed (classic datagram) and framed (a batch
+# frame's u32 length first).
 #   tag, epoch, seq, len(nonce), nonce, wire_size, _SIG_NONE
-_S_POR_DATA = struct.Struct(f">BqqH{NONCE_SIZE}sIB")
+_POR_DATA_HEAD = f"BqqH{NONCE_SIZE}sIB"
 #   tag, epoch, cum_seq, len(proof), proof, len(missing) = 0, _SIG_NONE
-_S_POR_ACK = struct.Struct(f">BqqH{PROOF_SIZE}sHB")
+_POR_ACK_HEAD = f"BqqH{PROOF_SIZE}sHB"
+_S_POR_DATA = struct.Struct(">" + _POR_DATA_HEAD)
+_S_POR_ACK = struct.Struct(">" + _POR_ACK_HEAD)
+_S_FRAMED_POR_DATA = struct.Struct(">I" + _POR_DATA_HEAD)
+_S_FRAMED_POR_ACK = struct.Struct(">I" + _POR_ACK_HEAD)
+# A data message with int ids, int hops, a None or bytes payload and a
+# SIMULATED signature by an int signer: the head (one layout per
+# expiration variant), one layout per path, the tail, the signature.
+#   tag, source, dest, seq, semantics, priority, 0 (no expiration),
+#   size_bytes, flooding, path count
+_S_MSG_HEAD = struct.Struct(">BBqBqqBqBIBH")
+#   tag, source, dest, seq, semantics, priority, 1, expiration,
+#   size_bytes, flooding, path count
+_S_MSG_HEAD_EXP = struct.Struct(">BBqBqqBqBdIBH")
+#: Offset of the expiration's option flag from the payload tag.
+_MSG_EXPIRATION_AT = 36
+#: Longest path the compiled layouts cover.  A longer path, or a hostile
+#: hop count, takes the field path: no input ever creates a ``Struct``.
+MAX_COMPILED_HOPS = 16
+#   hop count, then (_ID_INT, hop) per hop; indexed by hop count
+_PATH_LAYOUTS = tuple(
+    struct.Struct(">H" + "Bq" * hops) for hops in range(MAX_COMPILED_HOPS + 1)
+)
+#   sent_at, application-payload kind 0 (None)
+_S_MSG_TAIL = struct.Struct(">dB")
+#   sent_at, application-payload kind 1 (bytes), payload length
+_S_MSG_TAIL_BYTES = struct.Struct(">dBH")
+#   _SIG_SIMULATED, signer, tag
+_S_SIG_SIMULATED = struct.Struct(">BBqq")
+#   _PL_E2E_ACK, dest, stamp, entry count
+_S_E2E_ACK_HEAD = struct.Struct(">BBqqH")
+#   _PL_NEIGHBOR_ACK, sender, entry count
+_S_NEIGHBOR_ACK_HEAD = struct.Struct(">BBqH")
+#   stored_h, limit (after a neighbor-ACK entry's two strings)
+_S_I64_PAIR = struct.Struct(">qq")
 
 _crc32 = zlib.crc32
 
@@ -574,16 +631,90 @@ class AddrAnnounce:
 # ----------------------------------------------------------------------
 # Overlay payloads (carried inside PorData)
 # ----------------------------------------------------------------------
-def _encode_message(writer: _Writer, message: Message) -> None:
-    """A data message's payload section: copied from the pieces cached on
-    the message when it was encoded or decoded before, else written field
-    by field and cached for the next out-link."""
+def _message_pieces(message: Message) -> Tuple[bytes, bytes, bytes]:
+    """A data message's payload section as ``(head, body, tail)``: the
+    pieces cached on the message when it was encoded or decoded before,
+    else compiled (or, for other shapes, written field by field) and
+    cached for the next out-link."""
     pieces = message._wire_cache
-    if pieces is not None:
-        writer.put(pieces[0])
-        writer.put(pieces[1])
-        writer.put(pieces[2])
-        return
+    if pieces is None:
+        pieces = _compile_message(message)
+        if pieces is None:
+            pieces = _encode_message_fields(_Writer(), message)
+        object.__setattr__(message, "_wire_cache", pieces)
+    return pieces
+
+
+def _compile_message(message: Message) -> Optional[Tuple[bytes, bytes, bytes]]:
+    """The payload section of a message in the compiled shape (int ids
+    and hops, a None or bytes payload, a SIMULATED signature by an int
+    signer, no path longer than :data:`MAX_COMPILED_HOPS`); None for any
+    other shape, which :func:`_encode_message_fields` then writes."""
+    source, dest, signature = message.source, message.dest, message.signature
+    if (
+        type(source) is not int or type(dest) is not int
+        or type(signature) is not SimulatedSignature
+        or type(signature.signer) is not int
+    ):
+        return None
+    payload = message.payload
+    paths = message.paths
+    if paths is None:
+        path_count = 0xFFFF
+    elif type(paths) is tuple and len(paths) < 0xFFFF:
+        path_count = len(paths)
+    else:
+        return None
+    semantics = 1 if message.semantics is Semantics.PRIORITY else 2
+    flooding = 1 if message.flooding else 0
+    expiration = message.expiration
+    try:
+        if expiration is None:
+            head = _S_MSG_HEAD.pack(
+                _PL_MESSAGE, _ID_INT, source, _ID_INT, dest, message.seq,
+                semantics, message.priority, 0, message.size_bytes, flooding,
+                path_count,
+            )
+        else:
+            head = _S_MSG_HEAD_EXP.pack(
+                _PL_MESSAGE, _ID_INT, source, _ID_INT, dest, message.seq,
+                semantics, message.priority, 1, expiration, message.size_bytes,
+                flooding, path_count,
+            )
+        parts = [head]
+        if paths is not None:
+            for path in paths:
+                if type(path) is not tuple or len(path) > MAX_COMPILED_HOPS:
+                    return None
+                hops = len(path)
+                for hop in path:
+                    if type(hop) is not int:
+                        return None
+                values = [_ID_INT] * (2 * hops)
+                values[1::2] = path
+                parts.append(_PATH_LAYOUTS[hops].pack(hops, *values))
+        if payload is None:
+            parts.append(_S_MSG_TAIL.pack(message.sent_at, 0))
+            body = b""
+        elif type(payload) is bytes and len(payload) <= 0xFFFF:
+            parts.append(_S_MSG_TAIL_BYTES.pack(message.sent_at, 1, len(payload)))
+            body = payload
+        else:
+            return None
+        tail = _S_SIG_SIMULATED.pack(
+            _SIG_SIMULATED, _ID_INT, signature.signer, signature.tag
+        )
+    except struct.error:
+        return None  # out of range: the field path raises the typed error
+    return b"".join(parts), body, tail
+
+
+def _encode_message_fields(
+    writer: _Writer, message: Message
+) -> Tuple[bytes, bytes, bytes]:
+    """Write a data message's payload section field by field and return
+    it as ``(head, body, tail)``: the path for shapes the compiled
+    layouts do not cover, and the reference the tests compare them to."""
     start = writer.pos
     writer.u8(_PL_MESSAGE)
     writer.node_id(message.source)
@@ -612,34 +743,120 @@ def _encode_message(writer: _Writer, message: Message) -> None:
     tail_start = writer.pos
     writer.signature(message.signature)
     buf = writer.buf
-    object.__setattr__(message, "_wire_cache", (
+    return (
         bytes(buf[start:tail_start - len(body)]),
         body,
         bytes(buf[tail_start:writer.pos]),
-    ))
+    )
+
+
+def _e2e_ack_section(ack: E2eAck) -> bytes:
+    """An end-to-end ACK's payload section, encoded once per object
+    (cached on it like a message's pieces): a node forwards one ACK on
+    every out-link."""
+    section = ack._wire_cache
+    if section is None:
+        section = _compile_e2e_ack(ack)
+        if section is None:
+            writer = _Writer()
+            _encode_e2e_ack_fields(writer, ack)
+            section = bytes(writer.buf[:writer.pos])
+        object.__setattr__(ack, "_wire_cache", section)
+    return section
+
+
+def _compile_e2e_ack(ack: E2eAck) -> Optional[bytes]:
+    """An end-to-end ACK with an int destination and a SIMULATED
+    signature by an int signer; None for any other shape."""
+    dest, signature, cumulative = ack.dest, ack.signature, ack.cumulative
+    if (
+        type(dest) is not int or type(signature) is not SimulatedSignature
+        or type(signature.signer) is not int or type(cumulative) is not tuple
+    ):
+        return None
+    try:
+        parts = [_S_E2E_ACK_HEAD.pack(
+            _PL_E2E_ACK, _ID_INT, dest, ack.stamp, len(cumulative)
+        )]
+        for source, seq in cumulative:
+            text = source.encode("utf-8")
+            parts.append(_S_U16.pack(len(text)))
+            parts.append(text)
+            parts.append(_S_I64.pack(seq))
+        parts.append(_S_SIG_SIMULATED.pack(
+            _SIG_SIMULATED, _ID_INT, signature.signer, signature.tag
+        ))
+    except struct.error:
+        return None  # out of range: the field path raises the typed error
+    return b"".join(parts)
+
+
+def _encode_e2e_ack_fields(writer: _Writer, ack: E2eAck) -> None:
+    writer.u8(_PL_E2E_ACK)
+    writer.node_id(ack.dest)
+    writer.i64(ack.stamp)
+    writer.u16(len(ack.cumulative))
+    for source, seq in ack.cumulative:
+        writer.text(source)
+        writer.i64(seq)
+    writer.signature(ack.signature)
+
+
+def _compile_neighbor_ack(ack: NeighborAck) -> Optional[bytes]:
+    """A neighbor ACK with an int sender; None for any other shape."""
+    sender, entries = ack.sender, ack.entries
+    if type(sender) is not int or type(entries) is not tuple:
+        return None
+    try:
+        parts = [_S_NEIGHBOR_ACK_HEAD.pack(
+            _PL_NEIGHBOR_ACK, _ID_INT, sender, len(entries)
+        )]
+        for (source, dest), stored_h, limit in entries:
+            source = source.encode("utf-8")
+            dest = dest.encode("utf-8")
+            parts.append(_S_U16.pack(len(source)))
+            parts.append(source)
+            parts.append(_S_U16.pack(len(dest)))
+            parts.append(dest)
+            parts.append(_S_I64_PAIR.pack(stored_h, limit))
+    except struct.error:
+        return None  # out of range: the field path raises the typed error
+    return b"".join(parts)
+
+
+def _encode_neighbor_ack_fields(writer: _Writer, ack: NeighborAck) -> None:
+    writer.u8(_PL_NEIGHBOR_ACK)
+    writer.node_id(ack.sender)
+    writer.u16(len(ack.entries))
+    for (source, dest), stored_h, limit in ack.entries:
+        writer.text(source)
+        writer.text(dest)
+        writer.i64(stored_h)
+        writer.i64(limit)
+
+
+def _known_pieces(payload: Any) -> Optional[Tuple[bytes, ...]]:
+    """The encoded payload section of a message or end-to-end ACK (from
+    its cache, filled on the way); None for a payload written into the
+    frame field by field."""
+    if isinstance(payload, Message):
+        return _message_pieces(payload)
+    if isinstance(payload, E2eAck):
+        return (_e2e_ack_section(payload),)
+    return None
 
 
 def _encode_payload(writer: _Writer, payload: Any) -> None:
-    if isinstance(payload, Message):
-        _encode_message(writer, payload)
-    elif isinstance(payload, E2eAck):
-        writer.u8(_PL_E2E_ACK)
-        writer.node_id(payload.dest)
-        writer.i64(payload.stamp)
-        writer.u16(len(payload.cumulative))
-        for source, seq in payload.cumulative:
-            writer.text(source)
-            writer.i64(seq)
-        writer.signature(payload.signature)
+    pieces = _known_pieces(payload)
+    if pieces is not None:
+        for piece in pieces:
+            writer.put(piece)
     elif isinstance(payload, NeighborAck):
-        writer.u8(_PL_NEIGHBOR_ACK)
-        writer.node_id(payload.sender)
-        writer.u16(len(payload.entries))
-        for (source, dest), stored_h, limit in payload.entries:
-            writer.text(source)
-            writer.text(dest)
-            writer.i64(stored_h)
-            writer.i64(limit)
+        section = _compile_neighbor_ack(payload)
+        if section is None:
+            _encode_neighbor_ack_fields(writer, payload)
+        else:
+            writer.put(section)
     elif isinstance(payload, LinkStateUpdate):
         writer.u8(_PL_LINK_STATE)
         writer.node_id(payload.issuer)
@@ -723,9 +940,181 @@ def _decode_app_payload(reader: _Reader) -> Any:
     raise WireDecodeError(f"unknown application-payload kind {kind}")
 
 
+def _read_message(reader: _Reader) -> Optional[Message]:
+    """Decode a data message in the compiled shape, its tag just read.
+
+    Every kind, semantics, boolean and option-flag byte and every length
+    is checked before anything is copied; on any mismatch nothing is
+    consumed and None sends the frame to the field path, which then
+    raises the typed error a malformed frame deserves.
+    """
+    data, end = reader._data, reader._len
+    start = reader._pos - 1
+    if start + _MSG_EXPIRATION_AT >= end:
+        return None
+    has_expiration = data[start + _MSG_EXPIRATION_AT]
+    if has_expiration == 0:
+        pos = start + _S_MSG_HEAD.size
+        if pos > end:
+            return None
+        (_, source_kind, source, dest_kind, dest, seq, semantics_byte,
+         priority, _, size_bytes, flooding, path_count) = _S_MSG_HEAD.unpack_from(
+            data, start)
+        expiration = None
+    elif has_expiration == 1:
+        pos = start + _S_MSG_HEAD_EXP.size
+        if pos > end:
+            return None
+        (_, source_kind, source, dest_kind, dest, seq, semantics_byte,
+         priority, _, expiration, size_bytes, flooding,
+         path_count) = _S_MSG_HEAD_EXP.unpack_from(data, start)
+    else:
+        return None
+    if source_kind != _ID_INT or dest_kind != _ID_INT or flooding > 1:
+        return None
+    if semantics_byte == 1:
+        semantics = Semantics.PRIORITY
+    elif semantics_byte == 2:
+        semantics = Semantics.RELIABLE
+    else:
+        return None
+    paths: Optional[Tuple[Tuple[int, ...], ...]] = None
+    if path_count != 0xFFFF:
+        if 2 * path_count > end - pos:
+            return None
+        paths_list = []
+        for _ in range(path_count):
+            if pos + 2 > end:
+                return None
+            hops = (data[pos] << 8) | data[pos + 1]
+            if hops > MAX_COMPILED_HOPS:
+                return None
+            layout = _PATH_LAYOUTS[hops]
+            if pos + layout.size > end:
+                return None
+            values = layout.unpack_from(data, pos)
+            if any(values[1::2]):  # a hop that is not an int id
+                return None
+            paths_list.append(values[2::2])
+            pos += layout.size
+        paths = tuple(paths_list)
+    if pos + _S_MSG_TAIL.size > end:
+        return None
+    sent_at, payload_kind = _S_MSG_TAIL.unpack_from(data, pos)
+    if payload_kind == 0:
+        pos += _S_MSG_TAIL.size
+        length = 0
+    elif payload_kind == 1:
+        if pos + _S_MSG_TAIL_BYTES.size > end:
+            return None
+        length = _S_MSG_TAIL_BYTES.unpack_from(data, pos)[2]
+        pos += _S_MSG_TAIL_BYTES.size + length
+    else:
+        return None
+    tail_start = pos
+    pos += _S_SIG_SIMULATED.size
+    if pos > end:
+        return None
+    signature_kind, signer_kind, signer, tag = _S_SIG_SIMULATED.unpack_from(
+        data, tail_start)
+    if signature_kind != _SIG_SIMULATED or signer_kind != _ID_INT:
+        return None
+    if payload_kind == 0:
+        payload = None
+        body = b""
+    else:
+        payload = body = bytes(data[tail_start - length:tail_start])
+    message = Message(
+        source, dest, seq, semantics, priority, expiration, size_bytes,
+        flooding == 1, paths, sent_at, payload, SimulatedSignature(signer, tag),
+    )
+    # Owned copies: the datagram may sit in a receive buffer that is reused.
+    object.__setattr__(message, "_wire_cache", (
+        bytes(data[start:tail_start - length]), body, bytes(data[tail_start:pos]),
+    ))
+    reader._pos = pos
+    return message
+
+
+def _read_text(data, pos: int, end: int) -> Tuple[Optional[str], int]:
+    """A u16-length-prefixed UTF-8 string at ``pos``, and the offset after
+    it; ``(None, pos)`` when it does not fit or is not valid UTF-8."""
+    if pos + 2 > end:
+        return None, pos
+    stop = pos + 2 + ((data[pos] << 8) | data[pos + 1])
+    if stop > end:
+        return None, pos
+    try:
+        return str(data[pos + 2:stop], "utf-8"), stop
+    except UnicodeDecodeError:
+        return None, pos
+
+
+def _read_e2e_ack(reader: _Reader) -> Optional[E2eAck]:
+    """Decode an end-to-end ACK in the compiled shape (int destination,
+    SIMULATED signature by an int signer), its tag just read; None, with
+    nothing consumed, for the field path."""
+    data, end = reader._data, reader._len
+    start = reader._pos - 1
+    pos = start + _S_E2E_ACK_HEAD.size
+    if pos > end:
+        return None
+    _, dest_kind, dest, stamp, count = _S_E2E_ACK_HEAD.unpack_from(data, start)
+    # Each entry is at least a 2-byte text length + an i64.
+    if dest_kind != _ID_INT or 10 * count > end - pos:
+        return None
+    cumulative = []
+    for _ in range(count):
+        source, pos = _read_text(data, pos, end)
+        if source is None or pos + 8 > end:
+            return None
+        cumulative.append((source, _S_I64.unpack_from(data, pos)[0]))
+        pos += 8
+    if pos + _S_SIG_SIMULATED.size > end:
+        return None
+    signature_kind, signer_kind, signer, tag = _S_SIG_SIMULATED.unpack_from(data, pos)
+    if signature_kind != _SIG_SIMULATED or signer_kind != _ID_INT:
+        return None
+    pos += _S_SIG_SIMULATED.size
+    ack = E2eAck(dest, stamp, tuple(cumulative), SimulatedSignature(signer, tag))
+    object.__setattr__(ack, "_wire_cache", bytes(data[start:pos]))
+    reader._pos = pos
+    return ack
+
+
+def _read_neighbor_ack(reader: _Reader) -> Optional[NeighborAck]:
+    """Decode a neighbor ACK with an int sender, its tag just read; None,
+    with nothing consumed, for the field path."""
+    data, end = reader._data, reader._len
+    start = reader._pos - 1
+    pos = start + _S_NEIGHBOR_ACK_HEAD.size
+    if pos > end:
+        return None
+    _, sender_kind, sender, count = _S_NEIGHBOR_ACK_HEAD.unpack_from(data, start)
+    # Two text lengths plus two i64s per entry, minimum.
+    if sender_kind != _ID_INT or 20 * count > end - pos:
+        return None
+    entries = []
+    for _ in range(count):
+        source, pos = _read_text(data, pos, end)
+        if source is None:
+            return None
+        dest, pos = _read_text(data, pos, end)
+        if dest is None or pos + 16 > end:
+            return None
+        stored_h, limit = _S_I64_PAIR.unpack_from(data, pos)
+        entries.append(((source, dest), stored_h, limit))
+        pos += 16
+    reader._pos = pos
+    return NeighborAck(sender, tuple(entries))
+
+
 def _decode_payload(reader: _Reader) -> Any:
     tag = reader.u8()
     if tag == _PL_MESSAGE:
+        message = _read_message(reader)
+        if message is not None:
+            return message
         start = reader._pos - 1
         source = reader.node_id()
         dest = reader.node_id()
@@ -786,6 +1175,10 @@ def _decode_payload(reader: _Reader) -> Any:
         ))
         return message
     if tag == _PL_E2E_ACK:
+        ack = _read_e2e_ack(reader)
+        if ack is not None:
+            return ack
+        start = reader._pos - 1
         dest = reader.node_id()
         stamp = reader.i64()
         count = reader.u16()
@@ -794,8 +1187,13 @@ def _decode_payload(reader: _Reader) -> Any:
         cumulative = tuple(
             (reader.text(), reader.i64()) for _ in range(count)
         )
-        return E2eAck(dest, stamp, cumulative, reader.signature())
+        ack = E2eAck(dest, stamp, cumulative, reader.signature())
+        object.__setattr__(ack, "_wire_cache", reader.copy(start, reader._pos))
+        return ack
     if tag == _PL_NEIGHBOR_ACK:
+        ack = _read_neighbor_ack(reader)
+        if ack is not None:
+            return ack
         sender = reader.node_id()
         count = reader.u16()
         # Two text lengths plus two i64s per entry, minimum.
@@ -921,28 +1319,65 @@ class MessageMemo:
 # ----------------------------------------------------------------------
 # Link envelopes
 # ----------------------------------------------------------------------
+def _compiled_por_data(packet: PorData) -> bool:
+    nonce = packet.nonce
+    return packet.mac is None and type(nonce) is bytes and len(nonce) == NONCE_SIZE
+
+
+def _compiled_por_ack(packet: PorAck) -> bool:
+    proof = packet.proof
+    return (
+        packet.mac is None and not packet.missing
+        and type(proof) is bytes and len(proof) == PROOF_SIZE
+    )
+
+
+def _encode_frame(writer: _Writer, packet: Any) -> None:
+    """One batch frame: its u32 length, then the envelope.  A compiled
+    PorAck, or a compiled PorData whose payload section is known (a
+    message or end-to-end ACK), has a known length: length and head are
+    one pack.  Any other frame's length is back-patched."""
+    if isinstance(packet, PorData) and _compiled_por_data(packet):
+        pieces = _known_pieces(packet.payload)
+        if pieces is not None:
+            writer.pack(
+                _S_FRAMED_POR_DATA, _S_POR_DATA.size + sum(map(len, pieces)),
+                _ENV_POR_DATA, packet.epoch, packet.seq, NONCE_SIZE,
+                packet.nonce, packet.wire_size, _SIG_NONE,
+            )
+            for piece in pieces:
+                writer.put(piece)
+            return
+    elif isinstance(packet, PorAck) and _compiled_por_ack(packet):
+        writer.pack(
+            _S_FRAMED_POR_ACK, _S_POR_ACK.size, _ENV_POR_ACK, packet.epoch,
+            packet.cum_seq, PROOF_SIZE, packet.proof, 0, _SIG_NONE,
+        )
+        return
+    length_at = writer.pos
+    writer.u32(0)  # frame length, back-patched below
+    _encode_envelope(writer, packet)
+    writer.patch_u32(length_at, writer.pos - length_at - 4)
+
+
 def _encode_envelope(writer: _Writer, packet: Any) -> None:
     if isinstance(packet, PorData):
-        nonce, mac = packet.nonce, packet.mac
-        if mac is None and type(nonce) is bytes and len(nonce) == NONCE_SIZE:
+        if _compiled_por_data(packet):
             writer.pack(
                 _S_POR_DATA, _ENV_POR_DATA, packet.epoch, packet.seq,
-                NONCE_SIZE, nonce, packet.wire_size, _SIG_NONE,
+                NONCE_SIZE, packet.nonce, packet.wire_size, _SIG_NONE,
             )
         else:
             writer.u8(_ENV_POR_DATA)
             writer.i64(packet.epoch)
             writer.i64(packet.seq)
-            writer.raw(nonce)
+            writer.raw(packet.nonce)
             writer.u32(packet.wire_size)
-            writer.signature(mac)
+            writer.signature(packet.mac)
         _encode_payload(writer, packet.payload)
     elif isinstance(packet, PorAck):
         proof, mac = packet.proof, packet.mac
-        if (
-            mac is None and not packet.missing
-            and type(proof) is bytes and len(proof) == PROOF_SIZE
-        ):
+        if _compiled_por_ack(packet):
             writer.pack(
                 _S_POR_ACK, _ENV_POR_ACK, packet.epoch, packet.cum_seq,
                 PROOF_SIZE, proof, 0, _SIG_NONE,
@@ -995,6 +1430,64 @@ def _encode_envelope(writer: _Writer, packet: Any) -> None:
         )
 
 
+def _por_data(
+    reader: _Reader, memo: Optional[MessageMemo],
+    epoch: int, seq: int, nonce: bytes, wire_size: int, mac: Any,
+) -> PorData:
+    """A PorData whose head was read: decode the payload that follows."""
+    # The payload is the last field of the envelope and the envelope the
+    # last of its frame, so the payload section is the rest.
+    if memo is not None and reader.next_is(_PL_MESSAGE):
+        payload = memo.decode(reader)
+    else:
+        payload = _decode_payload(reader)
+    packet = PorData(epoch, seq, nonce, payload, wire_size)
+    packet.mac = mac
+    return packet
+
+
+def _decode_frames(
+    reader: _Reader, count: int, memo: Optional[MessageMemo]
+) -> List[Any]:
+    """The ``count`` frames of a batch container.  A frame in the compiled
+    PorData/PorAck shape gives its u32 length and its head in one
+    unpack_from; any other frame is read field by field."""
+    frames = []
+    data = reader._data
+    for _ in range(count):
+        pos, end = reader._pos, reader._len
+        tag = data[pos + 4] if pos + 4 < end else None
+        packet = None
+        if tag == _ENV_POR_DATA and pos + _S_FRAMED_POR_DATA.size <= end:
+            (length, _, epoch, seq, nonce_len, nonce, wire_size,
+             mac_kind) = _S_FRAMED_POR_DATA.unpack_from(data, pos)
+            if (
+                nonce_len == NONCE_SIZE and mac_kind == _SIG_NONE
+                and _S_POR_DATA.size <= length <= end - pos - 4
+            ):
+                reader.skip(_S_FRAMED_POR_DATA.size)
+                outer = reader.enter_frame(length - _S_POR_DATA.size)
+                packet = _por_data(reader, memo, epoch, seq, nonce, wire_size, None)
+        elif tag == _ENV_POR_ACK and pos + _S_FRAMED_POR_ACK.size <= end:
+            (length, _, epoch, cum_seq, proof_len, proof, missing,
+             mac_kind) = _S_FRAMED_POR_ACK.unpack_from(data, pos)
+            if (
+                proof_len == PROOF_SIZE and missing == 0 and mac_kind == _SIG_NONE
+                and length == _S_POR_ACK.size
+            ):
+                reader.skip(_S_FRAMED_POR_ACK.size)
+                outer = reader.enter_frame(0)
+                packet = PorAck(epoch, cum_seq, proof)
+        if packet is None:
+            outer = reader.enter_frame(reader.u32())
+            packet = _decode_envelope(reader, memo)
+        if not reader.exhausted:
+            raise WireDecodeError("trailing bytes after envelope")
+        reader.leave_frame(outer)
+        frames.append(packet)
+    return frames
+
+
 def _decode_envelope(reader: _Reader, memo: Optional[MessageMemo] = None) -> Any:
     tag = reader.u8()
     if tag == _ENV_POR_DATA:
@@ -1009,15 +1502,7 @@ def _decode_envelope(reader: _Reader, memo: Optional[MessageMemo] = None) -> Any
             nonce = reader.raw()
             wire_size = reader.u32()
             mac = reader.signature()
-        # The payload is the last field of the envelope and the envelope
-        # the last of its frame, so the payload section is the rest.
-        if memo is not None and reader.next_is(_PL_MESSAGE):
-            payload = memo.decode(reader)
-        else:
-            payload = _decode_payload(reader)
-        packet = PorData(epoch, seq, nonce, payload, wire_size)
-        packet.mac = mac
-        return packet
+        return _por_data(reader, memo, epoch, seq, nonce, wire_size, mac)
     if tag == _ENV_POR_ACK:
         head = reader.peek_tagged(_S_POR_ACK)
         if (
@@ -1087,6 +1572,14 @@ def _finish_datagram(writer: _Writer, flags: int) -> bytes:
         return bytes(view[: writer.pos])
 
 
+def _encode_ids(writer: _Writer, sender: Any, receiver: Any) -> None:
+    if type(sender) is int and type(receiver) is int:
+        writer.pack(_S_INT_IDS, _ID_INT, sender, _ID_INT, receiver)
+    else:
+        writer.node_id(sender)
+        writer.node_id(receiver)
+
+
 def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
     """Encode one link packet as a self-delimiting datagram.
 
@@ -1097,8 +1590,7 @@ def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
     buf = _ENCODE_POOL.acquire()
     try:
         writer = _Writer(buf, start=HEADER_SIZE)
-        writer.node_id(sender)
-        writer.node_id(receiver)
+        _encode_ids(writer, sender, receiver)
         _encode_envelope(writer, packet)
         return _finish_datagram(writer, 0)
     finally:
@@ -1124,18 +1616,36 @@ def encode_batch_datagram(
     buf = _ENCODE_POOL.acquire()
     try:
         writer = _Writer(buf, start=HEADER_SIZE)
-        writer.node_id(sender)
-        writer.node_id(receiver)
+        _encode_ids(writer, sender, receiver)
         writer.u16(len(packets))
         for packet in packets:
-            length_at = writer.pos
-            writer.u32(0)  # frame length, back-patched below
-            frame_start = writer.pos
-            _encode_envelope(writer, packet)
-            writer.patch_u32(length_at, writer.pos - frame_start)
+            _encode_frame(writer, packet)
         return _finish_datagram(writer, FLAG_BATCH)
     finally:
         _ENCODE_POOL.release(writer.buf)
+
+
+def split_batch(sender: Any, receiver: Any, packets: Sequence[Any]) -> List[List[Any]]:
+    """Cut ``packets`` into the fewest runs, in order, whose batch
+    containers each fit :data:`MAX_BODY` (a frame too large for any
+    container is a run of its own).  Raises :class:`WireEncodeError` when
+    a packet cannot be encoded at all."""
+    writer = _Writer()
+    _encode_ids(writer, sender, receiver)
+    budget = MAX_BODY - writer.pos - 2  # the ids and the frame count
+    runs: List[List[Any]] = []
+    run: List[Any] = []
+    used = 0
+    for packet in packets:
+        writer.pos = 0
+        _encode_frame(writer, packet)
+        if run and used + writer.pos > budget:
+            runs.append(run)
+            run, used = [], 0
+        run.append(packet)
+        used += writer.pos
+    runs.append(run)
+    return runs
 
 
 def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
@@ -1179,21 +1689,22 @@ def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
         raise WireDecodeError("checksum mismatch (datagram corrupted in flight)")
     reader = _Reader(view[HEADER_SIZE:])
     try:
-        sender = reader.node_id()
-        receiver = reader.node_id()
+        if (
+            body_len >= _S_INT_IDS.size and view[HEADER_SIZE] == _ID_INT
+            and view[HEADER_SIZE + 9] == _ID_INT
+        ):
+            _, sender, _, receiver = _S_INT_IDS.unpack_from(view, HEADER_SIZE)
+            reader.skip(_S_INT_IDS.size)
+        else:
+            sender = reader.node_id()
+            receiver = reader.node_id()
         if flags & FLAG_BATCH:
             count = reader.u16()
             if count == 0:
                 raise WireDecodeError("empty batch container")
             # Each frame costs at least a u32 length + a 1-byte tag.
             reader.budget(count, 5, "batch frame")
-            frames = []
-            for _ in range(count):
-                outer = reader.enter_frame(reader.u32())
-                frames.append(_decode_envelope(reader, memo))
-                if not reader.exhausted:
-                    raise WireDecodeError("trailing bytes after envelope")
-                reader.leave_frame(outer)
+            frames = _decode_frames(reader, count, memo)
             packet = frames[0]
             packets = tuple(frames)
         else:

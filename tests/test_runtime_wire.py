@@ -35,6 +35,7 @@ from repro.messaging.message import (
     StateRequest,
 )
 from repro.routing.link_state import LinkStateUpdate
+from repro.runtime import wire
 from repro.runtime.wire import (
     HEADER_SIZE,
     MAGIC,
@@ -457,3 +458,174 @@ def test_por_ack_head_fast_path_matches_field_path(epoch, cum_seq, proof):
         if not other.missing:
             other.mac = 7
         assert_packets_equal(decode_datagram(encode_datagram(1, 2, other)).packet, other)
+
+
+@given(epoch=I64, seq=I64, wire_size=U32, nonce=st.binary(min_size=8, max_size=8),
+       cum_seq=I64, proof=st.binary(min_size=16, max_size=16), payload=PAYLOADS)
+@settings(max_examples=100)
+def test_batch_frame_heads_match_the_field_path(
+    epoch, seq, wire_size, nonce, cum_seq, proof, payload
+):
+    """A compiled batch frame packs its length with its head; a frame
+    that is not eligible (``bytearray`` nonce/proof) back-patches it."""
+    def frames(nonce_value, proof_value):
+        return [PorData(epoch, seq, nonce_value, payload, wire_size),
+                PorAck(epoch, cum_seq, proof_value)]
+
+    fast = encode_batch_datagram(1, 2, frames(nonce, proof))
+    assert encode_batch_datagram(1, 2, frames(bytearray(nonce), bytearray(proof))) == fast
+    decoded = decode_datagram(fast).packets
+    for got, want in zip(decoded, frames(nonce, proof)):
+        assert_packets_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Compiled payload layouts: the same bytes as the field path
+# ----------------------------------------------------------------------
+COMPILED_SIGNATURES = st.builds(SimulatedSignature, signer=I64, tag=I64)
+
+COMPILED_MESSAGES = st.builds(
+    Message,
+    source=I64,
+    dest=I64,
+    seq=I64,
+    semantics=st.sampled_from([Semantics.PRIORITY, Semantics.RELIABLE]),
+    priority=I64,
+    expiration=st.one_of(st.none(), FLOATS),
+    size_bytes=U32,
+    flooding=st.booleans(),
+    paths=st.one_of(
+        st.none(),
+        st.lists(
+            st.lists(I64, max_size=wire.MAX_COMPILED_HOPS).map(tuple), max_size=4
+        ).map(tuple),
+    ),
+    sent_at=FLOATS,
+    payload=st.one_of(st.none(), st.binary(max_size=64)),
+    signature=COMPILED_SIGNATURES,
+)
+
+COMPILED_E2E_ACKS = st.builds(
+    E2eAck,
+    dest=I64,
+    stamp=I64,
+    cumulative=st.lists(st.tuples(SHORT_TEXT, I64), max_size=8).map(tuple),
+    signature=COMPILED_SIGNATURES,
+)
+
+COMPILED_NEIGHBOR_ACKS = st.builds(
+    NeighborAck,
+    sender=I64,
+    entries=st.lists(
+        st.tuples(st.tuples(SHORT_TEXT, SHORT_TEXT), I64, I64), max_size=8
+    ).map(tuple),
+)
+
+
+def _field_bytes(encode_fields, obj) -> bytes:
+    writer = wire._Writer()
+    encode_fields(writer, obj)
+    return bytes(writer.buf[:writer.pos])
+
+
+@given(message=COMPILED_MESSAGES)
+@settings(max_examples=200)
+def test_compiled_message_matches_the_field_path(message):
+    pieces = wire._compile_message(message)
+    assert pieces is not None
+    assert pieces == wire._encode_message_fields(wire._Writer(), message)
+
+
+@given(message=MESSAGES)
+@settings(max_examples=200)
+def test_compiled_message_covers_its_shape_or_declines(message):
+    pieces = wire._compile_message(message)
+    if pieces is not None:
+        assert pieces == wire._encode_message_fields(wire._Writer(), message)
+
+
+@given(ack=COMPILED_E2E_ACKS)
+@settings(max_examples=200)
+def test_compiled_e2e_ack_matches_the_field_path(ack):
+    section = wire._compile_e2e_ack(ack)
+    assert section is not None
+    assert section == _field_bytes(wire._encode_e2e_ack_fields, ack)
+
+
+@given(ack=COMPILED_NEIGHBOR_ACKS)
+@settings(max_examples=200)
+def test_compiled_neighbor_ack_matches_the_field_path(ack):
+    section = wire._compile_neighbor_ack(ack)
+    assert section is not None
+    assert section == _field_bytes(wire._encode_neighbor_ack_fields, ack)
+
+
+@given(ack=st.one_of(E2E_ACKS, COMPILED_E2E_ACKS), neighbor=NEIGHBOR_ACKS)
+@settings(max_examples=200)
+def test_compiled_acks_cover_their_shape_or_decline(ack, neighbor):
+    section = wire._compile_e2e_ack(ack)
+    if section is not None:
+        assert section == _field_bytes(wire._encode_e2e_ack_fields, ack)
+    section = wire._compile_neighbor_ack(neighbor)
+    if section is not None:
+        assert section == _field_bytes(wire._encode_neighbor_ack_fields, neighbor)
+
+
+@given(payload=st.one_of(COMPILED_MESSAGES, COMPILED_E2E_ACKS, COMPILED_NEIGHBOR_ACKS))
+@settings(max_examples=200)
+def test_compiled_payloads_round_trip_through_the_compiled_readers(payload):
+    encoded = encode_datagram(1, 2, _por(payload))
+
+    def field_path_used(*args):
+        raise AssertionError("a compiled shape reached the field-by-field reader")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("node_id", "text", "signature"):
+            patch.setattr(wire._Reader, name, field_path_used)
+        decoded = decode_datagram(encoded).packet.payload
+    assert decoded == payload
+    assert getattr(decoded, "_wire_cache", None) == getattr(payload, "_wire_cache", None)
+
+
+# ----------------------------------------------------------------------
+# E2E ACKs: encoded once per object, whatever the out-link count
+# ----------------------------------------------------------------------
+def test_e2e_ack_is_encoded_once_for_every_out_link(monkeypatch):
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register(9)
+    ack = E2eAck.create(pki, 9, 4, {1: 40, 3: 7})
+    assert ack._wire_cache is None
+    compiled = []
+    real = wire._compile_e2e_ack
+    monkeypatch.setattr(wire, "_compile_e2e_ack", lambda a: compiled.append(a) or real(a))
+    datagrams = {encode_datagram(9, link, _por(ack)) for link in (1, 2, 3)}
+    datagrams |= {encode_batch_datagram(9, 4, [_por(ack), _por(ack)])}
+    assert compiled == [ack]
+    assert len(datagrams) == 4
+    # A relay forwards the object it decoded: its cache is the received bytes.
+    relayed = decode_datagram(encode_datagram(9, 1, _por(ack))).packet.payload
+    assert relayed == ack and relayed._wire_cache == ack._wire_cache
+    assert relayed.verify(pki)
+    encode_datagram(1, 5, _por(relayed))
+    assert compiled == [ack]
+    # A modified copy starts cold and encodes its own fields.
+    changed = dataclasses.replace(ack, stamp=5)
+    assert changed._wire_cache is None
+    assert decode_datagram(encode_datagram(9, 1, _por(changed))).packet.payload.stamp == 5
+
+
+def test_signing_builds_one_equal_object():
+    pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
+    pki.register(3)
+    pki.register(9)
+    unsigned = Message(source=3, dest=9, seq=1, semantics=Semantics.RELIABLE,
+                       priority=4, expiration=9.5, size_bytes=12, flooding=False,
+                       paths=((3, 5, 9),), sent_at=1.5, payload=b"data")
+    signed = unsigned.sign(pki)
+    assert signed == dataclasses.replace(unsigned, signature=signed.signature)
+    assert signed.signed_fields() == unsigned.signed_fields()
+    assert signed.verify(pki)
+    ack = E2eAck.create(pki, 9, 2, {3: 1})
+    assert ack == E2eAck(9, 2, (("3", 1),), ack.signature)
+    assert ack.signed_fields() == E2eAck(9, 2, (("3", 1),)).signed_fields()
+    assert ack.verify(pki)

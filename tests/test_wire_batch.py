@@ -27,18 +27,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError, WireEncodeError
-from repro.link.por import _HelloWrapper
-from repro.messaging.message import Hello
+from repro.link.por import PorData, _HelloWrapper
+from repro.messaging.message import Hello, Message, Semantics
 from repro.runtime.transport import AsyncioUdpTransport, UdpSendChannel
 from repro.runtime.wire import (
     FLAG_BATCH,
     HEADER_SIZE,
     MAGIC,
+    MAX_BODY,
     VERSION,
     decode_datagram,
     encode_batch_datagram,
     encode_datagram,
+    split_batch,
 )
 from tests.test_runtime_wire import ENVELOPES, assert_packets_equal
 
@@ -255,3 +258,48 @@ def test_channel_batch_counts_one_datagram_for_many_packets():
     assert len(transport._transport.sent) == 1
     data, _ = transport._transport.sent[0]
     assert len(decode_datagram(data).packets) == 5
+
+
+def test_channel_splits_an_oversized_queue_into_the_fewest_containers():
+    """80 frames of 1 KB overflow one container (MAX_BODY): they leave as
+    the fewest containers that fit, not as 80 classic datagrams."""
+    transport = _wired_transport()
+    channel = UdpSendChannel(transport, "peer")
+    sent = []
+    for seq in range(80):
+        message = Message(source=1, dest=2, seq=seq, semantics=Semantics.PRIORITY,
+                          payload=bytes([seq]) * 1000,
+                          signature=SimulatedSignature(signer=1, tag=seq))
+        packet = PorData(epoch=1, seq=seq, nonce=bytes(8), payload=message, wire_size=1064)
+        sent.append(packet)
+        channel.send(packet, 1064)
+    transport._loop.fire_all()  # the coalesced flush
+    datagrams = [data for data, _ in transport._transport.sent]
+    assert channel.encode_errors == 0
+    assert channel.packets_sent == 80
+    assert channel.datagrams_sent == len(datagrams) == 2
+    assert channel.bytes_sent == sum(map(len, datagrams))
+    assert all(len(data) - HEADER_SIZE <= MAX_BODY for data in datagrams)
+    frames = [frame for data in datagrams for frame in decode_datagram(data).packets]
+    assert [frame.seq for frame in frames] == list(range(80))
+    for got, want in zip(frames, sent):
+        assert_packets_equal(got, want)
+
+
+def test_split_batch_keeps_order_and_fills_each_container():
+    packets = [
+        PorData(epoch=1, seq=seq, nonce=bytes(8),
+                payload=Message(source=1, dest=2, seq=seq, semantics=Semantics.PRIORITY,
+                                payload=b"x" * size),
+                wire_size=64)
+        for seq, size in enumerate([30_000, 20_000, 9_000, 40_000, 100, 100, 59_000])
+    ]
+    runs = split_batch(1, 2, packets)
+    assert [[packet.seq for packet in run] for run in runs] == [[0, 1, 2], [3, 4, 5], [6]]
+    for run in runs:
+        if len(run) > 1:
+            encode_batch_datagram(1, 2, run)  # fits
+    with pytest.raises(WireEncodeError):
+        encode_batch_datagram(1, 2, runs[0] + runs[1][:1])
+    with pytest.raises(WireEncodeError):
+        split_batch(1, 2, packets[:2] + [object()])

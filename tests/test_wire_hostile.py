@@ -21,6 +21,7 @@ robustness contract end to end:
 from __future__ import annotations
 
 import dataclasses
+import struct
 import zlib
 
 import pytest
@@ -28,9 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.pki import Pki, PkiMode
+from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError
 from repro.link.por import WINDOW, PorData, _HelloWrapper, connect_por_pair
-from repro.messaging.message import Hello, Message, Semantics
+from repro.messaging.message import E2eAck, Hello, Message, NeighborAck, Semantics
+from repro.runtime import wire
 from repro.runtime.transport import AsyncioUdpTransport
 from repro.runtime.wire import MAX_BODY, MessageMemo, decode_datagram, encode_datagram
 from repro.sim.channel import Channel, ChannelConfig
@@ -433,3 +436,112 @@ def test_memo_is_bounded_flooded_only_and_dies_with_the_transport():
     assert AsyncioUdpTransport("m")._decode_memo is not memo
     transport.close()
     assert len(memo) == 0
+
+
+# ----------------------------------------------------------------------
+# Compiled payload readers: a mutated frame decodes as the field path does
+# ----------------------------------------------------------------------
+def _compiled_frames():
+    """``(datagram, payload section offset)`` per compiled payload shape
+    (int ids throughout)."""
+    sig = SimulatedSignature(signer=3, tag=-5)
+    payloads = [
+        Message(source=3, dest=9, seq=7, semantics=Semantics.PRIORITY, priority=2,
+                expiration=None, size_bytes=4, flooding=True, paths=None,
+                sent_at=1.5, payload=None, signature=sig),
+        Message(source=3, dest=9, seq=8, semantics=Semantics.RELIABLE, priority=1,
+                expiration=30.0, size_bytes=4, flooding=False,
+                paths=((3, 5, 9), (3, 9)), sent_at=2.5, payload=b"abcd", signature=sig),
+        E2eAck(9, 4, (("1", 40), ("3", 7)), SimulatedSignature(signer=9, tag=11)),
+        NeighborAck(5, ((("3", "9"), 40, 72),)),
+    ]
+    frames = []
+    for payload in payloads:
+        datagram = data_datagram_ints(payload)
+        frames.append((
+            datagram, wire.HEADER_SIZE + wire._S_INT_IDS.size + wire._S_POR_DATA.size
+        ))
+    return frames
+
+
+def data_datagram_ints(payload):
+    packet = PorData(epoch=1, seq=2, nonce=bytes(8), payload=payload, wire_size=64)
+    return encode_datagram(3, 5, packet)
+
+
+def _decoded_view(data):
+    """The decoded datagram as comparable values, or the typed error."""
+    try:
+        datagram = decode_datagram(data)
+    except WireDecodeError:
+        return WireDecodeError
+    packet = datagram.packet
+    payload = packet.payload
+    # Field values by repr, so that a mutated NaN compares equal to itself.
+    return repr((
+        datagram.sender, datagram.receiver, type(packet).__name__,
+        packet.epoch, packet.seq, packet.nonce, packet.wire_size, packet.mac,
+        type(payload).__name__,
+        [getattr(payload, f.name) for f in dataclasses.fields(payload) if f.compare],
+        getattr(payload, "_wire_cache", None),
+    ))
+
+
+def test_every_byte_mutation_decodes_as_the_field_path_does(monkeypatch):
+    """Every value at every byte of the payload section, CRC resealed so
+    the frame reaches the payload decoder."""
+    cases = []
+    for frame, section_at in _compiled_frames():
+        assert frame[section_at] in (1, 2, 3)  # the payload tag
+        for position in range(section_at, len(frame)):
+            for value in range(256):
+                if value != frame[position]:
+                    mutated = bytearray(frame)
+                    mutated[position] = value
+                    cases.append(with_crc(mutated))
+    compiled = [_decoded_view(data) for data in cases]
+    for name in ("_read_message", "_read_e2e_ack", "_read_neighbor_ack"):
+        monkeypatch.setattr(wire, name, lambda reader: None)
+    reference = [_decoded_view(data) for data in cases]
+    mismatches = [
+        (data.hex(), got, want)
+        for data, got, want in zip(cases, compiled, reference) if got != want
+    ]
+    assert not mismatches, mismatches[:3]
+    # The corpus reached both outcomes: mutations that decode and ones that fail.
+    assert WireDecodeError in compiled
+    assert any(view is not WireDecodeError for view in compiled)
+
+
+def test_hostile_hop_counts_create_no_layout(monkeypatch):
+    message = Message(source=3, dest=9, seq=8, semantics=Semantics.PRIORITY,
+                      priority=1, expiration=None, size_bytes=4, flooding=False,
+                      paths=((3, 5, 9),), sent_at=2.5, payload=b"abcd",
+                      signature=SimulatedSignature(signer=3, tag=1))
+    frame = bytearray(data_datagram_ints(message))
+    head = message._wire_cache[0]
+    hop_count_at = len(frame) - sum(map(len, message._wire_cache)) + wire._S_MSG_HEAD.size
+    assert head[wire._S_MSG_HEAD.size - 1] == 1  # one path, then its hop count
+    assert frame[hop_count_at:hop_count_at + 2] == (3).to_bytes(2, "big")
+
+    layouts = wire._PATH_LAYOUTS
+    created = []
+
+    class CountingStruct(struct.Struct):
+        def __init__(self, *args, **kwargs):
+            created.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wire.struct, "Struct", CountingStruct)
+    outcomes = set()
+    for hops in range(3, 60_003, 6):  # 10,000 distinct hop counts, the true one first
+        frame[hop_count_at:hop_count_at + 2] = hops.to_bytes(2, "big")
+        try:
+            decoded = decode_datagram(with_crc(bytearray(frame)))
+            outcomes.add(len(decoded.packet.payload.paths[0]))
+        except WireDecodeError:
+            outcomes.add("rejected")
+    assert outcomes == {3, "rejected"}
+    assert created == []
+    assert wire._PATH_LAYOUTS is layouts
+    assert len(layouts) == wire.MAX_COMPILED_HOPS + 1
