@@ -46,7 +46,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n[attack 1] BGP hijack: all cross-ISP Internet routes diverted")
-    hijack = BgpHijack(deployment.sim, underlay)
+    hijack = BgpHijack(underlay)
     hijack.start()
     deployment.run(10.0)
     t1 = goodput(deployment, 12, 20)

@@ -70,9 +70,3 @@ class LruCache(Generic[V]):
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data

@@ -745,11 +745,6 @@ class SessionTier:
             violations += 1
         return violations
 
-    def outcome_log(self) -> List[Tuple[str, str, int]]:
-        """Resolved (key, outcome, attempts), sorted — the conformance
-        comparison artifact."""
-        return sorted(self.resolve_log)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly tier summary (reports, CLI, benchmarks)."""
         return {

@@ -79,7 +79,9 @@ def decode_frame(key: bytes, blob: bytes) -> Dict[str, Any]:
         # RecursionError: JSON nested deeper than the parser's stack,
         # which an unauthenticated peer can send far below MAX_FRAME.
         raise LiveRuntimeError(f"malformed control frame: {exc}") from None
-    if not isinstance(body, dict) or not isinstance(mac, str):
+    # compare_digest refuses a non-ASCII str with TypeError, so such a
+    # MAC is malformed, not merely wrong.
+    if not isinstance(body, dict) or not isinstance(mac, str) or not mac.isascii():
         raise LiveRuntimeError("malformed control frame: bad shape")
     expected = _hmac.new(key, _canonical(body), hashlib.sha256).hexdigest()
     if not _hmac.compare_digest(expected, mac):

@@ -4,8 +4,8 @@ The paper uses OpenSSL for RSA signatures, Diffie-Hellman key exchange, and
 HMAC-SHA256.  We implement the same primitives from scratch on top of the
 Python standard library (``hashlib``/``hmac``/``secrets`` only):
 
-* :mod:`repro.crypto.rsa` — RSA key generation (Miller-Rabin) and
-  hash-then-sign signatures;
+* :mod:`repro.crypto.rsa` — seeded RSA key derivation (Miller-Rabin)
+  and hash-then-sign signatures;
 * :mod:`repro.crypto.dh` — Diffie-Hellman over the RFC 3526 2048-bit MODP
   group, authenticated with RSA signatures;
 * :mod:`repro.crypto.mac` — HMAC-SHA256 message authentication;
@@ -20,20 +20,17 @@ Python standard library (``hashlib``/``hmac``/``secrets`` only):
 """
 
 from repro.crypto.dh import DiffieHellman
-from repro.crypto.mac import BatchMacContext, hmac_sha256, verify_hmac
+from repro.crypto.mac import BatchMacContext
 from repro.crypto.nonces import CumulativeNonceChain, NonceVerifier
 from repro.crypto.pki import Identity, Pki
-from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
+from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 from repro.crypto.simulated import SimulatedSignature, SimulatedSigner
 
 __all__ = [
     "RsaKeyPair",
     "RsaPublicKey",
-    "generate_keypair",
     "DiffieHellman",
     "BatchMacContext",
-    "hmac_sha256",
-    "verify_hmac",
     "CumulativeNonceChain",
     "NonceVerifier",
     "Identity",

@@ -12,31 +12,6 @@ import hmac as _hmac
 
 from repro.errors import MacError
 
-MAC_SIZE = 32  # SHA-256 output length in bytes.
-
-
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """Compute HMAC-SHA256 of ``message`` under ``key``."""
-    return _hmac.new(key, message, hashlib.sha256).digest()
-
-
-def verify_hmac(key: bytes, message: bytes, tag: bytes) -> None:
-    """Verify ``tag``; raise :class:`MacError` on mismatch.
-
-    Uses constant-time comparison — malicious neighbors should not be able
-    to use timing to forge link-level tags.
-    """
-    expected = hmac_sha256(key, message)
-    if not _hmac.compare_digest(expected, tag):
-        raise MacError("HMAC verification failed")
-
-
-def truncated_hmac(key: bytes, message: bytes, size: int = 16) -> bytes:
-    """A truncated HMAC for bandwidth-sensitive headers (still ≥128-bit)."""
-    if size < 16:
-        raise MacError(f"refusing to truncate HMAC below 16 bytes (got {size})")
-    return hmac_sha256(key, message)[:size]
-
 
 class BatchMacContext:
     """Amortized HMAC-SHA256 for one key across many messages.

@@ -5,13 +5,14 @@ signatures provide non-repudiation and scale with network size, unlike
 vectors of HMACs.  This module provides the same capability using only the
 standard library:
 
-* probabilistic prime generation with Miller-Rabin,
+* key pairs derived deterministically from a seed, with Miller-Rabin
+  primality testing,
 * textbook RSA with a deterministic full-domain-hash style padding
   (SHA-256 digest expanded with MGF1 to the modulus size),
 * constant public exponent 65537.
 
-Keys default to 2048 bits to match the deployment, but tests use smaller
-keys for speed (key generation cost grows steeply with size).
+The PKI derives 512-bit keys by default: key derivation cost grows
+steeply with size.
 
 This is a faithful, self-contained implementation intended for the
 simulator and test-benches of this reproduction — not a hardened
@@ -64,19 +65,6 @@ def _is_probable_prime(n: int, rounds: int = 40) -> bool:
         else:
             return False
     return True
-
-
-def _generate_prime(bits: int) -> int:
-    """Generate a random probable prime of exactly ``bits`` bits."""
-    if bits < 8:
-        raise CryptoError(f"prime size too small ({bits} bits)")
-    while True:
-        candidate = secrets.randbits(bits)
-        candidate |= (1 << (bits - 1)) | 1  # force top bit and oddness
-        if candidate % _PUBLIC_EXPONENT == 1:
-            continue  # would make e non-invertible more likely; cheap skip
-        if _is_probable_prime(candidate):
-            return candidate
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:
@@ -137,11 +125,6 @@ class RsaPublicKey:
             return False
         return True
 
-    def fingerprint(self) -> str:
-        """Short hex identifier of the key (first 16 hex chars of SHA-256)."""
-        raw = self.n.to_bytes(self.modulus_bytes, "big")
-        return hashlib.sha256(raw).hexdigest()[:16]
-
 
 class RsaKeyPair:
     """An RSA private/public key pair with CRT-accelerated signing."""
@@ -172,25 +155,6 @@ class RsaKeyPair:
         h = (self._qinv * (sp - sq)) % self._p
         s = sq + h * self._q
         return s.to_bytes(self.public.modulus_bytes, "big")
-
-
-def generate_keypair(bits: int = 2048) -> RsaKeyPair:
-    """Generate an RSA key pair with a ``bits``-bit modulus."""
-    if bits < 128:
-        raise CryptoError(f"modulus too small ({bits} bits)")
-    half = bits // 2
-    while True:
-        p = _generate_prime(half)
-        q = _generate_prime(bits - half)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        try:
-            return RsaKeyPair(p, q)
-        except CryptoError:
-            continue
 
 
 def keypair_from_seed(seed: bytes, bits: int = 512) -> RsaKeyPair:

@@ -60,15 +60,6 @@ class SimulatedSigner:
         tag = hash((self._secret, fields))
         return SimulatedSignature(signer=self.identity, tag=tag)
 
-    def mac(self, fields: Tuple[Any, ...]) -> int:
-        """Compute a simulated (symmetric) MAC tag over ``fields``.
-
-        Used by the Proof-of-Receipt link when both ends share this
-        "secret" (the PKI hands the same link secret to both endpoints,
-        standing in for the Diffie-Hellman derived key).
-        """
-        return hash((self._secret, "mac", fields))
-
 
 class SimulatedVerifier:
     """Verifies simulated signatures given access to the secret table.
@@ -117,10 +108,3 @@ class SimulatedVerifier:
             return False
         memo.put(key, (fields, verdict))
         return verdict
-
-    def verify_mac(self, identity: Any, fields: Tuple[Any, ...], tag: int) -> bool:
-        """Check a simulated symmetric MAC tag."""
-        secret = self._secrets.get(identity)
-        if secret is None:
-            return False
-        return tag == hash((secret, "mac", fields))

@@ -299,8 +299,3 @@ class ChaosEngine:
             "scheduled": len(self.schedule),
             "faulted_nodes": sorted(str(n) for n in self.faulted_nodes),
         }
-
-    def describe_applied(self) -> str:
-        """Canonical rendering of the actions taken (for byte-identity
-        determinism checks across same-seed runs)."""
-        return "\n".join(f"{t:012.6f} {text}" for t, text in self.applied)

@@ -6,6 +6,6 @@ nodes with HMAC integrity and cumulative-nonce acknowledgments that defeat
 optimistic-ACK attacks.
 """
 
-from repro.link.por import PorConfig, PorEndpoint, connect_por_pair
+from repro.link.por import PorConfig, PorEndpoint
 
-__all__ = ["PorConfig", "PorEndpoint", "connect_por_pair"]
+__all__ = ["PorConfig", "PorEndpoint"]

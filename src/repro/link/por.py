@@ -273,9 +273,9 @@ class PorEndpoint:
         # Crypto state.
         self._established = False
         self._link_key: Optional[bytes] = None
-        # Cached value of the `_real_crypto` property: checked once per
-        # transmit/verify on the hot path, so the attribute load must not
-        # re-derive it from the PKI each time.  Updated wherever the link
+        # Whether REAL-mode HMACs are on (REAL PKI and a link key): checked
+        # once per transmit/verify on the hot path, so it is cached rather
+        # than derived from the PKI each time.  Updated wherever the link
         # key changes (out-of-band install, handshake completion).
         self._hmac_active = False
         # Amortized HMAC state for the current link key: one keyed base
@@ -476,10 +476,6 @@ class PorEndpoint:
             self._timer.cancel()
             self._timer_deadline = deadline
             self._timer = self.sim.schedule_at(deadline, self._on_timeout)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._unacked)
 
     def _transmit(self, seq: int, record: _SendRecord) -> None:
         packet = PorData(self.epoch, seq, record.nonce, record.payload, record.wire_size)
@@ -835,36 +831,5 @@ class PorEndpoint:
         if self.on_ready is not None:
             self.sim.call_soon(self.on_ready)
 
-    @property
-    def _real_crypto(self) -> bool:
-        return self.pki.mode is PkiMode.REAL and self._link_key is not None
-
     def _encode_for_mac(self, packet: Any) -> bytes:
         return canonical_bytes(packet.mac_fields())
-
-
-def connect_por_pair(
-    sim: SchedulerLike,
-    a: Any,
-    b: Any,
-    channel_ab: TransportLike,
-    channel_ba: TransportLike,
-    pki: Pki,
-    config: Optional[PorConfig] = None,
-    handshake: bool = False,
-) -> Tuple[PorEndpoint, PorEndpoint]:
-    """Create both endpoints of a PoR link over a channel pair.
-
-    With ``handshake=False`` (the default) the link key is installed out
-    of band; with ``handshake=True`` the endpoints run the signed
-    Diffie-Hellman exchange on the wire and only become established once
-    it completes.
-    """
-    end_a = PorEndpoint(sim, a, b, channel_ab, channel_ba, pki, config)
-    end_b = PorEndpoint(sim, b, a, channel_ba, channel_ab, pki, config)
-    if handshake:
-        end_a.start_handshake()
-    else:
-        end_a.establish_out_of_band()
-        end_b.establish_out_of_band()
-    return end_a, end_b

@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 
@@ -487,39 +487,6 @@ class AdmissionController:
         self.state = AdmissionState.OPEN
         self.load = 0.0
         self._surge = self.config.surge_max
-
-    @property
-    def parked_live(self) -> int:
-        """Live entries currently waiting in the park buffer."""
-        return self._parked_live
-
-    @property
-    def active_sources(self) -> int:
-        """Sources currently tracked (not yet idle-pruned)."""
-        return len(self._sources)
-
-    def parked_items(self) -> Iterator[Tuple[int, Hashable, float]]:
-        """(priority, source, parked_at) of every live parked entry —
-        test/introspection hook."""
-        for priority, level in self._park.items():
-            for entry in level:
-                yield (priority, entry.source, entry.parked_at)
-
-    def source_tokens(self, source: Hashable) -> Optional[float]:
-        """Current bucket depth for ``source`` (None when untracked)."""
-        meter = self._sources.get(source)
-        return meter.tokens if meter is not None else None
-
-    def dest_tokens(self, dest: Hashable) -> Optional[float]:
-        """Current two-key bucket depth for ``dest`` (None when
-        untracked or ``per_destination`` is off)."""
-        meter = self._dests.get(dest)
-        return meter.tokens if meter is not None else None
-
-    @property
-    def active_dests(self) -> int:
-        """Destinations currently tracked by the two-key meter."""
-        return len(self._dests)
 
     def balance(self) -> Tuple[int, int]:
         """(offered, accounted) — equal iff the conservation law holds."""

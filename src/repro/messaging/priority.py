@@ -21,7 +21,7 @@ Guaranteed Throughput"; reproduced by Figures 5-7 benchmarks).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.dissemination import flood_targets, path_successors
 from repro.errors import ConfigurationError
@@ -124,11 +124,6 @@ class PriorityLinkQueue:
     def __len__(self) -> int:
         return self._live_total
 
-    def source_usage(self, source: Hashable) -> int:
-        """Live queued messages currently charged to ``source``."""
-        bucket = self._buckets.get(source)
-        return bucket.live if bucket else 0
-
     # ------------------------------------------------------------------
     def offer(self, message: Message, now: float) -> bool:
         """Try to store ``message``; apply the eviction policy when full.
@@ -226,10 +221,6 @@ class PriorityLinkQueue:
         # live counters are adjusted by the bucket helpers' callers; the
         # bucket already decremented its own counter before calling us.
 
-    def active_sources(self) -> List[Hashable]:
-        """Sources with at least one live queued message."""
-        return [s for s, b in self._buckets.items() if b.live > 0]
-
 
 class ParkedFlood:
     """A new flooded message whose forwarding waits for the end of the
@@ -304,9 +295,10 @@ class PriorityEngine:
                 if node.parked:
                     # Same feedback for a copy not queued yet.  Only a
                     # verified copy gets here, so a neighbor can take
-                    # none but itself off the target list.
+                    # none but itself off the target list.  The parked
+                    # copy's own sender is off it already (flood_targets).
                     parked = node.parked.get(message.uid)
-                    if parked is not None:
+                    if parked is not None and from_neighbor != parked.from_neighbor:
                         parked.heard_from(from_neighbor)
             return
         if message.dest == node.node_id:

@@ -30,9 +30,6 @@ class RoundRobinQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._members
-
     def activate(self, key: Hashable) -> None:
         """Add ``key`` to the end of the queue if not already present."""
         if key not in self._members:

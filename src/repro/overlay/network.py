@@ -29,13 +29,8 @@ from repro.topology.mtmw import Mtmw
 class Client:
     """A thin application-facing handle bound to one overlay node."""
 
-    def __init__(self, network: "OverlayNetwork", node: OverlayNode):
-        self._network = network
+    def __init__(self, node: OverlayNode):
         self._node = node
-
-    @property
-    def node_id(self) -> NodeId:
-        return self._node.node_id
 
     def send_priority(self, dest: NodeId, **kwargs: Any) -> Message:
         """Inject a Priority Messaging message from this client's node."""
@@ -44,19 +39,6 @@ class Client:
     def send_reliable(self, dest: NodeId, **kwargs: Any) -> bool:
         """Inject a Reliable Messaging message; False under back-pressure."""
         return self._node.send_reliable(dest, **kwargs)
-
-    def can_send_reliable(self, dest: NodeId) -> bool:
-        """Whether the reliable flow to ``dest`` currently has buffer room."""
-        return self._node.reliable_can_send(dest)
-
-    def goodput_to(self, dest: NodeId) -> GoodputMeter:
-        """Goodput meter of the flow from this client to ``dest``
-        (recorded at the destination)."""
-        return self._network.flow_goodput(self.node_id, dest)
-
-    def latency_to(self, dest: NodeId) -> LatencyRecorder:
-        """Latency recorder of the flow from this client to ``dest``."""
-        return self._network.flow_latency(self.node_id, dest)
 
 
 class OverlayNetwork:
@@ -141,7 +123,7 @@ class OverlayNetwork:
 
     def client(self, node_id: NodeId) -> Client:
         """An application-facing handle bound to ``node_id``."""
-        return Client(self, self.node(node_id))
+        return Client(self.node(node_id))
 
     def run(self, seconds: float) -> None:
         """Advance the simulation by ``seconds``."""
@@ -187,26 +169,6 @@ class OverlayNetwork:
             self.nodes[neighbor].links[node_id].por.reset()
         node.recover()
 
-    def distribute_mtmw(self, new_topology: Topology, via: NodeId) -> Mtmw:
-        """Administrator action: sign a successor MTMW and inject it.
-
-        The new MTMW floods from ``via`` to every node (Section V-A).
-        New overlay links must already have physical channels (the
-        builder wires channels for the maximal physical topology); this
-        method therefore supports weight changes and link/node removals,
-        plus re-adding previously removed links.
-        """
-        for a, b in new_topology.edges():
-            if (a, b) not in self.channels and (b, a) not in self.channels:
-                raise TopologyError(
-                    f"new MTMW edge ({a!r}, {b!r}) has no physical channels; "
-                    "rebuild the network to add links"
-                )
-        successor = self.mtmw.successor(new_topology, self.pki)
-        self.mtmw = successor
-        self.node(via).adopt_mtmw(successor)
-        return successor
-
     def fail_link(self, a: NodeId, b: NodeId) -> None:
         """Fail the overlay link (a, b) in both directions (underlay attack)."""
         self._link_channels(a, b)[0].take_down()
@@ -223,26 +185,9 @@ class OverlayNetwork:
         """Install a gray failure on the (a, b) link in both directions:
         the link stays nominally up but silently drops ``extra_loss`` of
         its packets and adds ``extra_delay`` propagation.  Passing zeros
-        heals the link (see :meth:`clear_link_impairment`)."""
+        heals the link."""
         for channel in self._link_channels(a, b):
             channel.set_impairment(extra_loss=extra_loss, extra_delay=extra_delay)
-
-    def clear_link_impairment(self, a: NodeId, b: NodeId) -> None:
-        """Heal any gray failure on the (a, b) link."""
-        for channel in self._link_channels(a, b):
-            channel.clear_impairment()
-
-    def quarantined_links(self) -> Dict[NodeId, list]:
-        """Which neighbors each (non-crashed) node currently quarantines.
-        Nodes with no quarantined links are omitted."""
-        out: Dict[NodeId, list] = {}
-        for node_id, node in self.nodes.items():
-            if node.crashed:
-                continue
-            quarantined = node.quarantined_neighbors()
-            if quarantined:
-                out[node_id] = quarantined
-        return out
 
     def _link_channels(self, a: NodeId, b: NodeId) -> Tuple[Channel, Channel]:
         try:

@@ -1020,12 +1020,6 @@ class OverlayNode:
         )
         self._schedule_probe(link)
 
-    def quarantined_neighbors(self) -> list:
-        """Neighbors whose link this node currently holds in quarantine."""
-        return [
-            neighbor for neighbor, link in self.links.items() if not link.monitor_up
-        ]
-
     def set_link_vigilance(
         self,
         neighbor: NodeId,

@@ -94,15 +94,13 @@ MAX_TIGHTENED_NODES = 3
 class BeliefState:
     """Belief bookkeeping for one node."""
 
-    __slots__ = ("score", "last_update", "suspect", "last_transition", "transitions")
+    __slots__ = ("score", "last_update", "suspect", "last_transition")
 
     def __init__(self, now: float):
         self.score = 0.0
         self.last_update = now
         self.suspect = False
         self.last_transition = -math.inf
-        #: (time, became_suspect) per hysteresis flip, for tests/reports.
-        self.transitions: List[Tuple[float, bool]] = []
 
 
 class BeliefEstimator:
@@ -144,14 +142,12 @@ class BeliefEstimator:
             ):
                 state.suspect = False
                 state.last_transition = now
-                state.transitions.append((now, False))
         elif (
             state.score >= BELIEF_HIGH
             and now - state.last_transition >= cooldown
         ):
             state.suspect = True
             state.last_transition = now
-            state.transitions.append((now, True))
 
     # ------------------------------------------------------------------
     def observe(self, node_id: Any, kind: str, count: float, now: float) -> float:
@@ -180,12 +176,6 @@ class BeliefEstimator:
         in elapsed decay)."""
         state = self._states.get(node_id)
         return state.suspect if state is not None else False
-
-    def transitions(self, node_id: Any) -> List[Tuple[float, bool]]:
-        """Every ``(time, became_suspect)`` hysteresis flip so far, in
-        order (the no-oscillation property tests assert on these)."""
-        state = self._states.get(node_id)
-        return list(state.transitions) if state is not None else []
 
     def snapshot(self) -> Dict[str, float]:
         """Current (last-updated) scores keyed by stringified node id."""
@@ -469,10 +459,9 @@ class AdaptiveDefense:
         if not self._running:
             return
         now = self.sim.now
-        with self.stats.trace.span("defense.tick"):
-            self._poll_signals(now)
-            self._control(now)
-            self._execute(now)
+        self._poll_signals(now)
+        self._control(now)
+        self._execute(now)
 
     def _collect(self, node_id: Any) -> Dict[str, float]:
         """Cumulative anomaly totals attributed to ``node_id``, read

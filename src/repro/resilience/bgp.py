@@ -9,17 +9,13 @@ both ends can still pass messages during the attack."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.resilience.underlay import Underlay
-from repro.sim.engine import Simulator
 
 
 class BgpHijack:
-    """A (possibly timed) BGP hijack against the whole underlay."""
+    """A BGP hijack against the whole underlay."""
 
-    def __init__(self, sim: Simulator, underlay: Underlay):
-        self.sim = sim
+    def __init__(self, underlay: Underlay):
         self.underlay = underlay
         self.active = False
 
@@ -32,9 +28,3 @@ class BgpHijack:
         """End the hijack and restore cross-ISP routes."""
         self.active = False
         self.underlay.set_bgp_hijacked(False)
-
-    def schedule(self, start_at: float, duration: Optional[float] = None) -> None:
-        """Arm the hijack at an absolute simulated time."""
-        self.sim.schedule_at(start_at, self.start)
-        if duration is not None:
-            self.sim.schedule_at(start_at + duration, self.stop)

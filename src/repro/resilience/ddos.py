@@ -12,7 +12,7 @@ bar for the attacker".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.resilience.underlay import Underlay
@@ -60,12 +60,6 @@ class RotatingLinkAttack:
         """Stop the attack and release all flooded combinations."""
         self.active = False
         self._release_all()
-
-    def schedule(self, start_at: float, duration: Optional[float] = None) -> None:
-        """Arm start (and optionally stop) at absolute simulated times."""
-        self.sim.schedule_at(start_at, self.start)
-        if duration is not None:
-            self.sim.schedule_at(start_at + duration, self.stop)
 
     # ------------------------------------------------------------------
     def _rotate(self) -> None:

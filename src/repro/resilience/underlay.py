@@ -96,11 +96,6 @@ class Underlay:
         self._failed_isps.add(isp)
         self._apply_all()
 
-    def restore_isp(self, isp: str) -> None:
-        """Bring a melted-down ISP back."""
-        self._failed_isps.discard(isp)
-        self._apply_all()
-
     def set_bgp_hijacked(self, hijacked: bool) -> None:
         """During a BGP hijack only same-ISP combinations pass traffic."""
         self._bgp_hijacked = hijacked

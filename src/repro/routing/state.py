@@ -18,7 +18,7 @@ from repro.crypto.pki import Pki
 from repro.errors import TopologyError
 from repro.routing.link_state import LinkStateUpdate, RouteCache, UpdateRateLimiter
 from repro.routing.validation import UpdateResult, validate_update
-from repro.topology.disjoint import best_effort_disjoint_paths, k_node_disjoint_paths
+from repro.topology.disjoint import best_effort_disjoint_paths
 from repro.topology.graph import NodeId, Topology, edge_key
 from repro.topology.mtmw import Mtmw
 
@@ -136,16 +136,6 @@ class RoutingState:
         path = self.graph().shortest_path(source, dest)
         cache.store(self.version, "sp", source, dest, 1, path)
         return path
-
-    def k_paths(self, source: NodeId, dest: NodeId, k: int) -> List[List[NodeId]]:
-        """K minimum-weight node-disjoint paths on the current view."""
-        cache = self._route_cache
-        cached = cache.lookup(self.version, "kp", source, dest, k)
-        if not RouteCache.is_miss(cached):
-            return cached
-        paths = k_node_disjoint_paths(self.graph(), source, dest, k)
-        cache.store(self.version, "kp", source, dest, k, paths)
-        return paths
 
     def k_paths_best_effort(self, source: NodeId, dest: NodeId, k: int) -> List[List[NodeId]]:
         """Up to K node-disjoint paths, as many as currently exist."""

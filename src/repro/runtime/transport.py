@@ -431,15 +431,6 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
             )
         return UdpSendChannel(self, peer_id)
 
-    def receive_channel(self, peer_id: Any) -> UdpReceiveChannel:
-        """The receiving half of the directed link from ``peer_id``."""
-        try:
-            return self._inbound[peer_id]
-        except KeyError:
-            raise LiveRuntimeError(
-                f"{self.node_id!r} has no registered peer {peer_id!r}"
-            ) from None
-
     # ------------------------------------------------------------------
     # Datagram I/O
     # ------------------------------------------------------------------

@@ -285,39 +285,45 @@ class _Writer:
         buf.extend(bytearray(max(need - len(buf), len(buf), 256)))
 
     # Primitives ----------------------------------------------------------
+    # A value out of range or of the wrong type raises WireEncodeError,
+    # never struct.error or TypeError: the send path catches only the
+    # typed error.
     def u8(self, value: int) -> None:
         pos = self.pos
         if pos + 1 > len(self.buf):
             self._grow(pos + 1)
         try:
             self.buf[pos] = value
-        except ValueError:
-            raise WireEncodeError(f"u8 out of range: {value}") from None
+        except (ValueError, TypeError):
+            raise WireEncodeError(f"not a u8: {value!r}") from None
         self.pos = pos + 1
 
     def u16(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFF:
-            raise WireEncodeError(f"u16 out of range: {value}")
         pos = self.pos
         if pos + 2 > len(self.buf):
             self._grow(pos + 2)
-        _S_U16.pack_into(self.buf, pos, value)
+        try:
+            _S_U16.pack_into(self.buf, pos, value)
+        except struct.error:
+            raise WireEncodeError(f"not a u16: {value!r}") from None
         self.pos = pos + 2
 
     def u32(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise WireEncodeError(f"u32 out of range: {value}")
         pos = self.pos
         if pos + 4 > len(self.buf):
             self._grow(pos + 4)
-        _S_U32.pack_into(self.buf, pos, value)
+        try:
+            _S_U32.pack_into(self.buf, pos, value)
+        except struct.error:
+            raise WireEncodeError(f"not a u32: {value!r}") from None
         self.pos = pos + 4
 
     def patch_u32(self, at: int, value: int) -> None:
         """Back-patch a u32 written earlier (batch frame lengths)."""
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise WireEncodeError(f"u32 out of range: {value}")
-        _S_U32.pack_into(self.buf, at, value)
+        try:
+            _S_U32.pack_into(self.buf, at, value)
+        except struct.error:
+            raise WireEncodeError(f"not a u32: {value!r}") from None
 
     def i64(self, value: int) -> None:
         pos = self.pos
@@ -326,14 +332,17 @@ class _Writer:
         try:
             _S_I64.pack_into(self.buf, pos, value)
         except struct.error:
-            raise WireEncodeError(f"i64 out of range: {value}") from None
+            raise WireEncodeError(f"not an i64: {value!r}") from None
         self.pos = pos + 8
 
     def f64(self, value: float) -> None:
         pos = self.pos
         if pos + 8 > len(self.buf):
             self._grow(pos + 8)
-        _S_F64.pack_into(self.buf, pos, value)
+        try:
+            _S_F64.pack_into(self.buf, pos, value)
+        except struct.error:
+            raise WireEncodeError(f"not an f64: {value!r}") from None
         self.pos = pos + 8
 
     def boolean(self, value: bool) -> None:
@@ -370,7 +379,11 @@ class _Writer:
         self.put(value)
 
     def text(self, value: str) -> None:
-        self.raw(value.encode("utf-8"))
+        try:
+            encoded = value.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError):
+            raise WireEncodeError(f"not UTF-8 text: {value!r}") from None
+        self.raw(encoded)
 
     def opt_f64(self, value: Optional[float]) -> None:
         if value is None:
@@ -432,10 +445,6 @@ class _Reader:
     @property
     def exhausted(self) -> bool:
         return self._pos == self._len
-
-    @property
-    def remaining(self) -> int:
-        return self._len - self._pos
 
     def _short(self, count: int) -> WireDecodeError:
         return WireDecodeError(
@@ -1274,13 +1283,6 @@ class MessageMemo:
 
     def __init__(self) -> None:
         self._by_checksum: Dict[int, Message] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_checksum)
-
-    def messages(self) -> List[Message]:
-        """The memoised messages, oldest first."""
-        return list(self._by_checksum.values())
 
     def clear(self) -> None:
         """Forget every message (the owning transport closed)."""

@@ -112,10 +112,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Availability (used by the underlay / failure models)
     # ------------------------------------------------------------------
-    @property
-    def up(self) -> bool:
-        return self._up
-
     def take_down(self) -> None:
         """Fail the channel: all packets sent while down are lost."""
         self._up = False
@@ -127,34 +123,17 @@ class Channel:
     # ------------------------------------------------------------------
     # Gray failures (used by the chaos fault-injection engine)
     # ------------------------------------------------------------------
-    @property
-    def impaired(self) -> bool:
-        return self._extra_loss > 0.0 or self._extra_delay > 0.0
-
-    @property
-    def extra_loss(self) -> float:
-        return self._extra_loss
-
-    @property
-    def extra_delay(self) -> float:
-        return self._extra_delay
-
     def set_impairment(self, extra_loss: float = 0.0, extra_delay: float = 0.0) -> None:
         """Install a gray failure: the channel stays *up* but silently
         drops an extra ``extra_loss`` fraction of packets and adds
         ``extra_delay`` seconds of propagation.  Replaces any previous
-        impairment; use :meth:`clear_impairment` to heal."""
+        impairment; zeros (the defaults) heal it."""
         if not 0.0 <= extra_loss < 1.0:
             raise ConfigurationError(f"extra_loss must be in [0, 1) (got {extra_loss})")
         if extra_delay < 0:
             raise ConfigurationError(f"extra_delay must be >= 0 (got {extra_delay})")
         self._extra_loss = extra_loss
         self._extra_delay = extra_delay
-
-    def clear_impairment(self) -> None:
-        """Heal a gray failure."""
-        self._extra_loss = 0.0
-        self._extra_delay = 0.0
 
     # ------------------------------------------------------------------
     # Sending

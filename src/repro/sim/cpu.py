@@ -123,17 +123,3 @@ class Cpu:
     def verify(self, callback: Callable[..., None], *args: Any) -> None:
         """Charge one RSA verification and then run ``callback``."""
         self.execute(self.costs.rsa_verify, callback, *args)
-
-    def hmac(self, callback: Callable[..., None], *args: Any) -> None:
-        """Charge one HMAC computation and then run ``callback``."""
-        self.execute(self.costs.hmac, callback, *args)
-
-    def process(self, callback: Callable[..., None], *args: Any) -> None:
-        """Charge one packet-processing quantum and then run ``callback``."""
-        self.execute(self.costs.process_packet, callback, *args)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the CPU spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / elapsed)

@@ -216,10 +216,6 @@ class Simulator:
             self.now = until
         return executed
 
-    def step(self) -> bool:
-        """Run a single event.  Returns False if the queue was empty."""
-        return self.run(max_events=1) == 1
-
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) queued events."""
@@ -254,10 +250,6 @@ class Simulator:
             profiler = EventLoopProfiler()
         self._profiler = profiler
         return profiler
-
-    def disable_profiling(self) -> None:
-        """Remove the installed event-loop profiler."""
-        self._profiler = None
 
     @property
     def profiler(self) -> Optional[Any]:
@@ -305,10 +297,6 @@ class PeriodicTimer:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-    @property
-    def running(self) -> bool:
-        return self._handle is not None
 
     def _fire(self) -> None:
         self._ticks += 1

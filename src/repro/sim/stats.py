@@ -114,13 +114,6 @@ class TimeSeries:
         """The retained values, oldest first."""
         return [v for _, v in self.samples]
 
-    def times(self) -> List[float]:
-        """The retained sample times, oldest first."""
-        return [t for t, _ in self.samples]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 class GoodputMeter:
     """Bucketizes delivered payload bytes into fixed-width time intervals.
@@ -245,10 +238,6 @@ class LatencyRecorder:
         self._buckets[bisect_left(BUCKET_BOUNDS, latency)] += 1
         self._sorted = None
 
-    def latencies(self) -> List[float]:
-        """The retained latencies, in delivery order."""
-        return [lat for _, lat in self.samples]
-
     def mean(self) -> float:
         """Mean latency (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
@@ -315,7 +304,7 @@ class StatsRegistry:
         self._latencies: Dict[str, LatencyRecorder] = {}
         self._series: Dict[str, TimeSeries] = {}
         self._tx_counters: Dict[str, Tuple[Counter, Counter]] = {}
-        #: Structured span/event tracing; disabled (no-op) by default.
+        #: Structured event tracing; disabled (no-op) by default.
         self.trace = TraceCollector()
 
     def counter(self, name: str) -> Counter:

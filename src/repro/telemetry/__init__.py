@@ -7,8 +7,8 @@ registry, :class:`repro.sim.stats.StatsRegistry`: counters, gauges,
 goodput meters, bounded latency recorders and time series, and one
 deterministic snapshot.  This package provides what sits around it:
 
-* :mod:`repro.telemetry.tracing` — structured span/event tracing that is
-  a no-op singleton when disabled (near-zero overhead on hot paths); each
+* :mod:`repro.telemetry.tracing` — structured event tracing that costs
+  one boolean check when disabled (near-zero overhead on hot paths); each
   registry carries one as ``trace``;
 * :mod:`repro.telemetry.profiling` — per-event-type timing for
   :meth:`repro.sim.engine.Simulator.run` and per-message-type payload
@@ -20,7 +20,7 @@ deterministic snapshot.  This package provides what sits around it:
 
 from repro.telemetry.profiling import EventLoopProfiler, payload_kind
 from repro.telemetry.report import build_report, flatten, to_csv
-from repro.telemetry.tracing import NULL_SPAN, TraceCollector
+from repro.telemetry.tracing import TraceCollector
 
 __all__ = [
     "EventLoopProfiler",
@@ -28,6 +28,5 @@ __all__ = [
     "build_report",
     "flatten",
     "to_csv",
-    "NULL_SPAN",
     "TraceCollector",
 ]

@@ -15,7 +15,7 @@ dissemination-cost accounting.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 
 def wall_clock() -> float:
@@ -28,14 +28,6 @@ def wall_clock() -> float:
     Never call this from protocol or simulation code.
     """
     return time.perf_counter()
-
-
-def callback_key(callback: Callable[..., Any]) -> str:
-    """Stable grouping key for an event callback (its qualified name)."""
-    key = getattr(callback, "__qualname__", None)
-    if key is None:
-        key = type(callback).__name__
-    return key
 
 
 class EventLoopProfiler:
@@ -67,10 +59,6 @@ class EventLoopProfiler:
             key: {"count": int(count), "seconds": seconds}
             for key, (count, seconds) in ranked
         }
-
-    def total_events(self) -> int:
-        """Total number of events recorded across all keys."""
-        return int(sum(count for count, _ in self.samples.values()))
 
 
 #: Stable payload-kind names, keyed by payload class name.  Class names

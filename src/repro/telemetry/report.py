@@ -9,7 +9,7 @@ module builds that document from a live
 
 Determinism contract: with default options the report contains only
 simulated-time data, so two same-seed runs produce byte-identical JSON.
-Wall-clock data (the event-loop profile, span summaries) only appears
+Wall-clock data (the event-loop profile) only appears
 when explicitly requested and is clearly namespaced under ``"profile"``
 so determinism checks can exclude it.
 """
@@ -44,10 +44,10 @@ def build_report(
     to the full run).  ``params`` records the run's inputs (seed, rate,
     semantics ...) verbatim so a report is self-describing.
 
-    ``include_profile`` adds the event-loop profile and span summary —
-    wall-clock data, *not* deterministic.  ``include_trace`` adds the
-    sim-time event summary, which is deterministic but only non-empty
-    when tracing was enabled for the run.
+    ``include_profile`` adds the event-loop profile — wall-clock data,
+    *not* deterministic.  ``include_trace`` adds the sim-time event
+    summary, which is deterministic but only non-empty when tracing was
+    enabled for the run.
     """
     network = deployment.network
     sim = network.sim
@@ -83,7 +83,6 @@ def build_report(
         profiler = sim.profiler
         report["profile"] = {
             "event_loop": profiler.snapshot() if profiler is not None else {},
-            "spans": network.stats.trace.span_summary(),
         }
     return report
 

@@ -1,99 +1,33 @@
-"""Structured span/event tracing with near-zero overhead when disabled.
+"""Structured event tracing with near-zero overhead when disabled.
 
 The contract that keeps hot paths fast: while a collector is disabled,
-:meth:`TraceCollector.span` returns the shared :data:`NULL_SPAN`
-singleton (no allocation, no bookkeeping) and :meth:`TraceCollector.event`
-returns after a single boolean check.  Protocol code can therefore leave
-trace calls in place permanently; they only cost anything when a run
-explicitly enables tracing (``repro stats --trace``).
+:meth:`TraceCollector.event` returns after a single boolean check.
+Protocol code can therefore leave trace calls in place permanently; they
+only cost anything when a run explicitly enables tracing
+(``repro stats --trace``).
 
-Spans measure *wall-clock* durations (``time.perf_counter``) — they are
-profiling data about the simulator process itself and are excluded from
-deterministic snapshots.  Events carry *simulated* timestamps supplied by
-the caller and are deterministic for a seeded run.
+Events carry *simulated* timestamps supplied by the caller and are
+deterministic for a seeded run.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
-
-
-class _NullSpan:
-    """Shared no-op span returned while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-#: The singleton no-op span.  Identity-comparable in tests to prove the
-#: disabled path allocates nothing.
-NULL_SPAN = _NullSpan()
-
-
-class _Span:
-    """A live span: records its wall-clock duration on exit."""
-
-    __slots__ = ("_collector", "name", "_start")
-
-    def __init__(self, collector: "TraceCollector", name: str):
-        self._collector = collector
-        self.name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self._collector._finish_span(self.name, time.perf_counter() - self._start)
-        return False
+from typing import Dict, List, Tuple
 
 
 class TraceCollector:
-    """Bounded collector of spans (wall-clock) and events (sim-time)."""
+    """Bounded collector of simulated-time events."""
 
     def __init__(self, max_records: int = 100_000):
         self.enabled = False
         self.max_records = max_records
-        #: Completed spans as (name, wall_seconds).
-        self.spans: List[Tuple[str, float]] = []
         #: Events as (sim_time, name, detail).
         self.events: List[Tuple[float, str, str]] = []
         self.dropped = 0
 
-    # ------------------------------------------------------------------
     def enable(self) -> None:
-        """Start collecting spans and events."""
+        """Start collecting events."""
         self.enabled = True
-
-    def disable(self) -> None:
-        """Stop collecting; already recorded data is retained."""
-        self.enabled = False
-
-    def clear(self) -> None:
-        """Discard all recorded spans and events."""
-        self.spans.clear()
-        self.events.clear()
-        self.dropped = 0
-
-    # ------------------------------------------------------------------
-    def span(self, name: str):
-        """A context manager timing a code block (no-op when disabled)."""
-        if not self.enabled:
-            return NULL_SPAN
-        return _Span(self, name)
-
-    def _finish_span(self, name: str, duration: float) -> None:
-        if len(self.spans) >= self.max_records:
-            self.dropped += 1
-            return
-        self.spans.append((name, duration))
 
     def event(self, sim_time: float, name: str, detail: str = "") -> None:
         """Record one simulated-time event (no-op when disabled)."""
@@ -104,29 +38,9 @@ class TraceCollector:
             return
         self.events.append((sim_time, name, detail))
 
-    # ------------------------------------------------------------------
-    def span_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-name span counts and total wall seconds."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, duration in self.spans:
-            entry = out.setdefault(name, {"count": 0, "seconds": 0.0})
-            entry["count"] += 1
-            entry["seconds"] += duration
-        return dict(sorted(out.items()))
-
     def event_summary(self) -> Dict[str, int]:
         """Per-name event counts (deterministic for a seeded run)."""
         out: Dict[str, int] = {}
         for _, name, _ in self.events:
             out[name] = out.get(name, 0) + 1
         return dict(sorted(out.items()))
-
-    def query_events(
-        self, name: Optional[str] = None, since: float = 0.0
-    ) -> List[Tuple[float, str, str]]:
-        """Events filtered by name prefix and minimum simulated time."""
-        return [
-            e
-            for e in self.events
-            if (name is None or e[1].startswith(name)) and e[0] >= since
-        ]

@@ -7,7 +7,8 @@
   (Suurballe/Bhandari via node-split min-cost flow);
 * :mod:`repro.topology.global_cloud` — the 12-node / 32-edge deployment
   topology used throughout the evaluation (Figure 3);
-* :mod:`repro.topology.generators` — synthetic topologies for tests;
+* :mod:`repro.topology.generators` — synthetic topologies (ring,
+  clique, chordal ring, large seeded overlays);
 * :mod:`repro.topology.analysis` — the analytical dissemination-cost
   metrics reported in Table III.
 """

@@ -1,22 +1,11 @@
-"""Synthetic topology generators for tests and ablation benchmarks."""
+"""Synthetic topology generators for benchmarks, examples and clusters."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
 
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
-
-
-def line(n: int, weight: float = 0.010) -> Topology:
-    """A chain 1 - 2 - ... - n (no redundancy; worst case for resilience)."""
-    if n < 2:
-        raise TopologyError("line needs at least 2 nodes")
-    topo = Topology()
-    for i in range(1, n):
-        topo.add_edge(i, i + 1, weight)
-    return topo
 
 
 def ring(n: int, weight: float = 0.010) -> Topology:
@@ -53,36 +42,6 @@ def chordal_ring(n: int, chords: int = 2, weight: float = 0.010) -> Topology:
     return topo
 
 
-def random_connected(
-    n: int,
-    extra_edges: int,
-    rng: Optional[random.Random] = None,
-    min_weight: float = 0.005,
-    max_weight: float = 0.050,
-) -> Topology:
-    """A random connected graph: a random spanning tree plus extra edges."""
-    rng = rng or random.Random(0)
-    if n < 2:
-        raise TopologyError("need at least 2 nodes")
-    topo = Topology()
-    nodes: List[int] = list(range(1, n + 1))
-    shuffled = nodes[:]
-    rng.shuffle(shuffled)
-    for i in range(1, n):
-        a = shuffled[i]
-        b = shuffled[rng.randrange(i)]
-        topo.add_edge(a, b, rng.uniform(min_weight, max_weight))
-    added = 0
-    attempts = 0
-    while added < extra_edges and attempts < 100 * extra_edges:
-        attempts += 1
-        a, b = rng.sample(nodes, 2)
-        if not topo.has_edge(a, b):
-            topo.add_edge(a, b, rng.uniform(min_weight, max_weight))
-            added += 1
-    return topo
-
-
 def large_overlay(
     n: int,
     degree: int = 4,
@@ -98,9 +57,8 @@ def large_overlay(
     chords (``chord_fraction * n`` of them) that cut the graph diameter,
     with seeded per-edge weights.  The circulant core makes the graph
     ``degree``-connected *by construction* (Boesch & Tindell), so no
-    max-flow verification pass is needed — ``random_k_connected``'s
-    ``minimum_pair_connectivity`` check is O(n² · maxflow) and
-    intractable at this scale.  Callers wanting extra assurance can spot
+    max-flow verification pass is needed — ``minimum_pair_connectivity``
+    is O(n² · maxflow) and intractable at this scale.  Callers wanting extra assurance can spot
     check sampled pairs with :mod:`repro.topology.disjoint`.
 
     Deterministic: the same ``(n, degree, chord_fraction, seed)`` yields
@@ -134,23 +92,3 @@ def large_overlay(
             topo.add_edge(a, b, rng.uniform(min_weight, max_weight))
             added += 1
     return topo
-
-
-def random_k_connected(
-    n: int,
-    k: int,
-    rng: Optional[random.Random] = None,
-    max_attempts: int = 200,
-) -> Topology:
-    """A random graph whose minimum pair connectivity is at least ``k``."""
-    from repro.topology.analysis import minimum_pair_connectivity
-
-    rng = rng or random.Random(0)
-    extra = max(n, n * k // 2)
-    for _ in range(max_attempts):
-        candidate = random_connected(n, extra, rng=rng)
-        if all(candidate.degree(v) >= k for v in candidate.nodes):
-            if minimum_pair_connectivity(candidate) >= k:
-                return candidate
-        extra += 1
-    raise TopologyError(f"failed to generate a {k}-connected graph on {n} nodes")

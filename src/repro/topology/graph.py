@@ -203,15 +203,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Connectivity
     # ------------------------------------------------------------------
-    def is_connected(self, exclude_nodes: Optional[set] = None) -> bool:
-        """Whether the graph (minus ``exclude_nodes``) is connected."""
-        excluded = exclude_nodes or set()
-        remaining = [n for n in self._adjacency if n not in excluded]
-        if not remaining:
-            return True
-        reached = self.reachable_from(remaining[0], exclude_nodes=excluded)
-        return len(reached) == len(remaining)
-
     def reachable_from(self, source: NodeId, exclude_nodes: Optional[set] = None) -> set:
         """Nodes reachable from ``source`` avoiding ``exclude_nodes``."""
         excluded = exclude_nodes or set()
@@ -226,12 +217,6 @@ class Topology:
                     seen.add(v)
                     stack.append(v)
         return seen
-
-    def node_connectivity(self, a: NodeId, b: NodeId) -> int:
-        """Number of node-disjoint paths between a and b (max-flow)."""
-        from repro.topology.disjoint import max_node_disjoint_paths
-
-        return max_node_disjoint_paths(self, a, b)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Topology(nodes={len(self._adjacency)}, edges={self.edge_count})"

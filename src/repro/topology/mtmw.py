@@ -94,10 +94,6 @@ class Mtmw:
         """
         return self._topology
 
-    def is_member(self, node: NodeId) -> bool:
-        """Whether ``node`` is an authorized overlay member."""
-        return self._topology.has_node(node)
-
     def is_edge(self, a: NodeId, b: NodeId) -> bool:
         """Whether (a, b) is an authorized overlay link."""
         return self._topology.has_edge(a, b)
@@ -113,10 +109,6 @@ class Mtmw:
             return self._min_weights[key]
         except KeyError:
             raise TopologyError(f"no MTMW edge between {a!r} and {b!r}") from None
-
-    def neighbors(self, node: NodeId) -> List[NodeId]:
-        """The MTMW neighbors of ``node``."""
-        return self._topology.neighbors(node)
 
     @property
     def members(self) -> List[NodeId]:

@@ -11,11 +11,10 @@
 
 from repro.workloads.experiment import Deployment, SCALE
 from repro.workloads.monitoring import MonitoringWorkload
-from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic
 
 __all__ = [
     "CbrTraffic",
-    "ReliableBacklogTraffic",
     "MonitoringWorkload",
     "Deployment",
     "SCALE",

@@ -68,7 +68,6 @@ class MonitoringWorkload:
         #: production monitoring system "with other routing
         #: considerations" (e.g. min-hop instead of min-latency routes).
         self.explicit_routes = explicit_routes or {}
-        self.running = False
         self.messages_sent = 0
         #: Reports skipped because the reporter had no usable path to a
         #: sink (e.g. it was partitioned off during a chaos run).  The
@@ -78,7 +77,6 @@ class MonitoringWorkload:
 
     def start(self) -> None:
         """Begin periodic reporting from every non-sink node."""
-        self.running = True
         for node_id in self.network.nodes:
             if node_id in self.sinks:
                 continue
@@ -88,18 +86,12 @@ class MonitoringWorkload:
                     phase, self._report, node_id, message_class
                 )
 
-    def stop(self) -> None:
-        """Stop generating reports."""
-        self.running = False
-
     def set_method(self, method: DisseminationMethod) -> None:
         """Switch dissemination on the fly ("we alternated between using
         K-Paths (with K=2) and Constrained Flooding")."""
         self.method = method
 
     def _report(self, node_id: NodeId, message_class: MonitoringMessageClass) -> None:
-        if not self.running:
-            return
         node = self.network.node(node_id)
         if not node.crashed:
             for sink in self.sinks:

@@ -126,44 +126,3 @@ class CbrTraffic:
             self.messages_sent += 1
             self._credit -= self.size_bytes
         sim.schedule(self.tick_interval, self._tick)
-
-
-class ReliableBacklogTraffic:
-    """Send exactly ``count`` reliable messages as fast as back-pressure
-    allows (a file-transfer-like workload)."""
-
-    def __init__(
-        self,
-        network: OverlayNetwork,
-        source: NodeId,
-        dest: NodeId,
-        count: int,
-        size_bytes: int = 1186,
-        method: Optional[DisseminationMethod] = None,
-        retry_interval: float = 0.02,
-    ):
-        self.network = network
-        self.source = source
-        self.dest = dest
-        self.count = count
-        self.size_bytes = size_bytes
-        self.method = method or DisseminationMethod.flooding()
-        self.retry_interval = retry_interval
-        self.sent = 0
-
-    def start(self) -> None:
-        """Begin draining the backlog as back-pressure allows."""
-        self._tick()
-
-    def _tick(self) -> None:
-        node = self.network.node(self.source)
-        while self.sent < self.count and not node.crashed and node.send_reliable(
-            self.dest, size_bytes=self.size_bytes, method=self.method
-        ):
-            self.sent += 1
-        if self.sent < self.count:
-            self.network.sim.schedule(self.retry_interval, self._tick)
-
-    @property
-    def done(self) -> bool:
-        return self.sent >= self.count

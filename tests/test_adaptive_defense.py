@@ -142,13 +142,16 @@ class TestBeliefProperties:
         estimator = BeliefEstimator(config)
         rng = random.Random(seed)
         now = 0.0
+        transitions = []
         for _ in range(steps):
             now += rng.uniform(0.1, 3.0)
             if rng.random() < 0.5:
                 estimator.observe("n", rng.choice(KINDS), rng.randrange(0, 8), now)
             else:
                 estimator.score("n", now)
-        transitions = estimator.transitions("n")
+            # Each update flips the hysteresis at most once, at ``now``.
+            if estimator.is_suspect("n") != (transitions[-1][1] if transitions else False):
+                transitions.append((now, estimator.is_suspect("n")))
         for (t_prev, _), (t_next, _) in zip(transitions, transitions[1:]):
             assert t_next - t_prev >= config.action_cooldown - 1e-9
 

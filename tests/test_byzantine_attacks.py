@@ -17,7 +17,7 @@ from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
 from repro.routing.validation import UpdateResult
 from repro.topology.generators import clique, ring
-from repro.workloads.traffic import ReliableBacklogTraffic
+from tests.fixtures import ReliableBacklogTraffic
 
 PACED = OverlayConfig(link_bandwidth_bps=1e6)
 

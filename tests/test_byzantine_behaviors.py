@@ -17,7 +17,8 @@ from repro.byzantine.behaviors import (
 from repro.messaging.message import Message, Semantics
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.topology.generators import line, ring
+from repro.topology.generators import ring
+from tests.fixtures import line
 
 FAST = OverlayConfig(link_bandwidth_bps=None)
 

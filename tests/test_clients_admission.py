@@ -103,15 +103,14 @@ def test_idle_sources_are_pruned():
     controller, clock, _ = make_controller()
     offer(controller, source="a")
     offer(controller, source="b")
-    assert controller.active_sources == 2
+    assert controller.snapshot()["active_sources"] == 2
     clock.now += 0.6 * SOURCE_IDLE_TIMEOUT
     offer(controller, source="b")
     # "a" last offered 1.2 idle timeouts ago, "b" 0.6.
     clock.now += 0.6 * SOURCE_IDLE_TIMEOUT
     controller.tick()
-    assert controller.active_sources == 1
-    assert controller.source_tokens("a") is None
-    assert controller.source_tokens("b") is not None
+    assert controller.snapshot()["active_sources"] == 1
+    assert set(controller._sources) == {"b"}
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +121,11 @@ def test_out_of_allowance_offer_parks_and_releases_on_drain():
     offer(controller)
     outcome, sent = offer(controller)
     assert outcome is AdmissionOutcome.PARKED and sent == []
-    assert controller.parked_live == 1
+    assert controller.snapshot()["parked"] == 1
     # Load stays below park_low → next tick drains the park buffer.
     clock.now += 0.05
     controller.tick()
-    assert controller.parked_live == 0
+    assert controller.snapshot()["parked"] == 0
     assert controller.released == 1
 
 
@@ -150,7 +149,7 @@ def test_parked_entries_expire_after_timeout():
     assert offer(controller)[0] is AdmissionOutcome.PARKED
     clock.now += 1.5
     controller.tick()
-    assert controller.parked_live == 0
+    assert controller.snapshot()["parked"] == 0
     assert controller.expired == 1
     assert controller.released == 0
 
@@ -169,7 +168,9 @@ def test_replace_by_priority_evicts_only_strictly_lower():
     # Strictly higher: evicts the oldest lowest (the priority-3 entry).
     assert offer(controller, priority=7)[0] is AdmissionOutcome.PARKED
     assert controller.evicted == 1
-    assert sorted(p for p, _, _ in controller.parked_items()) == [5, 7]
+    assert sorted(
+        entry.priority for level in controller._park.values() for entry in level
+    ) == [5, 7]
 
 
 def test_clear_accounts_parked_entries_and_resets():
@@ -179,9 +180,9 @@ def test_clear_accounts_parked_entries_and_resets():
     offer(controller)
     offer(controller)
     offer(controller)
-    assert controller.parked_live == 2
+    assert controller.snapshot()["parked"] == 2
     controller.clear()
-    assert controller.parked_live == 0
+    assert controller.snapshot()["parked"] == 0
     assert controller.cleared == 2
     assert controller.state is AdmissionState.OPEN
     offered, accounted = controller.balance()
@@ -224,7 +225,7 @@ def test_reject_state_rejects_out_of_allowance_offers():
     offer(controller)  # within bucket: still admitted even under REJECT
     outcome, _ = offer(controller)
     assert outcome is AdmissionOutcome.REJECTED
-    assert controller.parked_live == 0
+    assert controller.snapshot()["parked"] == 0
 
 
 def test_invalid_watermark_configs_raise():
@@ -277,9 +278,9 @@ def test_crash_clears_admission_state():
     node = net.node(1)
     node.offer_priority(3, priority=5, client="1/c0")
     node.offer_priority(3, priority=5, client="1/c0")  # parked
-    assert node.admission.parked_live == 1
+    assert node.admission.snapshot()["parked"] == 1
     node.crash()
-    assert node.admission.parked_live == 0
+    assert node.admission.snapshot()["parked"] == 0
     assert node.admission.cleared == 1
     offered, accounted = node.admission.balance()
     assert offered == accounted

@@ -114,6 +114,17 @@ def test_deeply_nested_control_frame_is_malformed_not_a_crash():
         decode_frame(key, b'{"mac": "00", "body": ' + nested + b"}")
 
 
+@pytest.mark.parametrize("mac", ["\u00e9", "0" * 63 + "\u00e9", "\u2603" * 64])
+def test_non_ascii_control_mac_is_malformed_not_a_crash(mac):
+    """``hmac.compare_digest`` refuses a non-ASCII str with TypeError,
+    which the connection and shard readers do not catch: an
+    unauthenticated frame carrying one is rejected as malformed."""
+    key = control_key(42)
+    blob = json.dumps({"mac": mac, "body": {}}).encode()
+    with pytest.raises(LiveRuntimeError, match="malformed"):
+        decode_frame(key, blob)
+
+
 def test_control_frames_over_real_stream():
     async def check():
         key = control_key(7)

@@ -408,13 +408,13 @@ def test_sim_and_live_agree_on_session_outcomes():
 
     expected_ok = 4
     expected_nacked = 2
-    assert sim_tier.outcome_log() == live_tier.outcome_log()
-    assert len(sim_tier.outcome_log()) == len(_session_plan())
-    outcomes = [outcome for _, outcome, _ in sim_tier.outcome_log()]
+    assert sorted(sim_tier.resolve_log) == sorted(live_tier.resolve_log)
+    assert len(sim_tier.resolve_log) == len(_session_plan())
+    outcomes = [outcome for _, outcome, _ in sim_tier.resolve_log]
     assert outcomes.count("ok") == expected_ok
     assert outcomes.count("failed_budget") == expected_nacked
     # Every resolution took exactly one attempt (budget 0: no retries).
-    assert all(attempts == 1 for _, _, attempts in sim_tier.outcome_log())
+    assert all(attempts == 1 for _, _, attempts in sim_tier.resolve_log)
     for tier in (sim_tier, live_tier):
         assert tier.nacks_consumed == expected_nacked
         assert tier.retry_offers == 0
@@ -458,6 +458,6 @@ def test_typed_nack_crosses_the_real_udp_wire():
     tier = asyncio.run(drive())
     assert tier.failovers >= 2  # both attempts bypassed the open home
     assert tier.nacks_consumed >= 1  # the NACK crossed the wire home
-    outcomes = [outcome for _, outcome, _ in tier.outcome_log()]
+    outcomes = [outcome for _, outcome, _ in tier.resolve_log]
     assert outcomes.count("ok") == 1
     assert outcomes.count("failed_budget") == 1

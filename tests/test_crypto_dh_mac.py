@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.dh import GROUP_PRIME, DiffieHellman
-from repro.crypto.mac import (
-    MAC_SIZE,
-    BatchMacContext,
-    hmac_sha256,
-    truncated_hmac,
-    verify_hmac,
-)
+from repro.crypto.mac import BatchMacContext
 from repro.errors import CryptoError, MacError
 
 
@@ -59,45 +53,44 @@ class TestDiffieHellman:
         assert len(encoded) == (GROUP_PRIME.bit_length() + 7) // 8
 
 
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """The standard library's one-shot HMAC-SHA256: the reference."""
+    return std_hmac.new(key, message, hashlib.sha256).digest()
+
+
 class TestHmac:
+    """The link MAC is HMAC-SHA256; REAL mode computes it through
+    :class:`BatchMacContext`."""
+
     def test_matches_stdlib(self):
         key, msg = b"k" * 32, b"payload"
-        assert hmac_sha256(key, msg) == std_hmac.new(key, msg, hashlib.sha256).digest()
+        assert BatchMacContext(key).tag(msg) == hmac_sha256(key, msg)
 
     def test_verify_accepts_valid(self):
-        tag = hmac_sha256(b"key", b"msg")
-        verify_hmac(b"key", b"msg", tag)  # no raise
+        BatchMacContext(b"key").verify(b"msg", hmac_sha256(b"key", b"msg"))  # no raise
 
     def test_verify_rejects_tampered_message(self):
         tag = hmac_sha256(b"key", b"msg")
         with pytest.raises(MacError):
-            verify_hmac(b"key", b"msG", tag)
+            BatchMacContext(b"key").verify(b"msG", tag)
 
     def test_verify_rejects_wrong_key(self):
         tag = hmac_sha256(b"key", b"msg")
         with pytest.raises(MacError):
-            verify_hmac(b"yek", b"msg", tag)
+            BatchMacContext(b"yek").verify(b"msg", tag)
 
     def test_mac_size(self):
-        assert len(hmac_sha256(b"k", b"m")) == MAC_SIZE == 32
-
-    def test_truncated_hmac(self):
-        tag = truncated_hmac(b"k", b"m", size=16)
-        assert len(tag) == 16
-        assert tag == hmac_sha256(b"k", b"m")[:16]
-
-    def test_truncation_below_16_rejected(self):
-        with pytest.raises(MacError):
-            truncated_hmac(b"k", b"m", size=8)
+        assert len(BatchMacContext(b"k").tag(b"m")) == 32
 
     @given(st.binary(min_size=1, max_size=64), st.binary(max_size=128))
     def test_property_roundtrip(self, key, msg):
-        verify_hmac(key, msg, hmac_sha256(key, msg))
+        ctx = BatchMacContext(key)
+        ctx.verify(msg, ctx.tag(msg))
 
 
 class TestBatchMacContext:
     """The amortized per-link HMAC context must be byte-identical to the
-    one-shot functions — batching is a key-schedule optimization, never a
+    one-shot HMAC — batching is a key-schedule optimization, never a
     different MAC."""
 
     @given(st.binary(min_size=1, max_size=64), st.binary(max_size=128))

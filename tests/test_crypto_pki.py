@@ -106,13 +106,6 @@ class TestLinkSecrets:
         pki = Pki(seed=1)
         assert pki.link_secret(1, 2) != pki.link_secret(1, 3)
 
-    def test_mac_tag_roundtrip(self):
-        pki = Pki(seed=1)
-        tag = pki.mac_tag(1, 2, ("pkt", 7))
-        assert pki.verify_mac_tag(2, 1, ("pkt", 7), tag)
-        assert not pki.verify_mac_tag(1, 2, ("pkt", 8), tag)
-        assert not pki.verify_mac_tag(1, 3, ("pkt", 7), tag)
-
 
 class TestSimulatedSignatureWireSize:
     def test_matches_rsa_2048(self):

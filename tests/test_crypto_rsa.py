@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.rsa import (
-    RsaKeyPair,
-    _generate_prime,
-    _is_probable_prime,
-    generate_keypair,
-    keypair_from_seed,
-)
+from repro.crypto.rsa import RsaKeyPair, _is_probable_prime, keypair_from_seed
 from repro.errors import CryptoError, SignatureError
 
 # Module-level fixtures: key generation is the slow part, share it.
@@ -30,15 +24,6 @@ class TestPrimality:
         # Carmichael numbers fool Fermat tests but not Miller-Rabin.
         for c in [561, 1105, 1729, 2465, 2821, 6601, 8911]:
             assert not _is_probable_prime(c)
-
-    def test_generated_prime_has_exact_bits(self):
-        p = _generate_prime(64)
-        assert p.bit_length() == 64
-        assert _is_probable_prime(p)
-
-    def test_tiny_prime_size_rejected(self):
-        with pytest.raises(CryptoError):
-            _generate_prime(4)
 
 
 class TestSignatures:
@@ -95,8 +80,8 @@ class TestSignatures:
 
 
 class TestKeyGeneration:
-    def test_generate_keypair_produces_working_key(self):
-        key = generate_keypair(bits=512)
+    def test_keypair_from_seed_produces_working_key(self):
+        key = keypair_from_seed(b"fresh", bits=512)
         assert key.public.n.bit_length() == 512
         assert key.public.is_valid(b"m", key.sign(b"m"))
 
@@ -113,13 +98,3 @@ class TestKeyGeneration:
     def test_equal_primes_rejected(self):
         with pytest.raises(CryptoError):
             RsaKeyPair(7919, 7919)
-
-    def test_too_small_modulus_rejected(self):
-        with pytest.raises(CryptoError):
-            generate_keypair(bits=64)
-
-    def test_fingerprint_is_stable_and_short(self):
-        fp = KEY.public.fingerprint()
-        assert fp == KEY.public.fingerprint()
-        assert len(fp) == 16
-        assert fp != OTHER.public.fingerprint()

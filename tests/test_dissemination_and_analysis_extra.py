@@ -10,7 +10,8 @@ from repro.topology.analysis import (
     table3,
 )
 from repro.topology.disjoint import DisjointPathError
-from repro.topology.generators import chordal_ring, random_k_connected
+from repro.topology.generators import chordal_ring
+from tests.fixtures import random_k_connected
 from repro.topology.graph import Topology
 from repro.topology import global_cloud
 
@@ -50,8 +51,8 @@ class TestGenerators:
 
     def test_global_cloud_evaluation_flows_multi_region(self):
         regions = {
-            global_cloud.region_of(s) for s, _ in global_cloud.EVALUATION_FLOWS
-        } | {global_cloud.region_of(d) for _, d in global_cloud.EVALUATION_FLOWS}
+            global_cloud.CITIES[s][3] for s, _ in global_cloud.EVALUATION_FLOWS
+        } | {global_cloud.CITIES[d][3] for _, d in global_cloud.EVALUATION_FLOWS}
         assert len(regions) == 3  # the flows span all three continents
 
 

@@ -8,7 +8,8 @@ and a link flapping during an active retransmission storm.
 
 from repro.crypto.pki import Pki, PkiMode
 from repro.faults.invariants import InvariantMonitor
-from repro.link.por import PorConfig, connect_por_pair
+from repro.link.por import PorConfig
+from tests.fixtures import connect_por_pair
 from repro.messaging.message import Semantics
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork

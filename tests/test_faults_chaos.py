@@ -27,6 +27,21 @@ def build(topo=None, config=FAST, seed=0):
     return OverlayNetwork.build(topo or chordal_ring(8), config, seed=seed)
 
 
+def impaired(channel):
+    return channel._extra_loss > 0.0 or channel._extra_delay > 0.0
+
+
+def quarantined_links(net):
+    """The neighbors each live node holds in quarantine (nodes with none
+    omitted)."""
+    out = {}
+    for node_id, node in net.nodes.items():
+        held = [n for n, link in node.links.items() if not link.monitor_up]
+        if held and not node.crashed:
+            out[node_id] = held
+    return out
+
+
 class TestQuarantine:
     def test_failed_link_quarantined_within_probe_timeout(self):
         net = build(ring(5))
@@ -38,7 +53,7 @@ class TestQuarantine:
         assert not node.links[2].monitor_up
         assert not node.routing.is_link_usable(1, 2)
         assert node.routing.effective_weight(1, 2) == FAILED_WEIGHT
-        assert 2 in net.quarantined_links()[1]
+        assert 2 in quarantined_links(net)[1]
 
     def test_other_nodes_learn_of_quarantine(self):
         net = build(ring(5))
@@ -62,7 +77,7 @@ class TestQuarantine:
         assert link.monitor_up
         assert link.reinstatements == 1
         assert net.node(1).routing.is_link_usable(1, 2)
-        assert net.quarantined_links() == {}
+        assert quarantined_links(net) == {}
 
     def test_quarantine_stats_counters(self):
         net = build(ring(5))
@@ -95,7 +110,7 @@ class TestQuarantine:
         # Effective weight is the max of both reports, so the link is
         # unusable network-wide even though node 1 still hears node 2.
         assert not net.node(1).routing.is_link_usable(1, 2)
-        net.channels[(1, 2)].clear_impairment()
+        net.channels[(1, 2)].set_impairment()
         net.run(12.0)
         assert net.node(2).links[1].monitor_up
 
@@ -123,7 +138,7 @@ class TestChaosEngine:
             net.run(50.0)
             results.append((
                 schedule.describe(),
-                engine.describe_applied(),
+                list(engine.applied),
                 net.delivered_count(1, 5),
                 net.stats.counter("link_quarantines").value,
             ))
@@ -134,9 +149,9 @@ class TestChaosEngine:
         schedule = manual_schedule(Fault(1.0, "flap", (1, 2), 3.0))
         ChaosEngine(net, schedule).arm()
         net.run(2.0)
-        assert not net.channels[(1, 2)].up
+        assert not net.channels[(1, 2)]._up
         net.run(3.0)
-        assert net.channels[(1, 2)].up
+        assert net.channels[(1, 2)]._up
 
     def test_overlapping_link_faults_refcounted(self):
         net = build(ring(5))
@@ -146,9 +161,9 @@ class TestChaosEngine:
         )
         ChaosEngine(net, schedule).arm()
         net.run(5.0)
-        assert not net.channels[(1, 2)].up
+        assert not net.channels[(1, 2)]._up
         net.run(7.0)
-        assert net.channels[(1, 2)].up
+        assert net.channels[(1, 2)]._up
 
     def test_gray_fault_sets_and_clears_impairment(self):
         net = build(ring(5))
@@ -158,10 +173,10 @@ class TestChaosEngine:
         )
         ChaosEngine(net, schedule).arm()
         net.run(2.0)
-        assert net.channels[(1, 2)].impaired
-        assert net.channels[(2, 1)].impaired
+        assert impaired(net.channels[(1, 2)])
+        assert impaired(net.channels[(2, 1)])
         net.run(4.0)
-        assert not net.channels[(1, 2)].impaired
+        assert not impaired(net.channels[(1, 2)])
 
     def test_noise_fault_projects_onto_loss_and_delay(self):
         # In the simulator, the wire-noise fault's corruption share folds
@@ -178,12 +193,12 @@ class TestChaosEngine:
         engine.arm()
         net.run(2.0)
         channel = net.channels[(1, 2)]
-        assert channel.impaired
+        assert impaired(channel)
         # 1 - (1-0.5)(1-0.5) = 0.75 composed loss.
-        assert channel.extra_loss == pytest.approx(0.75)
-        assert channel.extra_delay == pytest.approx(0.02)
+        assert channel._extra_loss == pytest.approx(0.75)
+        assert channel._extra_delay == pytest.approx(0.02)
         net.run(4.0)
-        assert not net.channels[(1, 2)].impaired
+        assert not impaired(net.channels[(1, 2)])
         assert engine.counts["noise"] == 1
 
     def test_noise_and_gray_compose_on_same_edge(self):
@@ -200,12 +215,12 @@ class TestChaosEngine:
         net.run(3.0)
         channel = net.channels[(1, 2)]
         # 1 - (1-0.2)(1-0.5) = 0.6 while both are active.
-        assert channel.extra_loss == pytest.approx(0.6)
-        assert channel.extra_delay == pytest.approx(0.02)
+        assert channel._extra_loss == pytest.approx(0.6)
+        assert channel._extra_delay == pytest.approx(0.02)
         net.run(5.0)
         # The noise fault ended; the gray failure must survive unchanged.
-        assert channel.extra_loss == pytest.approx(0.2)
-        assert channel.extra_delay == pytest.approx(0.01)
+        assert channel._extra_loss == pytest.approx(0.2)
+        assert channel._extra_delay == pytest.approx(0.01)
 
     def test_burst_impairs_all_links_of_node(self):
         net = build(ring(5))
@@ -215,10 +230,10 @@ class TestChaosEngine:
         ChaosEngine(net, schedule).arm()
         net.run(1.5)
         for neighbor in net.topology.neighbors(1):
-            assert net.channels[(1, neighbor)].impaired
+            assert impaired(net.channels[(1, neighbor)])
         net.run(2.0)
         for neighbor in net.topology.neighbors(1):
-            assert not net.channels[(1, neighbor)].impaired
+            assert not impaired(net.channels[(1, neighbor)])
 
     def test_crash_and_restart(self):
         net = build(ring(5))
@@ -234,12 +249,12 @@ class TestChaosEngine:
         schedule = manual_schedule(Fault(1.0, "partition", (1, 2), 3.0))
         ChaosEngine(net, schedule).arm()
         net.run(2.0)
-        assert net.channels[(1, 2)].up          # inside the partition side
-        assert not net.channels[(1, 3)].up      # crossing
-        assert not net.channels[(2, 4)].up      # crossing
-        assert net.channels[(3, 4)].up          # outside
+        assert net.channels[(1, 2)]._up          # inside the partition side
+        assert not net.channels[(1, 3)]._up      # crossing
+        assert not net.channels[(2, 4)]._up      # crossing
+        assert net.channels[(3, 4)]._up          # outside
         net.run(3.0)
-        assert net.channels[(1, 3)].up
+        assert net.channels[(1, 3)]._up
 
     def test_recovery_refails_links_with_active_faults(self):
         net = build(ring(5))
@@ -250,9 +265,9 @@ class TestChaosEngine:
         ChaosEngine(net, schedule).arm()
         net.run(6.0)  # node 2 recovered at t=5, flap still active
         assert not net.node(2).crashed
-        assert not net.channels[(2, 3)].up
+        assert not net.channels[(2, 3)]._up
         net.run(20.0)
-        assert net.channels[(2, 3)].up
+        assert net.channels[(2, 3)]._up
 
     def test_arm_twice_rejected(self):
         net = build(ring(5))
@@ -378,11 +393,11 @@ class TestNetworkHelpers:
     def test_impair_link_both_directions(self):
         net = build(ring(5))
         net.impair_link(1, 2, extra_loss=0.5, extra_delay=0.01)
-        assert net.channels[(1, 2)].impaired and net.channels[(2, 1)].impaired
-        net.clear_link_impairment(1, 2)
-        assert not net.channels[(1, 2)].impaired
+        assert impaired(net.channels[(1, 2)]) and impaired(net.channels[(2, 1)])
+        net.impair_link(1, 2)
+        assert not impaired(net.channels[(1, 2)])
 
     def test_quarantined_links_empty_when_healthy(self):
         net = build(ring(5))
         net.run(5.0)
-        assert net.quarantined_links() == {}
+        assert quarantined_links(net) == {}

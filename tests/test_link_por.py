@@ -5,7 +5,8 @@ import pytest
 from repro.crypto.pki import Pki, PkiMode
 from repro.errors import ConfigurationError, ProtocolError
 from repro.link import por
-from repro.link.por import PorConfig, connect_por_pair
+from repro.link.por import PorConfig
+from tests.fixtures import connect_por_pair
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.engine import Simulator
 
@@ -76,7 +77,7 @@ class TestReliableInOrderDelivery:
         sim, a, b, _, _ = make_link()
         for i in range(4):
             a.send(i, 100)
-        assert a.in_flight == 4
+        assert len(a._unacked) == 4
         assert not a.can_accept()
         with pytest.raises(ProtocolError):
             a.send(99, 100)
@@ -150,7 +151,7 @@ class TestProofOfReceipt:
         # having the nonces.
         bogus = PorAck(a.epoch, 7, b"\x00" * 16)
         a._on_packet(bogus)
-        assert a.in_flight == 8
+        assert len(a._unacked) == 8
         assert a.bogus_acks_rejected == 1
 
     def test_honest_acks_free_window(self):
@@ -158,7 +159,7 @@ class TestProofOfReceipt:
         for i in range(8):
             a.send(i, 100)
         sim.run(until=1.0)
-        assert a.in_flight == 0
+        assert len(a._unacked) == 0
         assert a.bogus_acks_rejected == 0
 
 
@@ -329,7 +330,7 @@ class TestAckCoalescing:
             a.send(i, 100)
         sim.run(until=5.0)
         assert delivered_b == list(range(40))
-        assert a.in_flight == 0  # every packet acknowledged
+        assert len(a._unacked) == 0  # every packet acknowledged
         assert b.acks_sent <= 40 // 2 + 2  # coalesced, plus boundary flushes
 
     def test_gap_flushes_ack_immediately(self, monkeypatch):
@@ -359,9 +360,9 @@ class TestAckCoalescing:
         a.send("only", 100)
         sim.run(until=0.001)
         assert delivered_b == ["only"]
-        assert a.in_flight == 1  # ACK still held back
+        assert len(a._unacked) == 1  # ACK still held back
         sim.run(until=0.050)
-        assert a.in_flight == 0  # flush timer fired well within ACK_DELAY+slack
+        assert len(a._unacked) == 0  # flush timer fired well within ACK_DELAY+slack
         assert b.acks_sent == 1
 
     def test_ack_delay_must_stay_below_rto(self):
@@ -409,7 +410,7 @@ class TestAckPerDatagram:
         assert len(acks) == 1 and b.acks_sent == 1
         assert acks[0].cum_seq == 6
         a._on_packet(acks[0])  # the proof covers all seven
-        assert a.in_flight == 0 and a.bogus_acks_rejected == 0
+        assert len(a._unacked) == 0 and a.bogus_acks_rejected == 0
         # The same frames outside a datagram (the simulator's path) ACK
         # per ACK_COALESCE packets, as before.
         sim2, a2, b2, _, _ = make_link()
@@ -441,7 +442,7 @@ class TestAckPerDatagram:
             a.send(i, 100)
         deliver_datagram(b, data[0:2])
         a._on_packet(acks.pop())
-        assert a.in_flight == 4
+        assert len(a._unacked) == 4
         sim.run(until=0.05)  # past the still-in-flight guard, before the RTO
         deliver_datagram(b, data[3:6])  # the datagram carrying seq 2 was lost
         assert len(acks) == 1 and acks[0].missing == (2,)

@@ -6,7 +6,8 @@ from repro.dissemination import flood_targets, path_successors, path_targets
 from repro.messaging.message import Message, Semantics
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.topology.generators import clique, line, ring
+from repro.topology.generators import clique, ring
+from tests.fixtures import line
 
 FAST = OverlayConfig(link_bandwidth_bps=None)
 
@@ -145,6 +146,21 @@ class TestParkedFlooding:
         assert self.transmissions(node) == {1: 0, 3: 0, 4: 1, 5: 1}
         assert node.parked is None
         assert node.priority.duplicates_suppressed == 1
+
+    def test_second_copy_from_the_same_neighbour_is_not_heard_from(self):
+        """A replayer's two copies (its replay and its own forward) can
+        land in one wakeup.  The second must not put the parked copy's
+        own sender into ``has_it``: ``flood_targets`` already excludes
+        it, and a forward skips only neighbours other than its sender."""
+        net = OverlayNetwork.build(clique(5), FAST)
+        message, node = self.flooded(net), net.node(2)
+        node.begin_wakeup()
+        node.priority.handle(message, 1)
+        node.priority.handle(message, 1)
+        [parked] = node.parked.values()
+        assert parked.from_neighbor == 1 and parked.has_it is None
+        node.end_wakeup()
+        assert self.transmissions(node) == {1: 0, 3: 1, 4: 1, 5: 1}
 
     def test_bad_signature_copy_removes_nobody_from_the_targets(self):
         from dataclasses import replace

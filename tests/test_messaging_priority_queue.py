@@ -75,8 +75,8 @@ class TestEvictionPolicy:
         # Queue full; a new message forces eviction from "heavy".
         assert q.offer(msg("light", 2, priority=9), now=0.0)
         assert q.dropped_for_space == 1
-        assert q.source_usage("heavy") == 2
-        assert q.source_usage("light") == 2
+        assert q._buckets["heavy"].live == 2
+        assert q._buckets["light"].live == 2
         remaining = [q.next_message(0.0) for _ in range(4)]
         assert ("heavy", 2) not in [(m.source, m.seq) for m in remaining]
 
@@ -96,8 +96,8 @@ class TestEvictionPolicy:
         q.offer(msg("honest", 1, priority=1), now=0.0)
         for seq in range(1, 20):
             q.offer(msg("spammer", seq, priority=10), now=0.0)
-        assert q.source_usage("honest") == 1
-        assert q.source_usage("spammer") == 4
+        assert q._buckets["honest"].live == 1
+        assert q._buckets["spammer"].live == 4
 
     def test_capacity_never_exceeded(self):
         q = PriorityLinkQueue(capacity=8)
@@ -163,4 +163,4 @@ class TestValidation:
         q.offer(msg("a", 1), now=0.0)
         q.offer(msg("b", 1), now=0.0)
         q.next_message(0.0)
-        assert len(q.active_sources()) == 1
+        assert [s for s, b in q._buckets.items() if b.live > 0] == ["b"]

@@ -8,7 +8,8 @@ from repro.messaging import reliable
 from repro.messaging.reliable import FlowState, ReliableLinkState, _Cursor
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.topology.generators import line, ring
+from repro.topology.generators import ring
+from tests.fixtures import line
 
 
 def rmsg(seq, source=1, dest=3, size=500):

@@ -22,7 +22,7 @@ class TestRoundRobin:
         rr.activate("idle")
         rr.activate("busy")
         assert rr.select(lambda k: k == "busy") == "busy"
-        assert "idle" not in rr
+        assert "idle" not in rr.keys()
         assert len(rr) == 1
 
     def test_empty_queue_returns_none(self):

@@ -12,7 +12,8 @@ from repro.byzantine.behaviors import (
 from repro.errors import ProtocolError
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.topology.generators import clique, line, ring
+from repro.topology.generators import clique, ring
+from tests.fixtures import line
 from repro.topology import global_cloud
 
 FAST = OverlayConfig(link_bandwidth_bps=None)           # no pacing: logic tests

@@ -11,7 +11,8 @@ from repro.overlay import node as node_module
 from repro.overlay.network import OverlayNetwork
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.cpu import CpuCosts
-from repro.topology.generators import line, ring
+from repro.topology.generators import ring
+from tests.fixtures import line
 
 FAST = OverlayConfig(link_bandwidth_bps=None)
 
@@ -186,7 +187,7 @@ class TestLocalDeliveryStats:
         net.node(1).send_priority(3, priority=9)
         net.run(1.0)
         series = net.stats.series("priority-count:1->3:9")
-        assert len(series) == 1
+        assert len(series.samples) == 1
 
     def test_on_deliver_callback_sees_payload(self):
         net = OverlayNetwork.build(ring(4), FAST)
@@ -335,7 +336,8 @@ class DirectSendHarness:
             queue = link.priority_queue
             state[neighbor] = (
                 list(link.por.sent), link.por.in_flight, queue._rr.keys(),
-                len(queue), sorted(queue._index), sorted(queue.active_sources()),
+                len(queue), sorted(queue._index),
+                sorted(s for s, b in queue._buckets.items() if b.live > 0),
                 queue.dropped_expired, queue.dropped_for_space,
                 queue.cancelled_by_feedback, link.data_transmissions,
                 link._serve_reliable_next, link._pump_pending,

@@ -47,7 +47,7 @@ class TestPriorityFloodingTimelySafe:
         net.run(10.0)
         recorder = net.flow_latency(1, 3)
         assert recorder.count == 1
-        latency = recorder.latencies()[0]
+        latency = recorder.samples[0][1]
         # Bound: per hop, propagation + up to (n-1) message transmissions
         # (the RR cycle of the other active sources) + our own; the
         # shortest correct 1->3 path has 2 hops.  Add the PoR in-flight
@@ -61,7 +61,7 @@ class TestPriorityFloodingTimelySafe:
         net = OverlayNetwork.build(ring(5), paced(), seed=62)
         net.node(1).send_priority(3, size_bytes=882, priority=10)
         net.run(2.0)
-        latency = net.flow_latency(1, 3).latencies()[0]
+        latency = net.flow_latency(1, 3).samples[0][1]
         per_message = WIRE * 8 / LINK_BPS
         assert latency == pytest.approx(2 * (0.010 + per_message), rel=0.2)
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.crypto.pki import Pki
 from repro.link import por
-from repro.link.por import PorAck, PorConfig, PorData, connect_por_pair
+from repro.link.por import PorAck, PorConfig, PorData
+from tests.fixtures import connect_por_pair
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.engine import Simulator
 

@@ -16,7 +16,7 @@ hand-picked ones:
    result of an eviction.
 4. **Conservation** — after every operation,
    ``offered == admitted + released + rejected + evicted + expired +
-   cleared + parked_live``.
+   cleared + parked`` (``parked`` as ``snapshot()`` reports it).
 """
 
 from __future__ import annotations
@@ -46,6 +46,13 @@ def make(config: AdmissionConfig, load: float = 0.0):
         config, clock, load_fn=lambda: state["load"]
     )
     return controller, clock, state
+
+
+def parked_priorities(controller: AdmissionController):
+    """Sorted priorities of the live entries in the park buffer."""
+    return sorted(
+        entry.priority for level in controller._park.values() for entry in level
+    )
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +168,10 @@ def test_eviction_never_discards_equal_or_higher_priority(
     controller.tick()  # PARK state: no release drain interferes
     controller.offer("s", 5, lambda: None)  # exhaust the bucket
     for priority in priorities:
-        parked_before = sorted(p for p, _, _ in controller.parked_items())
+        parked_before = parked_priorities(controller)
         evicted_before = controller.evicted
         outcome = controller.offer("s", priority, lambda: None)
-        parked_after = sorted(p for p, _, _ in controller.parked_items())
+        parked_after = parked_priorities(controller)
         if controller.evicted > evicted_before:
             # An eviction happened: the buffer was full, the discarded
             # entry had strictly lower priority than the incoming one,
@@ -224,8 +231,8 @@ def test_every_offer_is_accounted_exactly_once(ops):
             controller.clear()
         offered, accounted = controller.balance()
         assert offered == accounted
-        assert controller.parked_live >= 0
-        assert controller.parked_live <= config.park_capacity
+        assert controller.snapshot()["parked"] >= 0
+        assert controller.snapshot()["parked"] <= config.park_capacity
 
 
 # ----------------------------------------------------------------------
@@ -281,12 +288,12 @@ def test_two_key_conservation_and_nonnegative_dest_buckets(ops):
             dests_seen.clear()
         offered, accounted = controller.balance()
         assert offered == accounted
-        assert controller.parked_live >= 0
+        assert controller.snapshot()["parked"] >= 0
         for dest in dests_seen:
-            tokens = controller.dest_tokens(dest)
-            assert tokens is None or tokens >= 0.0
-        source_tokens = controller.source_tokens("s0")
-        assert source_tokens is None or source_tokens >= 0.0
+            meter = controller._dests.get(dest)
+            assert meter is None or meter.tokens >= 0.0
+        meter = controller._sources.get("s0")
+        assert meter is None or meter.tokens >= 0.0
 
 
 @given(

@@ -31,7 +31,7 @@ from repro.routing.link_state import LinkStateUpdate
 from repro.routing.state import RoutingState
 from repro.routing.validation import UpdateResult
 from repro.topology.disjoint import best_effort_disjoint_paths
-from repro.topology.generators import random_connected
+from tests.fixtures import random_connected
 from repro.topology.mtmw import Mtmw
 
 CACHE_SETTINGS = settings(

@@ -21,7 +21,7 @@ from repro.byzantine.behaviors import DroppingBehavior, DuplicatingBehavior
 from repro.messaging.message import Semantics
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.overlay.network import OverlayNetwork
-from repro.topology.generators import random_connected
+from tests.fixtures import random_connected
 
 SLOW = settings(
     max_examples=12,

@@ -96,21 +96,6 @@ def test_stop_releases_every_flooded_combination():
     assert underlay.link_usable(1, 2)
 
 
-def test_schedule_arms_start_and_stop_times():
-    net = _net()
-    underlay = _single_homed_underlay(net)
-    attack = RotatingLinkAttack(net.sim, underlay, [(1, 2)], rotation_period=0.25)
-    attack.schedule(start_at=1.0, duration=2.0)
-    net.sim.run(until=0.9)
-    assert underlay.link_usable(1, 2)
-    net.sim.run(until=1.1)
-    assert attack.active
-    assert not underlay.link_usable(1, 2)
-    net.sim.run(until=3.1)
-    assert not attack.active
-    assert underlay.link_usable(1, 2)
-
-
 # ----------------------------------------------------------------------
 # Client-tier admission floods (application-layer DoS)
 # ----------------------------------------------------------------------

@@ -60,12 +60,6 @@ class TestIspMeltdown:
         assert len(underlay.usable_links()) == 4
         assert underlay.connected_pairs_fraction() == 1.0
 
-    def test_restore_isp(self):
-        net, underlay = square()
-        underlay.fail_isp("red")
-        underlay.restore_isp("red")
-        assert len(underlay.usable_links()) == 4
-
     def test_unknown_isp_rejected(self):
         _, underlay = square()
         with pytest.raises(ConfigurationError):
@@ -103,8 +97,9 @@ class TestBgpHijack:
 
     def test_timed_hijack(self):
         net, underlay = square()
-        hijack = BgpHijack(net.sim, underlay)
-        hijack.schedule(start_at=1.0, duration=2.0)
+        hijack = BgpHijack(underlay)
+        net.sim.schedule_at(1.0, hijack.start)
+        net.sim.schedule_at(3.0, hijack.stop)
         net.run(0.5)
         assert len(underlay.usable_links()) == 4
         net.run(1.0)  # t = 1.5: hijack active

@@ -15,7 +15,8 @@ from repro.resilience.variants import (
     brute_force_assignment,
     connectivity_under_variant_failure,
 )
-from repro.topology.generators import clique, line, ring
+from repro.topology.generators import clique, ring
+from tests.fixtures import line
 
 FAST = OverlayConfig(link_bandwidth_bps=None)
 

@@ -153,7 +153,7 @@ class TestRoutingGraph:
         assert g2.weight(1, 2) == 0.5
 
     def test_k_paths_on_current_view(self, state, pki):
-        paths = state.k_paths(1, 3, 2)
+        paths = state.k_paths_best_effort(1, 3, 2)
         assert len(paths) == 2
         state.apply_update(LinkStateUpdate.create(pki, 1, 1, 2, FAILED_WEIGHT, seqno=1))
         remaining = state.k_paths_best_effort(1, 3, 2)

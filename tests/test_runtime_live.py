@@ -80,7 +80,7 @@ def test_udp_channels_satisfy_transport_protocol():
         transport = await AsyncioUdpTransport.open("a")
         transport.register_peer("b", ("127.0.0.1", 9))
         assert isinstance(transport.send_channel("b"), TransportLike)
-        assert isinstance(transport.receive_channel("b"), TransportLike)
+        assert isinstance(transport._inbound["b"], TransportLike)
         transport.close()
 
     run(check())
@@ -168,7 +168,7 @@ def test_periodic_timer_runs_on_asyncio_scheduler():
         timer.start()
         await asyncio.sleep(0.09)
         timer.stop()
-        assert not timer.running
+        assert timer._handle is None
         count = len(ticks)
         await asyncio.sleep(0.03)
         assert len(ticks) == count  # stopped means stopped
@@ -204,7 +204,7 @@ def test_transport_drops_junk_misdirected_and_unknown():
         peer = await AsyncioUdpTransport.open("peer")
         node.register_peer("peer", peer.local_address)
         received = []
-        node.receive_channel("peer").on_receive = received.append
+        node._inbound["peer"].on_receive = received.append
 
         loop = asyncio.get_event_loop()
         spray, _ = await loop.create_datagram_endpoint(
@@ -247,7 +247,7 @@ def test_receive_channel_refuses_to_send():
         a = await AsyncioUdpTransport.open("a")
         a.register_peer("b", ("127.0.0.1", 9))
         with pytest.raises(LiveRuntimeError):
-            a.receive_channel("b").send(object(), 1)
+            a._inbound["b"].send(object(), 1)
         with pytest.raises(LiveRuntimeError):
             a.send_channel("missing")
         a.close()
@@ -273,7 +273,8 @@ def test_live_topology_shapes():
     assert ring.edge_count == 24
     assert all(ring.degree(node) >= 4 for node in ring.nodes)
     for n in (2, 5, 9):
-        assert live_topology(n).is_connected()
+        topo = live_topology(n)
+        assert topo.reachable_from(1) == set(topo.nodes)
 
 
 def test_live_deployment_delivers_both_semantics():
@@ -436,7 +437,7 @@ def test_poisoned_receive_handler_is_attributed_and_fails_the_run():
         def poisoned(packet):
             raise RuntimeError("poisoned handler")
 
-        deployment.processes[1].transport.receive_channel(2).on_receive = poisoned
+        deployment.processes[1].transport._inbound[2].on_receive = poisoned
         try:
             await deployment.serve()
         finally:

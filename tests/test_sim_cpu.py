@@ -59,29 +59,21 @@ class TestCpuExecution:
         cpu.execute(2.0, lambda: None)
         sim.run()
         sim.run(until=10.0)
-        assert cpu.utilization(10.0) == pytest.approx(0.2)
-        assert cpu.utilization(0.0) == 0.0
+        assert cpu.busy_seconds / sim.now == pytest.approx(0.2)
 
     def test_convenience_wrappers_charge_configured_costs(self):
         sim = Simulator()
-        costs = CpuCosts(rsa_sign=1.0, rsa_verify=0.25, hmac=0.125, process_packet=0.0625)
+        costs = CpuCosts(rsa_sign=1.0, rsa_verify=0.25)
         cpu = Cpu(sim, costs)
         finished = []
         cpu.sign(lambda: finished.append(("sign", sim.now)))
         cpu.verify(lambda: finished.append(("verify", sim.now)))
-        cpu.hmac(lambda: finished.append(("hmac", sim.now)))
-        cpu.process(lambda: finished.append(("process", sim.now)))
         sim.run()
-        assert finished == [
-            ("sign", 1.0),
-            ("verify", 1.25),
-            ("hmac", 1.375),
-            ("process", 1.4375),
-        ]
+        assert finished == [("sign", 1.0), ("verify", 1.25)]
 
     def test_operations_counter(self):
         sim = Simulator()
         cpu = Cpu(sim, CpuCosts.free())
         for _ in range(5):
-            cpu.process(lambda: None)
+            cpu.execute(cpu.costs.process_packet, lambda: None)
         assert cpu.operations == 5

@@ -111,10 +111,10 @@ class TestScheduling:
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(2.0, fired.append, 2)
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 1
+        assert sim.run(max_events=1) == 0
 
     def test_events_run_counter(self):
         sim = Simulator()
@@ -386,7 +386,7 @@ class TestPeriodicTimer:
         sim.schedule(2.5, timer.stop)
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
-        assert not timer.running
+        assert timer._handle is None
 
     def test_phase_offsets_first_firing(self):
         sim = Simulator()

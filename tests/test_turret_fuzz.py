@@ -77,7 +77,7 @@ class TestFieldFuzzer:
         import random
 
         from repro.overlay.network import OverlayNetwork
-        from repro.topology.generators import line
+        from tests.fixtures import line
         from repro.overlay.config import DisseminationMethod
 
         net = OverlayNetwork.build(line(3), OverlayConfig(link_bandwidth_bps=None))

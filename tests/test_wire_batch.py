@@ -31,6 +31,7 @@ from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError, WireEncodeError
 from repro.link.por import PorData, _HelloWrapper
 from repro.messaging.message import Hello, Message, Semantics
+from repro.routing.link_state import LinkStateUpdate
 from repro.runtime.transport import AsyncioUdpTransport, UdpSendChannel
 from repro.runtime.wire import (
     FLAG_BATCH,
@@ -242,6 +243,40 @@ def test_channel_batch_with_unencodable_packet_degrades_per_packet():
     # good packets made it out, the bad one is counted, nothing raised.
     assert channel.encode_errors == 1
     assert transport.encode_errors == 1
+    assert len(transport._transport.sent) == 2
+    for data, _ in transport._transport.sent:
+        assert_packets_equal(decode_datagram(data).packet, good)
+
+
+def _message(**fields):
+    base = dict(source=1, dest=2, seq=1, semantics=Semantics.PRIORITY,
+                signature=SimulatedSignature(1, 5))
+    base.update(fields)
+    return Message(**base)
+
+
+WRONGLY_TYPED = {
+    "sent_at": _message(sent_at=None),
+    "expiration": _message(expiration="soon"),
+    "size_bytes": _message(size_bytes=None),
+    "weight": LinkStateUpdate(1, 1, 2, None, 1),
+    "str_id": _message(source="\ud800"),
+}
+
+
+@pytest.mark.parametrize("payload", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED)
+def test_channel_flush_keeps_the_good_frames_beside_a_wrongly_typed_one(payload):
+    """The flush empties its queue before encoding and catches only
+    WireEncodeError: a wrongly typed field must surface as one, so the
+    healthy frames queued beside it still leave."""
+    transport = _wired_transport()
+    channel = UdpSendChannel(transport, "peer")
+    good = _HelloWrapper(Hello("n", 1))
+    bad = PorData(epoch=1, seq=1, nonce=bytes(8), payload=payload, wire_size=64)
+    for packet in (good, bad, good):
+        channel.send(packet, 64)
+    transport._loop.fire_all()  # the coalesced flush
+    assert channel.encode_errors == 1
     assert len(transport._transport.sent) == 2
     for data, _ in transport._transport.sent:
         assert_packets_equal(decode_datagram(data).packet, good)

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 from repro.crypto.pki import Pki, PkiMode
 from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError
-from repro.link.por import WINDOW, PorData, _HelloWrapper, connect_por_pair
+from repro.link.por import WINDOW, PorData, _HelloWrapper
+from tests.fixtures import connect_por_pair
 from repro.messaging.message import E2eAck, Hello, Message, NeighborAck, Semantics
 from repro.runtime import wire
 from repro.runtime.transport import AsyncioUdpTransport
@@ -218,7 +219,7 @@ def test_transport_counts_drops_by_reason():
 
     # The valid path still works after the hostile barrage.
     received = []
-    transport.receive_channel("peer").on_receive = received.append
+    transport._inbound["peer"].on_receive = received.append
     transport.datagram_received(encode_datagram("peer", "n", hello), source)
     assert len(received) == 1
 
@@ -237,7 +238,7 @@ def test_dispatch_error_hook_swallows_poisoned_handler():
     transport.register_peer("peer", ("127.0.0.1", 9))
     reported = []
     transport.on_dispatch_error = reported.append
-    transport.receive_channel("peer").on_receive = lambda packet: 1 / 0
+    transport._inbound["peer"].on_receive = lambda packet: 1 / 0
     transport.datagram_received(
         valid_datagram(), ("127.0.0.1", 55_555)
     )
@@ -249,7 +250,7 @@ def test_dispatch_error_hook_swallows_poisoned_handler():
 def test_dispatch_error_without_hook_propagates():
     transport = AsyncioUdpTransport("n")
     transport.register_peer("peer", ("127.0.0.1", 9))
-    transport.receive_channel("peer").on_receive = lambda packet: 1 / 0
+    transport._inbound["peer"].on_receive = lambda packet: 1 / 0
     with pytest.raises(ZeroDivisionError):
         transport.datagram_received(valid_datagram(), ("127.0.0.1", 5))
     assert transport.dispatch_errors == 1
@@ -404,7 +405,7 @@ def test_a_checksum_collision_is_not_a_memo_hit():
     assert decoded is not genuine and decoded == forged
     assert decoded._verify_cache is None
     assert not decoded.verify(pki)
-    assert len(memo) == 1  # one key: the newest decode holds it
+    assert len(memo._by_checksum) == 1  # one key: the newest decode holds it
     again = decode_datagram(datagram, memo).packet.payload
     assert again is not genuine and again == genuine and again.verify(pki)
 
@@ -413,16 +414,16 @@ def test_memo_is_bounded_flooded_only_and_dies_with_the_transport():
     transport = AsyncioUdpTransport("n")
     transport.register_peer("peer", ("127.0.0.1", 9))
     received = []
-    transport.receive_channel("peer").on_receive = received.append
+    transport._inbound["peer"].on_receive = received.append
     memo = transport._decode_memo
     for seq in range(1, 101):
         transport.datagram_received(data_datagram(flooded(seq)), ("127.0.0.1", 9))
         transport.datagram_received(
             data_datagram(flooded(seq, flooding=False)), ("127.0.0.1", 9)
         )
-        assert len(memo) <= MessageMemo.SIZE == 64
-    assert [m.seq for m in memo.messages()] == list(range(37, 101))
-    assert all(m.flooding for m in memo.messages())
+        assert len(memo._by_checksum) <= MessageMemo.SIZE == 64
+    assert [m.seq for m in memo._by_checksum.values()] == list(range(37, 101))
+    assert all(m.flooding for m in memo._by_checksum.values())
     # A repeat of a memoised flooded message is the same object; a K-paths
     # repeat is decoded afresh.
     transport.datagram_received(data_datagram(flooded(100)), ("127.0.0.1", 9))
@@ -435,7 +436,7 @@ def test_memo_is_bounded_flooded_only_and_dies_with_the_transport():
     # Each node owns its memo; a supervised kill (close) empties it.
     assert AsyncioUdpTransport("m")._decode_memo is not memo
     transport.close()
-    assert len(memo) == 0
+    assert len(memo._by_checksum) == 0
 
 
 # ----------------------------------------------------------------------

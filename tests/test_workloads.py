@@ -14,7 +14,8 @@ from repro.workloads.experiment import (
     Deployment,
 )
 from repro.workloads.monitoring import DEFAULT_CLASSES, MonitoringWorkload
-from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic
+from tests.fixtures import ReliableBacklogTraffic
 
 PACED = OverlayConfig(link_bandwidth_bps=1e6)
 

@@ -16,7 +16,8 @@ from repro.messaging.message import Semantics
 from repro.overlay.config import OverlayConfig
 from repro.overlay.network import OverlayNetwork
 from repro.topology import generators
-from repro.workloads.traffic import CbrTraffic, ReliableBacklogTraffic
+from repro.workloads.traffic import CbrTraffic
+from tests.fixtures import ReliableBacklogTraffic
 
 SIZE = 500
 
