@@ -237,8 +237,9 @@ class Message:
         return self.size_bytes + MESSAGE_HEADER_SIZE + path_bytes + signature_size
 
     def is_expired(self, now: float) -> bool:
-        """Whether the message is past its expiration at time ``now``."""
-        return self.expiration is not None and now > self.expiration
+        """Whether the message is past its expiration at time ``now``
+        (a NaN expiration always is)."""
+        return self.expiration is not None and not self.expiration >= now
 
     def __repr__(self) -> str:  # pragma: no cover
         method = "flood" if self.flooding else f"k={len(self.paths or ())}"

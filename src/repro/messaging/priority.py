@@ -131,7 +131,7 @@ class PriorityLinkQueue:
         Returns True if the message is in the queue afterwards.
         """
         expiration = message.expiration  # inlined Message.is_expired
-        if expiration is not None and now > expiration:
+        if expiration is not None and not expiration >= now:
             self.dropped_expired += 1
             return False
         uid = message.uid
@@ -276,7 +276,7 @@ class PriorityEngine:
         expiration = message.expiration
         if expiration is None:
             expiration = now + MAX_MESSAGE_LIFETIME
-        elif now > expiration:  # inlined Message.is_expired
+        elif not expiration >= now:  # inlined Message.is_expired (NaN too)
             return
         is_new = node.metadata.check_and_record(message.uid, expiration, now)
         if not is_new:

@@ -59,6 +59,8 @@ def validate_update(update: LinkStateUpdate, mtmw: Mtmw, pki: Pki) -> UpdateResu
         return UpdateResult.UNKNOWN_LINK
     if update.issuer not in (update.edge_a, update.edge_b):
         return UpdateResult.NOT_ENDPOINT
-    if update.weight < mtmw.min_weight(update.edge_a, update.edge_b) - 1e-12:
+    # Written so that NaN fails it: a NaN report would otherwise outrank
+    # the other endpoint's in the max of the two (RoutingState).
+    if not update.weight >= mtmw.min_weight(update.edge_a, update.edge_b) - 1e-12:
         return UpdateResult.BELOW_MIN_WEIGHT
     return UpdateResult.ACCEPTED

@@ -2,19 +2,9 @@
 
 The simulator passes Python objects between nodes by reference; the live
 runtime must put them on real UDP sockets.  This module defines the
-versioned, length-prefixed datagram format and an explicit per-type codec
-for every payload that crosses a Proof-of-Receipt link:
-
-* link envelopes — :class:`~repro.link.por.PorData`,
-  :class:`~repro.link.por.PorAck`, :class:`~repro.link.por.PorHandshake`,
-  and the out-of-stream hello wrapper;
-* overlay payloads carried inside ``PorData`` —
-  :class:`~repro.messaging.message.Message`, ``E2eAck``, ``NeighborAck``,
-  ``StateRequest``, ``Hello``, and
-  :class:`~repro.routing.link_state.LinkStateUpdate`;
-* signature material from :mod:`repro.crypto` — ``None`` (PKI mode NONE),
-  :class:`~repro.crypto.simulated.SimulatedSignature`, raw RSA/HMAC bytes,
-  and integer MAC tags.
+versioned, length-prefixed datagram format and the codec for every link
+envelope, every overlay payload a ``PorData`` carries, and the signature
+material of every PKI mode (the tables below list them).
 
 Datagram layout (all integers big-endian)::
 
@@ -32,71 +22,47 @@ header, and one CRC::
     frame = frame_len(4B) | envelope_tag(1B) | envelope fields
 
 A single-frame send always uses the classic (flags=0) layout, so batching
-is invisible on the wire unless two or more packets actually coalesce —
-sim/live conformance stays byte-identical for unbatched traffic.
+is invisible on the wire unless two or more packets actually coalesce.
+The CRC-32 covers the header (crc field excluded) and the body, so any
+in-flight bit flip is rejected at decode time instead of reaching
+protocol state.
 
-The CRC-32 covers the header (with the crc field itself excluded) plus
-the body, so any in-flight bit flip — UDP's 16-bit checksum is weak and
-optional — is rejected at decode time instead of reaching protocol state
-with a corrupted sequence number or epoch.  The same trailer guards every
-frame of a batch: a flip anywhere in the container rejects the datagram.
+One table per wire type.  Each type is declared once, as a
+:class:`_Record`: its tag, its class and its ordered fields, each with a
+wire *kind*.  Two paths read the tables and write the same bytes:
 
-Zero-copy discipline:
+* the *general* path writes and reads field by field and carries every
+  shape: str node ids, REAL-mode ``bytes`` signatures and MACs, odd
+  nonce sizes, paths longer than :data:`MAX_COMPILED_HOPS`;
+* the *compact* path carries the shapes the live stack sends (int node
+  ids, SIMULATED signatures, the standard nonce and proof sizes): code
+  generated from the table at import packs each run of fixed-width
+  fields with one ``struct.Struct``.
 
-* **Decode** wraps the input in a :class:`memoryview` and unpacks fixed
-  fields in place (``struct.unpack_from``); the CRC is chained over
-  header and body views without re-concatenating them, and a batch
-  frame is read under a per-frame limit.  Only variable-length fields
-  that outlive the datagram (nonces, proofs, application payloads, text)
-  are materialized, and every length prefix is bounds-checked against
-  the remaining budget *before* any allocation, so a hostile length claim
-  fails fast.
-* **Encode** writes into a pooled ``bytearray`` via ``pack_into``
-  (header reserved up front, CRC back-patched) and copies out the final
-  immutable ``bytes`` once.  Pool ownership rule: a buffer is owned by
-  exactly one encode call and is returned to the pool before the call
-  returns; the caller only ever sees the immutable copy.
+Which path a frame takes depends only on what the object or the bytes
+contain.  A compact encode or decode that meets anything else consumes
+nothing and defers to the general path, so a malformed frame raises the
+same error either way: :class:`repro.errors.WireDecodeError` for anything
+truncated, corrupted, over-length or unknown -- never ``struct.error``,
+``IndexError`` or ``UnicodeDecodeError`` -- and
+:class:`repro.errors.WireEncodeError` for an object the format cannot
+carry.
 
-Compiled heads: the shapes the live stack sends -- int node ids,
-``PorData``/``PorAck`` heads as SIMULATED crypto gives them, and
-``Message``, ``E2eAck`` and ``NeighborAck`` with int ids and SIMULATED
-signatures -- are packed and unpacked through precompiled
-``struct.Struct`` layouts, a few calls per frame, with the same bytes as
-the field-by-field path.  That path serves every other shape (str ids,
-REAL-mode ``bytes`` signatures and MACs, ``str`` payloads, NACK lists,
-paths longer than :data:`MAX_COMPILED_HOPS`) and is the reference the
-tests compare the layouts against.  Which path a frame takes depends
-only on what the object or the bytes contain; a compiled decode that
-finds anything unexpected consumes nothing and defers to the field path,
-so a malformed frame raises the same error either way.
-
-Encode once, recognise a repeat: a :class:`Message`'s payload section is
-cached on the message as three pieces (``Message._wire_cache``), and an
-``E2eAck``'s as one, filled by the first encode or by the decoder from the
-received bytes, so further out-links and relays copy bytes instead of
-walking fields; and a per-node :class:`MessageMemo` lets the decoder hand
-back the *same* ``Message`` object for a byte-identical flooded copy
-(DESIGN.md §13).
-
-Malformed input *never* escapes as ``struct.error`` / ``IndexError`` /
-``UnicodeDecodeError``: :func:`decode_datagram` raises
-:class:`repro.errors.WireDecodeError` for anything truncated, corrupted,
-over-length, or of an unknown version/flag/tag, so a live node can drop
-bad datagrams and keep serving.  Encoding an object the format cannot
-carry raises :class:`repro.errors.WireEncodeError`.
-
-The format is deterministic: encoding the same object twice yields the
-same bytes, and ``decode(encode(x)) == x`` field-for-field (the property
-test in ``tests/test_runtime_wire.py`` drives this with Hypothesis; the
-batch container is fuzzed in ``tests/test_wire_batch.py``).
+Decode checks every length before it slices; encode writes into a pooled
+``bytearray``.  A ``Message``'s payload section is cached on it as three
+pieces and an ``E2eAck``'s as one, so relays copy bytes, and a per-node
+:class:`MessageMemo` hands back the same ``Message`` for a byte-identical
+flooded copy (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
+import inspect
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.nonces import NONCE_SIZE, PROOF_SIZE
 from repro.crypto.simulated import SimulatedSignature
@@ -169,62 +135,17 @@ _ID_INT = 0
 _ID_STR = 1
 
 # Pre-compiled packers shared by every encode/decode call.
+_S_U8 = struct.Struct(">B")
 _S_U16 = struct.Struct(">H")
 _S_U32 = struct.Struct(">I")
-_S_I64 = struct.Struct(">q")
-_S_F64 = struct.Struct(">d")
 _S_VLF = struct.Struct(">BBI")  # version, flags, body_len
 _S_HDR = struct.Struct(">BBII")  # version, flags, body_len, crc
 
-# Compiled heads: the shapes the live stack sends, each a few
-# pack/unpack_from calls through the layouts below instead of one writer
-# or reader call per scalar.  Same bytes as the field-by-field path, which
-# still serves every other shape (see "Compiled heads" in DESIGN.md §13).
-# In every layout an int node id is its kind byte (_ID_INT) plus an i64.
-#   _ID_INT, sender, _ID_INT, receiver
-_S_INT_IDS = struct.Struct(">BqBq")
-# The two envelopes nearly every frame carries, in the shape the PoR link
-# gives them in SIMULATED crypto mode (standard nonce/proof size, no MAC
-# bytes, no NACK list), unframed (classic datagram) and framed (a batch
-# frame's u32 length first).
-#   tag, epoch, seq, len(nonce), nonce, wire_size, _SIG_NONE
-_POR_DATA_HEAD = f"BqqH{NONCE_SIZE}sIB"
-#   tag, epoch, cum_seq, len(proof), proof, len(missing) = 0, _SIG_NONE
-_POR_ACK_HEAD = f"BqqH{PROOF_SIZE}sHB"
-_S_POR_DATA = struct.Struct(">" + _POR_DATA_HEAD)
-_S_POR_ACK = struct.Struct(">" + _POR_ACK_HEAD)
-_S_FRAMED_POR_DATA = struct.Struct(">I" + _POR_DATA_HEAD)
-_S_FRAMED_POR_ACK = struct.Struct(">I" + _POR_ACK_HEAD)
-# A data message with int ids, int hops, a None or bytes payload and a
-# SIMULATED signature by an int signer: the head (one layout per
-# expiration variant), one layout per path, the tail, the signature.
-#   tag, source, dest, seq, semantics, priority, 0 (no expiration),
-#   size_bytes, flooding, path count
-_S_MSG_HEAD = struct.Struct(">BBqBqqBqBIBH")
-#   tag, source, dest, seq, semantics, priority, 1, expiration,
-#   size_bytes, flooding, path count
-_S_MSG_HEAD_EXP = struct.Struct(">BBqBqqBqBdIBH")
-#: Offset of the expiration's option flag from the payload tag.
-_MSG_EXPIRATION_AT = 36
-#: Longest path the compiled layouts cover.  A longer path, or a hostile
-#: hop count, takes the field path: no input ever creates a ``Struct``.
+#: Longest sequence of fixed-width values (a path's hops, a NACK list, an
+#: address query's targets) the compact layouts cover.  Every layout up to
+#: it is built at import; a longer one, or a hostile count, takes the
+#: general path, so no input ever creates a ``Struct``.
 MAX_COMPILED_HOPS = 16
-#   hop count, then (_ID_INT, hop) per hop; indexed by hop count
-_PATH_LAYOUTS = tuple(
-    struct.Struct(">H" + "Bq" * hops) for hops in range(MAX_COMPILED_HOPS + 1)
-)
-#   sent_at, application-payload kind 0 (None)
-_S_MSG_TAIL = struct.Struct(">dB")
-#   sent_at, application-payload kind 1 (bytes), payload length
-_S_MSG_TAIL_BYTES = struct.Struct(">dBH")
-#   _SIG_SIMULATED, signer, tag
-_S_SIG_SIMULATED = struct.Struct(">BBqq")
-#   _PL_E2E_ACK, dest, stamp, entry count
-_S_E2E_ACK_HEAD = struct.Struct(">BBqqH")
-#   _PL_NEIGHBOR_ACK, sender, entry count
-_S_NEIGHBOR_ACK_HEAD = struct.Struct(">BBqH")
-#   stored_h, limit (after a neighbor-ACK entry's two strings)
-_S_I64_PAIR = struct.Struct(">qq")
 
 _crc32 = zlib.crc32
 
@@ -267,97 +188,33 @@ _ENCODE_POOL = _BufferPool()
 
 
 class _Writer:
-    """Binary writer over a growable buffer with the codec's primitives.
+    """A growable buffer and a write head (``pos``); the caller slices
+    ``buf[:pos]`` once at the end.  ``mark`` is where the last record
+    written noted its split field (see :class:`_Record`)."""
 
-    Writes land directly in ``buf`` via ``pack_into`` — no intermediate
-    ``bytes`` objects and no final join.  ``pos`` tracks the write head;
-    the caller slices ``buf[:pos]`` once at the end.
-    """
-
-    __slots__ = ("buf", "pos")
+    __slots__ = ("buf", "pos", "mark")
 
     def __init__(self, buf: Optional[bytearray] = None, start: int = 0) -> None:
         self.buf = bytearray(256) if buf is None else buf
         self.pos = start
+        self.mark: Optional[int] = None
 
-    def _grow(self, need: int) -> None:
+    def grow(self, need: int) -> None:
+        """Extend ``buf`` in place to hold at least ``need`` bytes."""
         buf = self.buf
         buf.extend(bytearray(max(need - len(buf), len(buf), 256)))
 
-    # Primitives ----------------------------------------------------------
-    # A value out of range or of the wrong type raises WireEncodeError,
-    # never struct.error or TypeError: the send path catches only the
-    # typed error.
-    def u8(self, value: int) -> None:
-        pos = self.pos
-        if pos + 1 > len(self.buf):
-            self._grow(pos + 1)
-        try:
-            self.buf[pos] = value
-        except (ValueError, TypeError):
-            raise WireEncodeError(f"not a u8: {value!r}") from None
-        self.pos = pos + 1
-
-    def u16(self, value: int) -> None:
-        pos = self.pos
-        if pos + 2 > len(self.buf):
-            self._grow(pos + 2)
-        try:
-            _S_U16.pack_into(self.buf, pos, value)
-        except struct.error:
-            raise WireEncodeError(f"not a u16: {value!r}") from None
-        self.pos = pos + 2
-
-    def u32(self, value: int) -> None:
-        pos = self.pos
-        if pos + 4 > len(self.buf):
-            self._grow(pos + 4)
-        try:
-            _S_U32.pack_into(self.buf, pos, value)
-        except struct.error:
-            raise WireEncodeError(f"not a u32: {value!r}") from None
-        self.pos = pos + 4
-
-    def patch_u32(self, at: int, value: int) -> None:
-        """Back-patch a u32 written earlier (batch frame lengths)."""
-        try:
-            _S_U32.pack_into(self.buf, at, value)
-        except struct.error:
-            raise WireEncodeError(f"not a u32: {value!r}") from None
-
-    def i64(self, value: int) -> None:
-        pos = self.pos
-        if pos + 8 > len(self.buf):
-            self._grow(pos + 8)
-        try:
-            _S_I64.pack_into(self.buf, pos, value)
-        except struct.error:
-            raise WireEncodeError(f"not an i64: {value!r}") from None
-        self.pos = pos + 8
-
-    def f64(self, value: float) -> None:
-        pos = self.pos
-        if pos + 8 > len(self.buf):
-            self._grow(pos + 8)
-        try:
-            _S_F64.pack_into(self.buf, pos, value)
-        except struct.error:
-            raise WireEncodeError(f"not an f64: {value!r}") from None
-        self.pos = pos + 8
-
-    def boolean(self, value: bool) -> None:
-        self.u8(1 if value else 0)
-
-    def pack(self, layout: struct.Struct, *values: Any) -> None:
-        """Write several fixed-width fields through one precompiled layout."""
+    def pack(self, layout: struct.Struct, value: Any) -> None:
+        """Write one fixed-width value; a bad one raises WireEncodeError
+        (the send path catches only the typed error)."""
         pos = self.pos
         end = pos + layout.size
         if end > len(self.buf):
-            self._grow(end)
+            self.grow(end)
         try:
-            layout.pack_into(self.buf, pos, *values)
-        except struct.error as exc:
-            raise WireEncodeError(f"field out of range: {exc}") from None
+            layout.pack_into(self.buf, pos, value)
+        except (struct.error, OverflowError):
+            raise WireEncodeError(f"not a {layout.format!r} value: {value!r}") from None
         self.pos = end
 
     def put(self, value: bytes) -> None:
@@ -365,82 +222,25 @@ class _Writer:
         pos = self.pos
         end = pos + len(value)
         if end > len(self.buf):
-            self._grow(end)
+            self.grow(end)
         self.buf[pos:end] = value
         self.pos = end
 
-    def raw(self, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise WireEncodeError(f"expected bytes, got {type(value).__name__}")
-        length = len(value)
-        if length > 0xFFFF:
-            raise WireEncodeError(f"bytes field too long ({length})")
-        self.u16(length)
-        self.put(value)
-
-    def text(self, value: str) -> None:
-        try:
-            encoded = value.encode("utf-8")
-        except (AttributeError, UnicodeEncodeError):
-            raise WireEncodeError(f"not UTF-8 text: {value!r}") from None
-        self.raw(encoded)
-
-    def opt_f64(self, value: Optional[float]) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.f64(value)
-
-    # Domain types --------------------------------------------------------
-    def node_id(self, value: Any) -> None:
-        if isinstance(value, bool):
-            raise WireEncodeError("bool is not a node id")
-        if isinstance(value, int):
-            self.u8(_ID_INT)
-            self.i64(value)
-        elif isinstance(value, str):
-            self.u8(_ID_STR)
-            self.text(value)
-        else:
-            raise WireEncodeError(
-                f"node id must be int or str on the wire, got {type(value).__name__}"
-            )
-
-    def signature(self, value: Any) -> None:
-        if value is None:
-            self.u8(_SIG_NONE)
-        elif isinstance(value, SimulatedSignature):
-            self.u8(_SIG_SIMULATED)
-            self.node_id(value.signer)
-            self.i64(value.tag)
-        elif isinstance(value, (bytes, bytearray)):
-            self.u8(_SIG_BYTES)
-            self.raw(bytes(value))
-        elif isinstance(value, int):
-            self.u8(_SIG_INT)
-            self.i64(value)
-        else:
-            raise WireEncodeError(
-                f"unsupported signature type {type(value).__name__}"
-            )
-
 
 class _Reader:
-    """Bounds-checked reader over a memoryview; failures raise WireDecodeError.
+    """Bounds-checked reader over a memoryview; failures raise
+    WireDecodeError.  ``memo`` is the receiving node's
+    :class:`MessageMemo`, if any; ``mark`` is where the last record read
+    noted its split field."""
 
-    Fixed-width fields are unpacked in place; variable-length fields are
-    budget-checked against the remaining bytes *before* any slice or
-    allocation, so a hostile length prefix cannot trigger a large
-    allocation or a quadratic scan.
-    """
+    __slots__ = ("_data", "_pos", "_len", "memo", "mark")
 
-    __slots__ = ("_data", "_pos", "_len")
-
-    def __init__(self, data) -> None:
+    def __init__(self, data, memo: Optional["MessageMemo"] = None) -> None:
         self._data = data
         self._pos = 0
         self._len = len(data)
+        self.memo = memo
+        self.mark: Optional[int] = None
 
     @property
     def exhausted(self) -> bool:
@@ -453,154 +253,21 @@ class _Reader:
         )
 
     def budget(self, count: int, min_size: int, what: str) -> None:
-        """Fail fast when ``count`` elements cannot possibly fit.
-
-        Every count-prefixed collection calls this before looping: a
-        hostile count is rejected in O(1) instead of iterating (or
-        allocating) toward an eventual truncation error.
-        """
+        """Reject in O(1) a count of elements that cannot possibly fit,
+        before a collection's read loops or allocates."""
         if count * min_size > self._len - self._pos:
             raise WireDecodeError(
                 f"{what} count {count} exceeds remaining "
                 f"{self._len - self._pos} bytes"
             )
 
-    # Primitives ----------------------------------------------------------
-    def u8(self) -> int:
+    def unpack(self, layout: struct.Struct) -> Any:
+        """Read one fixed-width value."""
         pos = self._pos
-        if pos >= self._len:
-            raise self._short(1)
-        self._pos = pos + 1
-        return self._data[pos]
-
-    def u16(self) -> int:
-        pos = self._pos
-        if pos + 2 > self._len:
-            raise self._short(2)
-        self._pos = pos + 2
-        return _S_U16.unpack_from(self._data, pos)[0]
-
-    def u32(self) -> int:
-        pos = self._pos
-        if pos + 4 > self._len:
-            raise self._short(4)
-        self._pos = pos + 4
-        return _S_U32.unpack_from(self._data, pos)[0]
-
-    def i64(self) -> int:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise self._short(8)
-        self._pos = pos + 8
-        return _S_I64.unpack_from(self._data, pos)[0]
-
-    def f64(self) -> float:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise self._short(8)
-        self._pos = pos + 8
-        return _S_F64.unpack_from(self._data, pos)[0]
-
-    def boolean(self) -> bool:
-        value = self.u8()
-        if value not in (0, 1):
-            raise WireDecodeError(f"invalid boolean byte {value}")
-        return value == 1
-
-    def raw(self) -> bytes:
-        count = self.u16()
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
-            raise self._short(count)
-        self._pos = end
-        return bytes(self._data[pos:end])
-
-    def text(self) -> str:
-        count = self.u16()
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
-            raise self._short(count)
-        self._pos = end
-        try:
-            return str(self._data[pos:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireDecodeError(f"invalid utf-8 in string field: {exc}") from None
-
-    def opt_f64(self) -> Optional[float]:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise WireDecodeError(f"invalid optional flag {flag}")
-        return self.f64()
-
-    def peek_tagged(self, layout: struct.Struct) -> Optional[Tuple[Any, ...]]:
-        """Unpack ``layout`` from the byte just read (an envelope tag)
-        onwards without consuming anything; None when it does not fit.
-        The caller checks the length and kind fields it finds before it
-        :meth:`skip`s ``layout.size - 1`` bytes and trusts the rest."""
-        start = self._pos - 1
-        if start + layout.size > self._len:
-            return None
-        return layout.unpack_from(self._data, start)
-
-    def skip(self, count: int) -> None:
-        """Consume ``count`` bytes already bounds-checked by a peek."""
-        self._pos += count
-
-    def next_is(self, byte: int) -> bool:
-        """Whether the next unread byte exists and equals ``byte``."""
-        return self._pos < self._len and self._data[self._pos] == byte
-
-    def rest(self):
-        """A zero-copy view of every byte not yet read (not consumed)."""
-        return self._data[self._pos:self._len]
-
-    def skip_rest(self) -> None:
-        """Consume every remaining byte."""
-        self._pos = self._len
-
-    def copy(self, start: int, end: int) -> bytes:
-        """An owned copy of bytes ``start``..``end`` of the underlying
-        data (which may be a receive buffer that is reused)."""
-        return bytes(self._data[start:end])
-
-    def enter_frame(self, count: int) -> int:
-        """Confine reading to the next ``count`` bytes (one batch frame);
-        returns the limit to hand back to :meth:`leave_frame`."""
-        outer = self._len
-        end = self._pos + count
-        if end > outer:
-            raise self._short(count)
-        self._len = end
-        return outer
-
-    def leave_frame(self, outer: int) -> None:
-        """Restore the limit :meth:`enter_frame` replaced."""
-        self._len = outer
-
-    # Domain types --------------------------------------------------------
-    def node_id(self) -> Any:
-        kind = self.u8()
-        if kind == _ID_INT:
-            return self.i64()
-        if kind == _ID_STR:
-            return self.text()
-        raise WireDecodeError(f"unknown node-id kind {kind}")
-
-    def signature(self) -> Any:
-        kind = self.u8()
-        if kind == _SIG_NONE:
-            return None
-        if kind == _SIG_SIMULATED:
-            return SimulatedSignature(signer=self.node_id(), tag=self.i64())
-        if kind == _SIG_BYTES:
-            return self.raw()
-        if kind == _SIG_INT:
-            return self.i64()
-        raise WireDecodeError(f"unknown signature kind {kind}")
+        if pos + layout.size > self._len:
+            raise self._short(layout.size)
+        self._pos = pos + layout.size
+        return layout.unpack_from(self._data, pos)[0]
 
 
 # ----------------------------------------------------------------------
@@ -638,641 +305,871 @@ class AddrAnnounce:
 
 
 # ----------------------------------------------------------------------
-# Overlay payloads (carried inside PorData)
+# Wire kinds
 # ----------------------------------------------------------------------
-def _message_pieces(message: Message) -> Tuple[bytes, bytes, bytes]:
-    """A data message's payload section as ``(head, body, tail)``: the
-    pieces cached on the message when it was encoded or decoded before,
-    else compiled (or, for other shapes, written field by field) and
-    cached for the next out-link."""
-    pieces = message._wire_cache
-    if pieces is None:
-        pieces = _compile_message(message)
-        if pieces is None:
-            pieces = _encode_message_fields(_Writer(), message)
-        object.__setattr__(message, "_wire_cache", pieces)
-    return pieces
+class _Mismatch(Exception):
+    """A value or a byte that no compact form carries."""
 
 
-def _compile_message(message: Message) -> Optional[Tuple[bytes, bytes, bytes]]:
-    """The payload section of a message in the compiled shape (int ids
-    and hops, a None or bytes payload, a SIMULATED signature by an int
-    signer, no path longer than :data:`MAX_COMPILED_HOPS`); None for any
-    other shape, which :func:`_encode_message_fields` then writes."""
-    source, dest, signature = message.source, message.dest, message.signature
-    if (
-        type(source) is not int or type(dest) is not int
-        or type(signature) is not SimulatedSignature
-        or type(signature.signer) is not int
-    ):
-        return None
-    payload = message.payload
-    paths = message.paths
-    if paths is None:
-        path_count = 0xFFFF
-    elif type(paths) is tuple and len(paths) < 0xFFFF:
-        path_count = len(paths)
-    else:
-        return None
-    semantics = 1 if message.semantics is Semantics.PRIORITY else 2
-    flooding = 1 if message.flooding else 0
-    expiration = message.expiration
-    try:
-        if expiration is None:
-            head = _S_MSG_HEAD.pack(
-                _PL_MESSAGE, _ID_INT, source, _ID_INT, dest, message.seq,
-                semantics, message.priority, 0, message.size_bytes, flooding,
-                path_count,
-            )
-        else:
-            head = _S_MSG_HEAD_EXP.pack(
-                _PL_MESSAGE, _ID_INT, source, _ID_INT, dest, message.seq,
-                semantics, message.priority, 1, expiration, message.size_bytes,
-                flooding, path_count,
-            )
-        parts = [head]
-        if paths is not None:
-            for path in paths:
-                if type(path) is not tuple or len(path) > MAX_COMPILED_HOPS:
-                    return None
-                hops = len(path)
-                for hop in path:
-                    if type(hop) is not int:
-                        return None
-                values = [_ID_INT] * (2 * hops)
-                values[1::2] = path
-                parts.append(_PATH_LAYOUTS[hops].pack(hops, *values))
-        if payload is None:
-            parts.append(_S_MSG_TAIL.pack(message.sent_at, 0))
-            body = b""
-        elif type(payload) is bytes and len(payload) <= 0xFFFF:
-            parts.append(_S_MSG_TAIL_BYTES.pack(message.sent_at, 1, len(payload)))
-            body = payload
-        else:
-            return None
-        tail = _S_SIG_SIMULATED.pack(
-            _SIG_SIMULATED, _ID_INT, signature.signer, signature.tag
-        )
-    except struct.error:
-        return None  # out of range: the field path raises the typed error
-    return b"".join(parts), body, tail
+#: What a compact encode or decode raises for a shape it does not carry
+#: (no fitting form, a range, length, kind or flag it does not expect, a
+#: typed error from a general read or write inside it): the callers catch
+#: exactly these and run the general path, which raises the typed error.
+_ENCODE_MISMATCH = (_Mismatch, struct.error, OverflowError, LookupError,
+                    UnicodeEncodeError, WireEncodeError)
+_DECODE_MISMATCH = (_Mismatch, struct.error, LookupError, UnicodeDecodeError,
+                    WireDecodeError)
+
+#: ``fits`` for a form that carries only the value None.
+_NONE = type(None)
 
 
-def _encode_message_fields(
-    writer: _Writer, message: Message
-) -> Tuple[bytes, bytes, bytes]:
-    """Write a data message's payload section field by field and return
-    it as ``(head, body, tail)``: the path for shapes the compiled
-    layouts do not cover, and the reference the tests compare them to."""
-    start = writer.pos
-    writer.u8(_PL_MESSAGE)
-    writer.node_id(message.source)
-    writer.node_id(message.dest)
-    writer.i64(message.seq)
-    writer.u8(1 if message.semantics is Semantics.PRIORITY else 2)
-    writer.i64(message.priority)
-    writer.opt_f64(message.expiration)
-    writer.u32(message.size_bytes)
-    writer.boolean(message.flooding)
-    if message.paths is None:
-        writer.u16(0xFFFF)
-    else:
-        if len(message.paths) >= 0xFFFF:
-            raise WireEncodeError("too many paths")
-        writer.u16(len(message.paths))
-        for path in message.paths:
-            writer.u16(len(path))
-            for hop in path:
-                writer.node_id(hop)
-    writer.f64(message.sent_at)
-    app_payload = message.payload
-    _encode_app_payload(writer, app_payload)
-    # A ``bytes`` payload is the middle piece itself, never a second copy.
-    body = app_payload if type(app_payload) is bytes else b""
-    tail_start = writer.pos
-    writer.signature(message.signature)
-    buf = writer.buf
-    return (
-        bytes(buf[start:tail_start - len(body)]),
-        body,
-        bytes(buf[tail_start:writer.pos]),
-    )
+class _Form:
+    """One compact shape of a kind: fixed-width slots, perhaps a tail.
 
-
-def _e2e_ack_section(ack: E2eAck) -> bytes:
-    """An end-to-end ACK's payload section, encoded once per object
-    (cached on it like a message's pieces): a node forwards one ACK on
-    every out-link."""
-    section = ack._wire_cache
-    if section is None:
-        section = _compile_e2e_ack(ack)
-        if section is None:
-            writer = _Writer()
-            _encode_e2e_ack_fields(writer, ack)
-            section = bytes(writer.buf[:writer.pos])
-        object.__setattr__(ack, "_wire_cache", section)
-    return section
-
-
-def _compile_e2e_ack(ack: E2eAck) -> Optional[bytes]:
-    """An end-to-end ACK with an int destination and a SIMULATED
-    signature by an int signer; None for any other shape."""
-    dest, signature, cumulative = ack.dest, ack.signature, ack.cumulative
-    if (
-        type(dest) is not int or type(signature) is not SimulatedSignature
-        or type(signature.signer) is not int or type(cumulative) is not tuple
-    ):
-        return None
-    try:
-        parts = [_S_E2E_ACK_HEAD.pack(
-            _PL_E2E_ACK, _ID_INT, dest, ack.stamp, len(cumulative)
-        )]
-        for source, seq in cumulative:
-            text = source.encode("utf-8")
-            parts.append(_S_U16.pack(len(text)))
-            parts.append(text)
-            parts.append(_S_I64.pack(seq))
-        parts.append(_S_SIG_SIMULATED.pack(
-            _SIG_SIMULATED, _ID_INT, signature.signer, signature.tag
-        ))
-    except struct.error:
-        return None  # out of range: the field path raises the typed error
-    return b"".join(parts)
-
-
-def _encode_e2e_ack_fields(writer: _Writer, ack: E2eAck) -> None:
-    writer.u8(_PL_E2E_ACK)
-    writer.node_id(ack.dest)
-    writer.i64(ack.stamp)
-    writer.u16(len(ack.cumulative))
-    for source, seq in ack.cumulative:
-        writer.text(source)
-        writer.i64(seq)
-    writer.signature(ack.signature)
-
-
-def _compile_neighbor_ack(ack: NeighborAck) -> Optional[bytes]:
-    """A neighbor ACK with an int sender; None for any other shape."""
-    sender, entries = ack.sender, ack.entries
-    if type(sender) is not int or type(entries) is not tuple:
-        return None
-    try:
-        parts = [_S_NEIGHBOR_ACK_HEAD.pack(
-            _PL_NEIGHBOR_ACK, _ID_INT, sender, len(entries)
-        )]
-        for (source, dest), stored_h, limit in entries:
-            source = source.encode("utf-8")
-            dest = dest.encode("utf-8")
-            parts.append(_S_U16.pack(len(source)))
-            parts.append(source)
-            parts.append(_S_U16.pack(len(dest)))
-            parts.append(dest)
-            parts.append(_S_I64_PAIR.pack(stored_h, limit))
-    except struct.error:
-        return None  # out of range: the field path raises the typed error
-    return b"".join(parts)
-
-
-def _encode_neighbor_ack_fields(writer: _Writer, ack: NeighborAck) -> None:
-    writer.u8(_PL_NEIGHBOR_ACK)
-    writer.node_id(ack.sender)
-    writer.u16(len(ack.entries))
-    for (source, dest), stored_h, limit in ack.entries:
-        writer.text(source)
-        writer.text(dest)
-        writer.i64(stored_h)
-        writer.i64(limit)
-
-
-def _known_pieces(payload: Any) -> Optional[Tuple[bytes, ...]]:
-    """The encoded payload section of a message or end-to-end ACK (from
-    its cache, filled on the way); None for a payload written into the
-    frame field by field."""
-    if isinstance(payload, Message):
-        return _message_pieces(payload)
-    if isinstance(payload, E2eAck):
-        return (_e2e_ack_section(payload),)
-    return None
-
-
-def _encode_payload(writer: _Writer, payload: Any) -> None:
-    pieces = _known_pieces(payload)
-    if pieces is not None:
-        for piece in pieces:
-            writer.put(piece)
-    elif isinstance(payload, NeighborAck):
-        section = _compile_neighbor_ack(payload)
-        if section is None:
-            _encode_neighbor_ack_fields(writer, payload)
-        else:
-            writer.put(section)
-    elif isinstance(payload, LinkStateUpdate):
-        writer.u8(_PL_LINK_STATE)
-        writer.node_id(payload.issuer)
-        writer.node_id(payload.edge_a)
-        writer.node_id(payload.edge_b)
-        writer.f64(payload.weight)
-        writer.i64(payload.seqno)
-        writer.signature(payload.signature)
-    elif isinstance(payload, StateRequest):
-        writer.u8(_PL_STATE_REQUEST)
-        writer.node_id(payload.sender)
-    elif isinstance(payload, Hello):
-        writer.u8(_PL_HELLO)
-        writer.node_id(payload.sender)
-        writer.i64(payload.stamp)
-    elif isinstance(payload, Mtmw):
-        # Dynamic membership floods successor MTMWs over existing PoR
-        # links (the PoR MAC authenticates the neighbor; the admin
-        # signature inside authenticates the topology itself, and
-        # MtmwHolder.consider rejects stale/forged candidates).
-        writer.u8(_PL_MTMW)
-        topo = payload.topology
-        writer.i64(payload.seqno)
-        nodes = sorted(topo.nodes, key=str)
-        if len(nodes) > 0xFFFF:
-            raise WireEncodeError(f"MTMW with {len(nodes)} nodes is too large")
-        writer.u16(len(nodes))
-        for node in nodes:
-            writer.node_id(node)
-        edges = sorted(topo.edges(), key=lambda e: (str(e[0]), str(e[1])))
-        if len(edges) > 0xFFFF:
-            raise WireEncodeError(f"MTMW with {len(edges)} edges is too large")
-        writer.u16(len(edges))
-        for a, b in edges:
-            writer.node_id(a)
-            writer.node_id(b)
-            writer.f64(topo.weight(a, b))
-        writer.signature(payload.signature)
-    elif isinstance(payload, AdmissionNack):
-        # Unsigned like NeighborAck: only ever carried over the
-        # already-authenticated PoR link between direct neighbors.
-        writer.u8(_PL_ADMISSION_NACK)
-        writer.node_id(payload.ingress)
-        writer.node_id(payload.home)
-        writer.text(payload.client)
-        writer.text(payload.key)
-        writer.text(payload.outcome)
-        writer.i64(payload.seq)
-    else:
-        raise WireEncodeError(
-            f"payload type {type(payload).__name__} is not supported on the "
-            "live wire"
-        )
-
-
-def _encode_app_payload(writer: _Writer, payload: Any) -> None:
-    """The opaque application payload: None, bytes, or text."""
-    if payload is None:
-        writer.u8(0)
-    elif isinstance(payload, (bytes, bytearray)):
-        writer.u8(1)
-        writer.raw(bytes(payload))
-    elif isinstance(payload, str):
-        writer.u8(2)
-        writer.text(payload)
-    else:
-        raise WireEncodeError(
-            "live-mode application payloads must be None, bytes, or str "
-            f"(got {type(payload).__name__})"
-        )
-
-
-def _decode_app_payload(reader: _Reader) -> Any:
-    kind = reader.u8()
-    if kind == 0:
-        return None
-    if kind == 1:
-        return reader.raw()
-    if kind == 2:
-        return reader.text()
-    raise WireDecodeError(f"unknown application-payload kind {kind}")
-
-
-def _read_message(reader: _Reader) -> Optional[Message]:
-    """Decode a data message in the compiled shape, its tag just read.
-
-    Every kind, semantics, boolean and option-flag byte and every length
-    is checked before anything is copied; on any mismatch nothing is
-    consumed and None sends the frame to the field path, which then
-    raises the typed error a malformed frame deserves.
+    ``code`` is the struct code; its first ``len(consts)`` slots hold the
+    kind or flag bytes the form expects, the ``width`` after them the
+    value.  Encode takes a kind's first form that ``fits`` the value (None:
+    any value; a class: exactly that type, ``_NONE`` the value None; else a
+    predicate); ``pack`` (a function or a mapping) gives the value slots,
+    ``unpack`` turns them back
+    (None: the one slot is the value; no slot: the value is None).  A
+    ``tail`` kind's own bytes follow the run and carry the value (when the
+    form has a slot, it is the tail's count).
     """
-    data, end = reader._data, reader._len
-    start = reader._pos - 1
-    if start + _MSG_EXPIRATION_AT >= end:
-        return None
-    has_expiration = data[start + _MSG_EXPIRATION_AT]
-    if has_expiration == 0:
-        pos = start + _S_MSG_HEAD.size
-        if pos > end:
-            return None
-        (_, source_kind, source, dest_kind, dest, seq, semantics_byte,
-         priority, _, size_bytes, flooding, path_count) = _S_MSG_HEAD.unpack_from(
-            data, start)
-        expiration = None
-    elif has_expiration == 1:
-        pos = start + _S_MSG_HEAD_EXP.size
-        if pos > end:
-            return None
-        (_, source_kind, source, dest_kind, dest, seq, semantics_byte,
-         priority, _, expiration, size_bytes, flooding,
-         path_count) = _S_MSG_HEAD_EXP.unpack_from(data, start)
-    else:
-        return None
-    if source_kind != _ID_INT or dest_kind != _ID_INT or flooding > 1:
-        return None
-    if semantics_byte == 1:
-        semantics = Semantics.PRIORITY
-    elif semantics_byte == 2:
-        semantics = Semantics.RELIABLE
-    else:
-        return None
-    paths: Optional[Tuple[Tuple[int, ...], ...]] = None
-    if path_count != 0xFFFF:
-        if 2 * path_count > end - pos:
-            return None
-        paths_list = []
-        for _ in range(path_count):
-            if pos + 2 > end:
-                return None
-            hops = (data[pos] << 8) | data[pos + 1]
-            if hops > MAX_COMPILED_HOPS:
-                return None
-            layout = _PATH_LAYOUTS[hops]
-            if pos + layout.size > end:
-                return None
-            values = layout.unpack_from(data, pos)
-            if any(values[1::2]):  # a hop that is not an int id
-                return None
-            paths_list.append(values[2::2])
-            pos += layout.size
-        paths = tuple(paths_list)
-    if pos + _S_MSG_TAIL.size > end:
-        return None
-    sent_at, payload_kind = _S_MSG_TAIL.unpack_from(data, pos)
-    if payload_kind == 0:
-        pos += _S_MSG_TAIL.size
-        length = 0
-    elif payload_kind == 1:
-        if pos + _S_MSG_TAIL_BYTES.size > end:
-            return None
-        length = _S_MSG_TAIL_BYTES.unpack_from(data, pos)[2]
-        pos += _S_MSG_TAIL_BYTES.size + length
-    else:
-        return None
-    tail_start = pos
-    pos += _S_SIG_SIMULATED.size
-    if pos > end:
-        return None
-    signature_kind, signer_kind, signer, tag = _S_SIG_SIMULATED.unpack_from(
-        data, tail_start)
-    if signature_kind != _SIG_SIMULATED or signer_kind != _ID_INT:
-        return None
-    if payload_kind == 0:
-        payload = None
-        body = b""
-    else:
-        payload = body = bytes(data[tail_start - length:tail_start])
-    message = Message(
-        source, dest, seq, semantics, priority, expiration, size_bytes,
-        flooding == 1, paths, sent_at, payload, SimulatedSignature(signer, tag),
-    )
-    # Owned copies: the datagram may sit in a receive buffer that is reused.
-    object.__setattr__(message, "_wire_cache", (
-        bytes(data[start:tail_start - length]), body, bytes(data[tail_start:pos]),
-    ))
-    reader._pos = pos
-    return message
+
+    __slots__ = ("code", "consts", "width", "fits", "pack", "unpack", "tail")
+
+    def __init__(self, code: str, consts: Tuple[int, ...] = (), fits: Any = None,
+                 pack: Optional[Callable[[Any], Any]] = None,
+                 unpack: Optional[Callable[..., Any]] = None,
+                 tail: Optional["_Kind"] = None) -> None:
+        layout = struct.Struct(">" + code)
+        self.code = code
+        self.consts = consts
+        self.width = len(layout.unpack(bytes(layout.size))) - len(consts)
+        self.fits = fits
+        self.pack = pack
+        self.unpack = unpack
+        self.tail = tail
 
 
-def _read_text(data, pos: int, end: int) -> Tuple[Optional[str], int]:
-    """A u16-length-prefixed UTF-8 string at ``pos``, and the offset after
-    it; ``(None, pos)`` when it does not fit or is not valid UTF-8."""
-    if pos + 2 > end:
-        return None, pos
-    stop = pos + 2 + ((data[pos] << 8) | data[pos + 1])
-    if stop > end:
-        return None, pos
-    try:
-        return str(data[pos + 2:stop], "utf-8"), stop
-    except UnicodeDecodeError:
-        return None, pos
+class _Kind:
+    """A wire kind: ``write(writer, value)`` and ``read(reader)`` are the
+    general path; ``min_size`` is the fewest bytes an encoding takes (a
+    count is budgeted against it); ``forms`` are the compact shapes (none:
+    always general).  ``pack``/``unpack`` write and read the kind as the
+    tail of a compact run: the general path unless the kind has its own.
+    """
+
+    __slots__ = ("min_size", "forms")
+
+    def pack(self, writer: _Writer, value: Any) -> None:
+        self.write(writer, value)
+
+    def unpack(self, reader: _Reader, pos: int) -> Tuple[Any, int]:
+        reader._pos = pos
+        return self.read(reader), reader._pos
 
 
-def _read_e2e_ack(reader: _Reader) -> Optional[E2eAck]:
-    """Decode an end-to-end ACK in the compiled shape (int destination,
-    SIMULATED signature by an int signer), its tag just read; None, with
-    nothing consumed, for the field path."""
-    data, end = reader._data, reader._len
-    start = reader._pos - 1
-    pos = start + _S_E2E_ACK_HEAD.size
-    if pos > end:
-        return None
-    _, dest_kind, dest, stamp, count = _S_E2E_ACK_HEAD.unpack_from(data, start)
-    # Each entry is at least a 2-byte text length + an i64.
-    if dest_kind != _ID_INT or 10 * count > end - pos:
-        return None
-    cumulative = []
-    for _ in range(count):
-        source, pos = _read_text(data, pos, end)
-        if source is None or pos + 8 > end:
-            return None
-        cumulative.append((source, _S_I64.unpack_from(data, pos)[0]))
-        pos += 8
-    if pos + _S_SIG_SIMULATED.size > end:
-        return None
-    signature_kind, signer_kind, signer, tag = _S_SIG_SIMULATED.unpack_from(data, pos)
-    if signature_kind != _SIG_SIMULATED or signer_kind != _ID_INT:
-        return None
-    pos += _S_SIG_SIMULATED.size
-    ack = E2eAck(dest, stamp, tuple(cumulative), SimulatedSignature(signer, tag))
-    object.__setattr__(ack, "_wire_cache", bytes(data[start:pos]))
-    reader._pos = pos
-    return ack
+class _Fixed(_Kind):
+    """One fixed-width value: a u16, u32, i64 or f64, or a byte that
+    ``encode`` and ``values`` map from and to a value (a boolean, a
+    message's semantics; the compact form looks ``values`` up backwards,
+    and leaves any other value to ``encode`` on the general path)."""
+
+    __slots__ = ("layout", "name", "encode", "values")
+
+    def __init__(self, code: str, name: str,
+                 encode: Optional[Callable[[Any], int]] = None,
+                 values: Optional[Dict[int, Any]] = None) -> None:
+        self.layout = struct.Struct(">" + code)
+        self.min_size = self.layout.size
+        self.name = name
+        self.encode = encode
+        self.values = values
+        self.forms = (_Form(code) if values is None else _Form(
+            code, pack={value: byte for byte, value in values.items()},
+            unpack=values.__getitem__),)
+
+    def write(self, writer: _Writer, value: Any) -> None:
+        writer.pack(self.layout, value if self.encode is None else self.encode(value))
+
+    def read(self, reader: _Reader) -> Any:
+        value = reader.unpack(self.layout)
+        if self.values is None:
+            return value
+        if value not in self.values:
+            raise WireDecodeError(f"invalid {self.name} byte {value}")
+        return self.values[value]
 
 
-def _read_neighbor_ack(reader: _Reader) -> Optional[NeighborAck]:
-    """Decode a neighbor ACK with an int sender, its tag just read; None,
-    with nothing consumed, for the field path."""
-    data, end = reader._data, reader._len
-    start = reader._pos - 1
-    pos = start + _S_NEIGHBOR_ACK_HEAD.size
-    if pos > end:
-        return None
-    _, sender_kind, sender, count = _S_NEIGHBOR_ACK_HEAD.unpack_from(data, start)
-    # Two text lengths plus two i64s per entry, minimum.
-    if sender_kind != _ID_INT or 20 * count > end - pos:
-        return None
-    entries = []
-    for _ in range(count):
-        source, pos = _read_text(data, pos, end)
-        if source is None:
-            return None
-        dest, pos = _read_text(data, pos, end)
-        if dest is None or pos + 16 > end:
-            return None
-        stored_h, limit = _S_I64_PAIR.unpack_from(data, pos)
-        entries.append(((source, dest), stored_h, limit))
-        pos += 16
-    reader._pos = pos
-    return NeighborAck(sender, tuple(entries))
+class _Union(_Kind):
+    """A kind byte, then the value as that byte's variant.  ``variants``
+    are ``(byte, accepts, kind)``: encode writes the first whose
+    ``accepts(value)`` holds; a variant with no kind is the value None."""
+
+    __slots__ = ("name", "variants", "by_byte")
+
+    def __init__(self, name: str, variants: Sequence[Tuple[int, Callable, Any]],
+                 *forms: _Form) -> None:
+        self.name = name
+        self.variants = variants
+        self.by_byte = {byte: kind for byte, _, kind in variants}
+        self.min_size = 1 + min(kind.min_size if kind else 0 for _, _, kind in variants)
+        self.forms = forms
+
+    def write(self, writer: _Writer, value: Any) -> None:
+        for byte, accepts, kind in self.variants:
+            if accepts(value):
+                writer.pack(_S_U8, byte)
+                if kind is not None:
+                    kind.write(writer, value)
+                return
+        raise WireEncodeError(f"a {self.name} cannot be a {type(value).__name__}")
+
+    def read(self, reader: _Reader) -> Any:
+        byte = reader.unpack(_S_U8)
+        if byte not in self.by_byte:
+            raise WireDecodeError(f"unknown {self.name} kind {byte}")
+        kind = self.by_byte[byte]
+        return None if kind is None else kind.read(reader)
 
 
-def _decode_payload(reader: _Reader) -> Any:
-    tag = reader.u8()
-    if tag == _PL_MESSAGE:
-        message = _read_message(reader)
-        if message is not None:
-            return message
-        start = reader._pos - 1
-        source = reader.node_id()
-        dest = reader.node_id()
-        seq = reader.i64()
-        semantics_byte = reader.u8()
-        if semantics_byte == 1:
-            semantics = Semantics.PRIORITY
-        elif semantics_byte == 2:
-            semantics = Semantics.RELIABLE
+class _Blob(_Kind):
+    """A u16 length, then that many bytes: raw ``bytes`` or UTF-8 text.
+    With a ``size``, raw bytes of exactly that size are compact (a nonce,
+    a proof)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: bool = False, size: Optional[int] = None) -> None:
+        self.text = text
+        self.min_size = 2
+        if size is None:
+            self.forms = (_Form("", tail=self),)
         else:
-            raise WireDecodeError(f"unknown semantics byte {semantics_byte}")
-        priority = reader.i64()
-        expiration = reader.opt_f64()
-        size_bytes = reader.u32()
-        flooding = reader.boolean()
-        path_count = reader.u16()
-        paths: Optional[Tuple[Tuple[Any, ...], ...]]
-        if path_count == 0xFFFF:
-            paths = None
-        else:
-            # Each path costs at least a u16 hop count.
-            reader.budget(path_count, 2, "path")
-            paths_list = []
-            for _ in range(path_count):
-                hop_count = reader.u16()
-                # Each hop is at least a kind byte + 2-byte text length.
-                reader.budget(hop_count, 3, "path hop")
-                paths_list.append(
-                    tuple(reader.node_id() for _ in range(hop_count))
-                )
-            paths = tuple(paths_list)
-        sent_at = reader.f64()
-        app_payload = _decode_app_payload(reader)
-        body = app_payload if type(app_payload) is bytes else b""
-        tail_start = reader._pos
-        signature = reader.signature()
-        message = Message(
-            source=source,
-            dest=dest,
-            seq=seq,
-            semantics=semantics,
-            priority=priority,
-            expiration=expiration,
-            size_bytes=size_bytes,
-            flooding=flooding,
-            paths=paths,
-            sent_at=sent_at,
-            payload=app_payload,
-            signature=signature,
-        )
-        # The received bytes are this message's encoding: a relay copies
-        # them out again (owned copies -- the datagram may sit in a
-        # receive buffer that is reused).
-        object.__setattr__(message, "_wire_cache", (
-            reader.copy(start, tail_start - len(body)),
-            body,
-            reader.copy(tail_start, reader._pos),
-        ))
-        return message
-    if tag == _PL_E2E_ACK:
-        ack = _read_e2e_ack(reader)
-        if ack is not None:
-            return ack
-        start = reader._pos - 1
-        dest = reader.node_id()
-        stamp = reader.i64()
-        count = reader.u16()
-        # Each entry is at least a 2-byte text length + an i64.
-        reader.budget(count, 10, "cumulative-ack entry")
-        cumulative = tuple(
-            (reader.text(), reader.i64()) for _ in range(count)
-        )
-        ack = E2eAck(dest, stamp, cumulative, reader.signature())
-        object.__setattr__(ack, "_wire_cache", reader.copy(start, reader._pos))
-        return ack
-    if tag == _PL_NEIGHBOR_ACK:
-        ack = _read_neighbor_ack(reader)
-        if ack is not None:
-            return ack
-        sender = reader.node_id()
-        count = reader.u16()
-        # Two text lengths plus two i64s per entry, minimum.
-        reader.budget(count, 20, "neighbor-ack entry")
-        entries = tuple(
-            ((reader.text(), reader.text()), reader.i64(), reader.i64())
-            for _ in range(count)
-        )
-        return NeighborAck(sender, entries)
-    if tag == _PL_LINK_STATE:
-        return LinkStateUpdate(
-            issuer=reader.node_id(),
-            edge_a=reader.node_id(),
-            edge_b=reader.node_id(),
-            weight=reader.f64(),
-            seqno=reader.i64(),
-            signature=reader.signature(),
-        )
-    if tag == _PL_STATE_REQUEST:
-        return StateRequest(reader.node_id())
-    if tag == _PL_HELLO:
-        return Hello(reader.node_id(), reader.i64())
-    if tag == _PL_MTMW:
-        seqno = reader.i64()
-        node_count = reader.u16()
-        # Each node id is at least a kind byte + 2-byte text length.
-        reader.budget(node_count, 3, "mtmw node")
-        topo = Topology()
+            self.forms = (_Form(f"H{size}s", (size,),
+                                fits=lambda v: type(v) is bytes and len(v) == size),)
+
+    def write(self, writer: _Writer, value: Any) -> None:
+        if self.text:
+            try:
+                value = value.encode("utf-8")
+            except (AttributeError, UnicodeEncodeError):
+                raise WireEncodeError(f"not UTF-8 text: {value!r}") from None
+        elif not isinstance(value, (bytes, bytearray)):
+            raise WireEncodeError(f"expected bytes, got {type(value).__name__}")
+        if len(value) > 0xFFFF:
+            raise WireEncodeError(f"bytes field too long ({len(value)})")
+        writer.pack(_S_U16, len(value))
+        writer.put(value)
+
+    def read(self, reader: _Reader) -> Any:
         try:
-            for _ in range(node_count):
-                topo.add_node(reader.node_id())
-            edge_count = reader.u16()
-            # Two node ids (>= 3 bytes each) plus an f64 weight.
-            reader.budget(edge_count, 14, "mtmw edge")
-            for _ in range(edge_count):
-                a = reader.node_id()
-                b = reader.node_id()
-                topo.add_edge(a, b, reader.f64())
+            value, reader._pos = self.unpack(reader, reader._pos)
+        except (_Mismatch, IndexError):
+            raise WireDecodeError(f"truncated length-prefixed field at {reader._pos}") from None
+        except UnicodeDecodeError as exc:
+            raise WireDecodeError(f"invalid utf-8 in string field: {exc}") from None
+        return value
+
+    def unpack(self, reader: _Reader, pos: int) -> Tuple[Any, int]:
+        data = reader._data
+        stop = pos + 2 + ((data[pos] << 8) | data[pos + 1])
+        if stop > reader._len:
+            raise _Mismatch
+        value = data[pos + 2:stop]
+        return (str(value, "utf-8") if self.text else bytes(value)), stop
+
+
+class _Seq(_Kind):
+    """A u16 count, then that many values of one kind (``optional``: None
+    is the count 0xFFFF).  In a compact run the count is a slot of the run
+    and the values its tail; a sequence inside another (one path of
+    several) is compact on its own.  Fixed-width values are one layout per
+    count up to :data:`MAX_COMPILED_HOPS`, all built here."""
+
+    __slots__ = ("elem", "what", "optional", "blocks", "pack_blocks", "kinds_at",
+                 "elem_type")
+
+    def __init__(self, elem: _Kind, what: str, optional: bool = False) -> None:
+        self.min_size = 2
+        self.elem = elem
+        self.what = what
+        self.optional = optional
+        self.forms = (_Form("H", pack=self.count, tail=self),) if elem.forms else ()
+        self.blocks: Optional[Tuple[struct.Struct, ...]] = None
+        if elem.forms and elem.forms[0].tail is None:
+            (form,) = elem.forms
+            assert form.width == 1 and form.consts in ((), (0,)) and form.pack is None
+            counts = range(MAX_COMPILED_HOPS + 1)
+            self.elem_type = form.fits
+            self.blocks = tuple(struct.Struct(">H" + form.code * n) for n in counts)
+            # The kind byte each count's layout expects before every value;
+            # encode writes it (0: an int node id) as a pad byte.
+            self.kinds_at = tuple(form.consts * n for n in counts)
+            code = "x" + form.code[1:] if form.consts else form.code
+            self.pack_blocks = tuple(struct.Struct(">H" + code * n) for n in counts)
+
+    def write(self, writer: _Writer, value: Any) -> None:
+        if value is None and self.optional:
+            writer.pack(_S_U16, 0xFFFF)
+            return
+        try:
+            count = len(value)
+        except TypeError:
+            raise WireEncodeError(f"{self.what} list is not a sequence") from None
+        if count > (0xFFFE if self.optional else 0xFFFF):
+            raise WireEncodeError(f"too many {self.what} values ({count})")
+        writer.pack(_S_U16, count)
+        for item in value:
+            self.elem.write(writer, item)
+
+    def read(self, reader: _Reader) -> Any:
+        count = reader.unpack(_S_U16)
+        if count == 0xFFFF and self.optional:
+            return None
+        reader.budget(count, self.elem.min_size, self.what)
+        return tuple([self.elem.read(reader) for _ in range(count)])
+
+    # The compact path ----------------------------------------------------
+    def count(self, value: Any) -> int:
+        """The count slot for ``value``."""
+        if value is None and self.optional:
+            return 0xFFFF
+        if type(value) is not tuple or (self.optional and len(value) == 0xFFFF):
+            raise _Mismatch
+        return len(value)
+
+    def pack_items(self, writer: _Writer, value: Tuple[Any, ...]) -> None:
+        """The values after the count."""
+        elem = self.elem
+        if self.blocks is not None:
+            writer.put(self._pack_block(value)[2:])
+        elif isinstance(elem, _Seq) and elem.blocks is not None:
+            writer.put(b"".join(map(elem._pack_block, value)))  # one block per path
+        else:
+            for item in value:
+                elem.pack(writer, item)
+
+    def unpack_items(self, reader: _Reader, pos: int, count: int) -> Tuple[Any, int]:
+        """The values after a count of ``count`` that ended at ``pos``."""
+        if count == 0xFFFF and self.optional:
+            return None, pos
+        if self.blocks is not None:
+            return self._unpack_block(reader, pos - 2, count)
+        elem = self.elem
+        if count * elem.min_size > reader._len - pos:
+            raise _Mismatch
+        items = []
+        data = reader._data
+        blocks = isinstance(elem, _Seq) and elem.blocks is not None  # paths
+        for _ in range(count):
+            if blocks:
+                item, pos = elem._unpack_block(reader, pos, (data[pos] << 8) | data[pos + 1])
+            else:
+                item, pos = elem.unpack(reader, pos)
+            items.append(item)
+        return tuple(items), pos
+
+    def pack(self, writer: _Writer, value: Any) -> None:
+        if self.blocks is not None and value is not None:
+            writer.put(self._pack_block(value))
+        else:
+            writer.pack(_S_U16, self.count(value))
+            if value:
+                self.pack_items(writer, value)
+
+    def unpack(self, reader: _Reader, pos: int) -> Tuple[Any, int]:
+        data = reader._data
+        count = (data[pos] << 8) | data[pos + 1]
+        if self.blocks is not None and count != 0xFFFF:
+            return self._unpack_block(reader, pos, count)
+        if pos + 2 > reader._len:
+            raise _Mismatch
+        return self.unpack_items(reader, pos + 2, count)
+
+    def _pack_block(self, value: Tuple[Any, ...]) -> bytes:
+        if type(value) is not tuple:
+            raise _Mismatch
+        count = len(value)
+        if count > MAX_COMPILED_HOPS or (
+            self.elem_type is not None and count
+            and set(map(type, value)) != {self.elem_type}
+        ):
+            raise _Mismatch
+        return self.pack_blocks[count].pack(count, *value)
+
+    def _unpack_block(self, reader: _Reader, pos: int, count: int) -> Tuple[Any, int]:
+        layout = self.blocks[count]
+        stop = pos + layout.size
+        if stop > reader._len:
+            raise _Mismatch
+        slots = layout.unpack_from(reader._data, pos)
+        kinds = self.kinds_at[count]
+        if not kinds:
+            return slots[1:], stop
+        if slots[1::2] != kinds:
+            raise _Mismatch
+        return slots[2::2], stop
+
+
+class _Run:
+    """Consecutive fields packed by one struct.  At most one has several
+    forms (its ``at``): one struct per form, picked by the form that fits,
+    or by its first constant (kind or flag byte) at offset ``disc_at``."""
+
+    __slots__ = ("fields", "prefix", "marks", "at", "choices", "disc_at")
+
+    def __init__(self, kinds: Sequence[_Kind], indexes: Sequence[int],
+                 prefix: Tuple[int, ...], marks: bool) -> None:
+        self.fields = tuple((index, kinds[index].forms) for index in indexes)
+        self.prefix = prefix
+        self.marks = marks
+        multi = [n for n, (_, forms) in enumerate(self.fields) if len(forms) > 1]
+        self.at = multi[0] if multi else None
+        #: ``(forms, layout)`` per form of the multi-form field.
+        self.choices = []
+        for choice in (self.fields[self.at][1] if multi else (None,)):
+            forms = [choice if n == self.at else field[1][0]
+                     for n, field in enumerate(self.fields)]
+            code = "B" * len(prefix) + "".join(form.code for form in forms)
+            self.choices.append((forms, struct.Struct(">" + code)))
+        if multi:
+            self.disc_at = struct.calcsize(">" + "B" * len(prefix) + "".join(
+                forms[0].code for _, forms in self.fields[:self.at]))
+
+
+class _Compiler:
+    """Generate a record's functions from its table.
+
+    ``make(values)`` builds the object from its field values in wire
+    order (a field its constructor does not take, such as a link
+    envelope's ``mac``, is set afterwards).  The compact ``pack(writer,
+    obj)`` and ``unpack(reader, pos) -> (obj, pos)`` are the straight-line
+    code a hand-written codec would be: one ``pack_into``/``unpack_from``
+    per run and form, the expected kind and flag bytes compared inline.
+    """
+
+    def __init__(self, record: "_Record", runs: Optional[List[_Run]]) -> None:
+        self.names: Dict[str, Any] = {"Mismatch": _Mismatch, "cls": record.cls}
+        count = len(record.kinds)
+        self.values = "".join(f"v{index}, " for index in range(count))
+        lines = ["def make(values):", f" {self.values}= values"]
+        lines += self.construct(record) + [" return obj"]
+        if runs is not None:
+            self.enc = ["def pack(writer, obj):", " if type(obj) is not cls: raise Mismatch"]
+            if record.get is None:
+                self.enc += [f" if len(obj) != {count}: raise Mismatch",
+                             f" {self.values}= obj"]
+            else:
+                self.enc.append(f" {self.values}= {self.bind(record.get)}(obj)")
+            self.enc.append(" buf = writer.buf")
+            self.dec = ["def unpack(reader, pos):", " data = reader._data", " end = reader._len"]
+            for run in runs:
+                self.run(run)
+            lines += self.enc + self.dec + self.construct(record) + [" return obj, pos"]
+        exec("\n".join(lines), self.names)
+
+    def bind(self, obj: Any) -> str:
+        """A name for ``obj`` in the generated code's namespace."""
+        name = f"_{len(self.names)}"
+        self.names[name] = obj
+        return name
+
+    def construct(self, record: "_Record") -> List[str]:
+        if record.cls is tuple:
+            return [f" obj = ({self.values})"]
+        names = record.names
+        params = [p for p in inspect.signature(record.cls).parameters if p in names]
+        args = ", ".join(f"v{names.index(p)}" for p in params)
+        return [f" obj = cls({args})"] + [
+            f" obj.{name} = v{index}"
+            for index, name in enumerate(names) if name not in params
+        ]
+
+    def fits(self, form: _Form, value: str) -> Optional[str]:
+        """The test that ``value`` takes ``form``; None: any value does."""
+        fits = form.fits
+        if fits is None:
+            return None
+        if fits is _NONE:
+            return f"{value} is None"
+        if isinstance(fits, type):
+            return f"type({value}) is {self.bind(fits)}"
+        return f"{self.bind(fits)}({value})"
+
+    def run(self, run: _Run) -> None:
+        if run.marks:
+            self.enc.append(" writer.mark = writer.pos")
+            self.dec.append(" reader.mark = pos")
+        for n, (index, forms) in enumerate(run.fields):
+            test = self.fits(forms[0], f"v{index}")
+            if n != run.at and test is not None:
+                self.enc.append(f" if not {test}: raise Mismatch")
+        if run.at is None:
+            forms, layout = run.choices[0]
+            self.pack_layout(" ", run, forms, layout)
+            self.unpack_layout(" ", run, forms, layout)
+            return
+        index = run.fields[run.at][0]
+        self.dec.append(f" kind = data[pos + {run.disc_at}]")
+        for n, (forms, layout) in enumerate(run.choices):
+            form = forms[run.at]
+            self.enc.append(f" {'elif' if n else 'if'} {self.fits(form, f'v{index}') or 'True'}:")
+            self.pack_layout("  ", run, forms, layout)
+            self.dec.append(f" {'elif' if n else 'if'} kind == {form.consts[0]}:")
+            self.unpack_layout("  ", run, forms, layout)
+        self.enc.append(" else: raise Mismatch")
+        self.dec.append(" else: raise Mismatch")
+
+    def pack_layout(self, indent: str, run: _Run, forms: List[_Form],
+                    layout: struct.Struct) -> None:
+        slots = [repr(const) for const in run.prefix]
+        lines = []
+        for (index, _), form in zip(run.fields, forms):
+            value = f"v{index}"
+            slots += [repr(const) for const in form.consts]
+            if form.width == 1 and isinstance(form.pack, dict):
+                slots.append(f"{self.bind(form.pack)}[{value}]")
+            elif form.width == 1:
+                slots.append(value if form.pack is None else f"{self.bind(form.pack)}({value})")
+            elif form.width:
+                slots.append(f"*{self.bind(form.pack)}({value})")
+            if form.tail is not None and form.width:
+                # After a count slot: only the values, none for 0 or None.
+                lines.append(f"if {value}: {self.bind(form.tail.pack_items)}(writer, {value})")
+            elif form.tail is not None:
+                lines.append(f"{self.bind(form.tail.pack)}(writer, {value})")
+        if layout.size:
+            lines[:0] = [
+                "pos = writer.pos",
+                f"end = pos + {layout.size}",
+                "if end > len(buf): writer.grow(end)",
+                f"{self.bind(layout)}.pack_into(buf, pos, {', '.join(slots)})",
+                "writer.pos = end",
+            ]
+        self.enc += [indent + line for line in lines or ["pass"]]
+
+    def unpack_layout(self, indent: str, run: _Run, forms: List[_Form],
+                      layout: struct.Struct) -> None:
+        slot = len(run.prefix)
+        consts = list(enumerate(run.prefix))
+        values = []
+        for (index, _), form in zip(run.fields, forms):
+            consts += [(slot + n, const) for n, const in enumerate(form.consts)]
+            slot += len(form.consts)
+            names = [f"t{n}" for n in range(slot, slot + form.width)]
+            slot += form.width
+            value = f"v{index}"
+            if form.tail is not None and form.width:
+                unpack = self.bind(form.tail.unpack_items)
+                values.append(f"{value}, pos = {unpack}(reader, pos, {names[0]}) "
+                              f"if {names[0]} else ((), pos)")
+            elif form.tail is not None:
+                values.append(f"{value}, pos = {self.bind(form.tail.unpack)}(reader, pos)")
+            elif not names:
+                values.append(f"{value} = None")
+            elif form.unpack is None:
+                values.append(f"{value} = {names[0]}")
+            else:
+                values.append(f"{value} = {self.bind(form.unpack)}({', '.join(names)})")
+        lines = []
+        if layout.size:
+            lines += [
+                f"stop = pos + {layout.size}",
+                "if stop > end: raise Mismatch",
+                f"{''.join(f't{n}, ' for n in range(slot))}= "
+                f"{self.bind(layout)}.unpack_from(data, pos)",
+            ]
+            if consts:
+                test = " or ".join(f"t{n} != {const!r}" for n, const in consts)
+                lines.append(f"if {test}: raise Mismatch")
+            lines.append("pos = stop")
+        self.dec += [indent + line for line in lines + values or ["pass"]]
+
+
+class _Record(_Kind):
+    """One wire type's table: its ``tag`` (None inside another record),
+    its class (``tuple`` for an anonymous group such as a path entry) and
+    its ordered ``(name, kind)`` fields.
+
+    ``split`` names the field whose offset both paths note as ``mark``
+    (where a message's cached pieces split); ``cache`` stores the encoded
+    bytes on the object.  A record has a compact path, ``pack`` and
+    ``unpack``, when every field's kind has a compact form."""
+
+    __slots__ = ("tag", "cls", "fields", "names", "kinds", "split", "cache",
+                 "get", "make", "pack", "unpack")
+
+    def __init__(self, tag: Optional[int], cls: type, *fields: Tuple[str, _Kind],
+                 split: Optional[str] = None,
+                 cache: Optional[Callable[..., None]] = None) -> None:
+        self.tag = tag
+        self.cls = cls
+        self.fields = fields
+        self.names = tuple(name for name, _ in fields)
+        self.kinds = tuple(kind for _, kind in fields)
+        self.min_size = (tag is not None) + sum(kind.min_size for kind in self.kinds)
+        self.split = None if split is None else self.names.index(split)
+        self.cache = cache
+        if cls is tuple:
+            self.get = None
+        elif len(fields) == 1:
+            get_one = attrgetter(self.names[0])
+            self.get = lambda obj: (get_one(obj),)
+        else:
+            self.get = attrgetter(*self.names)
+        runs = self._cut_runs()
+        self.forms = () if runs is None else (_Form("", tail=self),)
+        compiled = _Compiler(self, runs).names
+        self.make = compiled["make"]
+        self.pack = compiled.get("pack")
+        self.unpack = compiled.get("unpack")
+
+    def _cut_runs(self) -> Optional[List[_Run]]:
+        """The fields cut into runs: a run ends after a field with a tail,
+        before a second field with several forms, and before the split
+        field.  None: a field has no compact form."""
+        kinds = self.kinds
+        if not all(kind.forms for kind in kinds):
+            return None
+        groups: List[List[int]] = [[]]
+        for index, kind in enumerate(kinds):
+            current = groups[-1]
+            if current and (index == self.split or (
+                len(kind.forms) > 1 and any(len(kinds[i].forms) > 1 for i in current)
+            )):
+                groups.append([])
+            groups[-1].append(index)
+            if any(form.tail is not None for form in kind.forms):
+                groups.append([])
+        prefix = () if self.tag is None else (self.tag,)
+        return [
+            _Run(kinds, group, prefix if n == 0 else (), group[0] == self.split)
+            for n, group in enumerate(group for group in groups if group)
+        ]
+
+    def write(self, writer: _Writer, obj: Any) -> None:
+        """The general path: write ``obj`` field by field."""
+        if self.get is None:
+            try:
+                values = tuple(obj)
+            except TypeError:
+                raise WireEncodeError(f"expected a tuple, got {type(obj).__name__}") from None
+            if len(values) != len(self.kinds):
+                raise WireEncodeError(f"expected {len(self.kinds)} values, got {len(values)}")
+        elif isinstance(obj, self.cls):
+            values = self.get(obj)
+        else:
+            raise WireEncodeError(f"expected {self.cls.__name__}, got {type(obj).__name__}")
+        if self.tag is not None:
+            writer.pack(_S_U8, self.tag)
+        for index, kind in enumerate(self.kinds):
+            if index == self.split:
+                writer.mark = writer.pos
+            kind.write(writer, values[index])
+
+    def read(self, reader: _Reader) -> Any:
+        """The general path: read an object field by field."""
+        if self.tag is not None:
+            reader.unpack(_S_U8)
+        values = []
+        for index, kind in enumerate(self.kinds):
+            if index == self.split:
+                reader.mark = reader._pos
+            values.append(kind.read(reader))
+        return self.make(values)
+
+    def encode(self, writer: _Writer, obj: Any) -> None:
+        """Write ``obj``, compact when its shape has a compact form."""
+        if self.pack is not None:
+            start = writer.pos
+            try:
+                self.pack(writer, obj)
+                return
+            except _ENCODE_MISMATCH:
+                writer.pos = start
+        self.write(writer, obj)
+
+    def decode(self, reader: _Reader) -> Any:
+        """The object at the reader's position (its tag unread)."""
+        start = reader._pos
+        obj = None
+        if self.unpack is not None:
+            try:
+                obj, reader._pos = self.unpack(reader, start)
+            except _DECODE_MISMATCH:
+                reader._pos = start
+        if obj is None:
+            obj = self.read(reader)
+        if self.cache is not None:
+            self.cache(obj, reader._data, start, reader.mark, reader._pos)
+        return obj
+
+
+class _Topology(_Kind):
+    """An MTMW's nodes, then its weighted edges, by ``str`` (general only)."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.min_size = 4
+        self.forms = ()
+
+    def write(self, writer: _Writer, topology: Topology) -> None:
+        _MTMW_NODES.write(writer, sorted(topology.nodes, key=str))
+        edges = sorted(topology.edges(), key=lambda e: (str(e[0]), str(e[1])))
+        _MTMW_EDGES.write(writer, [(a, b, topology.weight(a, b)) for a, b in edges])
+
+    def read(self, reader: _Reader) -> Topology:
+        nodes = _MTMW_NODES.read(reader)
+        edges = _MTMW_EDGES.read(reader)
+        topology = Topology()
+        try:
+            for node in nodes:
+                topology.add_node(node)
+            for a, b, weight in edges:
+                topology.add_edge(a, b, weight)
         except TopologyError as exc:
             raise WireDecodeError(f"invalid MTMW topology: {exc}") from None
-        return Mtmw(topo, seqno, reader.signature())
-    if tag == _PL_ADMISSION_NACK:
-        return AdmissionNack(
-            ingress=reader.node_id(),
-            home=reader.node_id(),
-            client=reader.text(),
-            key=reader.text(),
-            outcome=reader.text(),
-            seq=reader.i64(),
-        )
-    raise WireDecodeError(f"unknown payload tag {tag}")
+        return topology
+
+
+class _PayloadSection(_Kind):
+    """A ``PorData``'s payload: one tagged payload record, the same on
+    either path.  A message or end-to-end ACK is encoded once, its bytes
+    cached on it for every further out-link and relay; a flooded message
+    is looked up in the node's memo first."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.min_size = 1
+        self.forms = (_Form("", tail=self),)
+
+    def write(self, writer: _Writer, payload: Any) -> None:
+        record = _PAYLOAD_BY_TYPE.get(type(payload))
+        if record is None:
+            raise _unsupported("payload type", payload)
+        cached = None if record.cache is None else payload._wire_cache
+        if cached is None:
+            start = writer.pos
+            record.encode(writer, payload)
+            if record.cache is not None:
+                record.cache(payload, writer.buf, start, writer.mark, writer.pos)
+        elif type(cached) is tuple:
+            for piece in cached:
+                writer.put(piece)
+        else:
+            writer.put(cached)
+
+    pack = write
+
+    def read(self, reader: _Reader) -> Any:
+        return self.unpack(reader, reader._pos)[0]
+
+    def unpack(self, reader: _Reader, pos: int) -> Tuple[Any, int]:
+        reader._pos = pos
+        if reader.memo is not None and pos < reader._len and reader._data[pos] == _PL_MESSAGE:
+            return reader.memo.decode(reader), reader._pos
+        return _decode_tagged(reader, _PAYLOAD_BY_TAG, "payload"), reader._pos
+
+
+def _simulated_slots(value: Any) -> Tuple[int, int]:
+    """A SIMULATED signature by an int signer as its two slots."""
+    if type(value) is not SimulatedSignature or type(value.signer) is not int:
+        raise _Mismatch
+    return value.signer, value.tag
+
+
+_U16 = _Fixed("H", "u16")
+_U32 = _Fixed("I", "u32")
+_I64 = _Fixed("q", "i64")
+_F64 = _Fixed("d", "f64")
+_BOOL = _Fixed("B", "boolean", lambda v: 1 if v else 0, {0: False, 1: True})
+_SEMANTICS = _Fixed("B", "semantics", lambda v: 1 if v is Semantics.PRIORITY else 2,
+                    {1: Semantics.PRIORITY, 2: Semantics.RELIABLE})
+_TEXT = _Blob(text=True)
+_RAW = _Blob()
+_NONCE = _Blob(size=NONCE_SIZE)
+_PROOF = _Blob(size=PROOF_SIZE)
+_OPT_F64 = _Union("optional-f64", (
+    (0, lambda v: v is None, None),
+    (1, lambda v: True, _F64),
+), _Form("B", (0,), fits=_NONE), _Form("Bd", (1,)))
+_NODE_ID = _Union("node-id", (
+    (_ID_INT, lambda v: isinstance(v, int) and not isinstance(v, bool), _I64),
+    (_ID_STR, lambda v: isinstance(v, str), _TEXT),
+), _Form("Bq", (_ID_INT,), fits=int))
+_SIGNATURE = _Union("signature", (
+    (_SIG_NONE, lambda v: v is None, None),
+    (_SIG_SIMULATED, lambda v: isinstance(v, SimulatedSignature),
+     _Record(None, SimulatedSignature, ("signer", _NODE_ID), ("tag", _I64))),
+    (_SIG_BYTES, lambda v: isinstance(v, (bytes, bytearray)), _RAW),
+    (_SIG_INT, lambda v: isinstance(v, int), _I64),
+), _Form("B", (_SIG_NONE,), fits=_NONE),
+   _Form("BBqq", (_SIG_SIMULATED, _ID_INT), pack=_simulated_slots,
+         unpack=SimulatedSignature))
+#: The application payload a message carries: None, bytes, or text.
+_APP_PAYLOAD = _Union("application-payload", (
+    (0, lambda v: v is None, None),
+    (1, lambda v: isinstance(v, (bytes, bytearray)), _RAW),
+    (2, lambda v: isinstance(v, str), _TEXT),
+), _Form("B", (0,), fits=_NONE), _Form("B", (1,), fits=bytes, tail=_RAW),
+   _Form("B", (2,), fits=str, tail=_TEXT))
+_PAYLOAD = _PayloadSection()
+_MTMW_NODES = _Seq(_NODE_ID, "mtmw node")
+_MTMW_EDGES = _Seq(
+    _Record(None, tuple, ("a", _NODE_ID), ("b", _NODE_ID), ("weight", _F64)), "mtmw edge"
+)
+
+
+# ----------------------------------------------------------------------
+# The tables: one record per wire type
+# ----------------------------------------------------------------------
+def _cache_pieces(message: Message, data, start: int, mark: int, end: int) -> None:
+    """Cache a message's section ``data[start:end]`` as ``(head, body,
+    tail)``: the bytes before the application payload, the payload
+    ``bytes`` itself (else ``b""``), the bytes from the signature (at
+    ``mark``) on -- owned copies of a receive buffer that is reused."""
+    payload = message.payload
+    body = payload if type(payload) is bytes else b""
+    object.__setattr__(message, "_wire_cache", (
+        bytes(data[start:mark - len(body)]), body, bytes(data[mark:end]),
+    ))
+
+
+def _cache_section(ack: E2eAck, data, start: int, mark: Optional[int], end: int) -> None:
+    """Cache an end-to-end ACK's section: it is forwarded on every out-link."""
+    object.__setattr__(ack, "_wire_cache", bytes(data[start:end]))
+
+
+_HELLO = _Record(None, Hello, ("sender", _NODE_ID), ("stamp", _I64))
+
+#: Payloads carried inside a PorData envelope.
+_PAYLOADS = (
+    _Record(
+        _PL_MESSAGE, Message,
+        ("source", _NODE_ID), ("dest", _NODE_ID), ("seq", _I64),
+        ("semantics", _SEMANTICS), ("priority", _I64), ("expiration", _OPT_F64),
+        ("size_bytes", _U32), ("flooding", _BOOL),
+        ("paths", _Seq(_Seq(_NODE_ID, "path hop"), "path", optional=True)),
+        ("sent_at", _F64), ("payload", _APP_PAYLOAD), ("signature", _SIGNATURE),
+        split="signature", cache=_cache_pieces,
+    ),
+    _Record(
+        _PL_E2E_ACK, E2eAck,
+        ("dest", _NODE_ID), ("stamp", _I64),
+        ("cumulative", _Seq(
+            _Record(None, tuple, ("source", _TEXT), ("seq", _I64)), "cumulative-ack entry",
+        )),
+        ("signature", _SIGNATURE),
+        cache=_cache_section,
+    ),
+    # Unsigned, like the admission NACK: only ever carried over the
+    # authenticated PoR link between direct neighbors.
+    _Record(
+        _PL_NEIGHBOR_ACK, NeighborAck,
+        ("sender", _NODE_ID),
+        ("entries", _Seq(_Record(
+            None, tuple,
+            ("flow", _Record(None, tuple, ("source", _TEXT), ("dest", _TEXT))),
+            ("stored_h", _I64), ("limit", _I64),
+        ), "neighbor-ack entry")),
+    ),
+    _Record(
+        _PL_LINK_STATE, LinkStateUpdate,
+        ("issuer", _NODE_ID), ("edge_a", _NODE_ID), ("edge_b", _NODE_ID),
+        ("weight", _F64), ("seqno", _I64), ("signature", _SIGNATURE),
+    ),
+    _Record(_PL_STATE_REQUEST, StateRequest, ("sender", _NODE_ID)),
+    _Record(_PL_HELLO, Hello, *_HELLO.fields),
+    # Dynamic membership floods successor MTMWs over existing PoR links
+    # (the PoR MAC authenticates the neighbor; the admin signature inside
+    # authenticates the topology, and MtmwHolder.consider rejects stale or
+    # forged candidates).
+    _Record(
+        _PL_MTMW, Mtmw,
+        ("seqno", _I64), ("topology", _Topology()), ("signature", _SIGNATURE),
+    ),
+    _Record(
+        _PL_ADMISSION_NACK, AdmissionNack,
+        ("ingress", _NODE_ID), ("home", _NODE_ID), ("client", _TEXT),
+        ("key", _TEXT), ("outcome", _TEXT), ("seq", _I64),
+    ),
+)
+
+#: Link envelopes, the outermost object of a datagram or batch frame.
+_ENVELOPES = (
+    _Record(
+        _ENV_POR_DATA, PorData,
+        ("epoch", _I64), ("seq", _I64), ("nonce", _NONCE), ("wire_size", _U32),
+        ("mac", _SIGNATURE), ("payload", _PAYLOAD),
+    ),
+    _Record(
+        _ENV_POR_ACK, PorAck,
+        ("epoch", _I64), ("cum_seq", _I64), ("proof", _PROOF),
+        ("missing", _Seq(_I64, "missing-seq")), ("mac", _SIGNATURE),
+    ),
+    _Record(
+        _ENV_POR_HANDSHAKE, PorHandshake,
+        ("sender", _NODE_ID), ("dh_public", _RAW), ("signature", _SIGNATURE),
+    ),
+    _Record(_ENV_HELLO, _HelloWrapper, ("hello", _HELLO)),
+    _Record(
+        _ENV_ADDR_QUERY, AddrQuery,
+        ("sender", _NODE_ID), ("nonce", _I64),
+        ("targets", _Seq(_NODE_ID, "address-query target")),
+    ),
+    _Record(
+        _ENV_ADDR_REPLY, AddrReply,
+        ("nonce", _I64),
+        ("entries", _Seq(_Record(
+            None, tuple, ("node", _NODE_ID), ("host", _TEXT), ("port", _U16),
+        ), "address-reply entry")),
+    ),
+    _Record(
+        _ENV_ADDR_ANNOUNCE, AddrAnnounce,
+        ("sender", _NODE_ID), ("host", _TEXT), ("port", _U16),
+    ),
+)
+
+#: The datagram's sender and receiver ids, ahead of the envelope(s).
+_IDS = _Record(None, tuple, ("sender", _NODE_ID), ("receiver", _NODE_ID))
+
+_PAYLOAD_BY_TAG = {record.tag: record for record in _PAYLOADS}
+_PAYLOAD_BY_TYPE = {record.cls: record for record in _PAYLOADS}
+_ENVELOPE_BY_TAG = {record.tag: record for record in _ENVELOPES}
+_ENVELOPE_BY_TYPE = {record.cls: record for record in _ENVELOPES}
+_MESSAGE = _PAYLOAD_BY_TYPE[Message]
+
+def _unsupported(what: str, obj: Any) -> WireEncodeError:
+    return WireEncodeError(f"{what} {type(obj).__name__} is not supported on the live wire")
+
+
+def _decode_tagged(reader: _Reader, table: Dict[int, _Record], what: str) -> Any:
+    """The record whose tag is the reader's next byte."""
+    pos = reader._pos
+    if pos >= reader._len:
+        raise reader._short(1)
+    record = table.get(reader._data[pos])
+    if record is None:
+        raise WireDecodeError(f"unknown {what} tag {reader._data[pos]}")
+    return record.decode(reader)
 
 
 class MessageMemo:
     """One node's memo of the flooded messages it decoded last.
 
     Constrained flooding hands a node the same signed message once per
-    in-link, byte for byte.  The decoder looks the frame's payload
-    section up here by checksum and, only when the cached pieces *equal*
-    the received bytes, returns the ``Message`` object it built for the
-    first copy -- with the uid, signed tuple and per-PKI-epoch verify
-    verdict that object has cached since.  Identical bytes decode to
-    identical fields, so they share one verdict; a copy that differs in
-    any byte misses and is decoded into a fresh, cold object.
-
-    Owned by one :class:`~repro.runtime.transport.AsyncioUdpTransport`
-    (a node never shares it), bounded at :data:`SIZE` entries evicted
-    oldest first, and limited to ``flooding=True`` messages: a K-paths
-    message reaches a node once per path, so memoising it retains its
-    payload without ever being hit.
+    in-link, byte for byte.  The decoder looks the payload section up by
+    checksum and, only when the cached pieces *equal* the received bytes,
+    returns the ``Message`` built for the first copy, with the verify
+    verdict it has cached since; any other copy decodes cold.  Owned by
+    one transport, bounded at :data:`SIZE` entries evicted oldest first,
+    and flooded messages only (a K-paths copy would never be hit).
     """
 
     #: Enough for every repeat on the saturated 12-node cloud to hit (one
@@ -1291,7 +1188,7 @@ class MessageMemo:
     def decode(self, reader: _Reader) -> Message:
         """Decode the data message that fills the rest of ``reader``."""
         memo = self._by_checksum
-        section = reader.rest()
+        section = reader._data[reader._pos:reader._len]
         checksum = None
         if memo:  # nothing to recognise while no flooded message was seen
             checksum = _crc32(section)
@@ -1305,9 +1202,9 @@ class MessageMemo:
                     and received.startswith(body, len(head))
                     and received.endswith(tail)
                 ):
-                    reader.skip_rest()
+                    reader._pos = reader._len
                     return known
-        message = _decode_payload(reader)
+        message = _MESSAGE.decode(reader)
         if message.flooding and reader.exhausted:
             if checksum is None:
                 checksum = _crc32(section)
@@ -1319,245 +1216,40 @@ class MessageMemo:
 
 
 # ----------------------------------------------------------------------
-# Link envelopes
+# Datagrams and batch frames
 # ----------------------------------------------------------------------
-def _compiled_por_data(packet: PorData) -> bool:
-    nonce = packet.nonce
-    return packet.mac is None and type(nonce) is bytes and len(nonce) == NONCE_SIZE
-
-
-def _compiled_por_ack(packet: PorAck) -> bool:
-    proof = packet.proof
-    return (
-        packet.mac is None and not packet.missing
-        and type(proof) is bytes and len(proof) == PROOF_SIZE
-    )
+def _envelope(packet: Any) -> _Record:
+    record = _ENVELOPE_BY_TYPE.get(type(packet))
+    if record is None:
+        raise _unsupported("link envelope", packet)
+    return record
 
 
 def _encode_frame(writer: _Writer, packet: Any) -> None:
-    """One batch frame: its u32 length, then the envelope.  A compiled
-    PorAck, or a compiled PorData whose payload section is known (a
-    message or end-to-end ACK), has a known length: length and head are
-    one pack.  Any other frame's length is back-patched."""
-    if isinstance(packet, PorData) and _compiled_por_data(packet):
-        pieces = _known_pieces(packet.payload)
-        if pieces is not None:
-            writer.pack(
-                _S_FRAMED_POR_DATA, _S_POR_DATA.size + sum(map(len, pieces)),
-                _ENV_POR_DATA, packet.epoch, packet.seq, NONCE_SIZE,
-                packet.nonce, packet.wire_size, _SIG_NONE,
-            )
-            for piece in pieces:
-                writer.put(piece)
-            return
-    elif isinstance(packet, PorAck) and _compiled_por_ack(packet):
-        writer.pack(
-            _S_FRAMED_POR_ACK, _S_POR_ACK.size, _ENV_POR_ACK, packet.epoch,
-            packet.cum_seq, PROOF_SIZE, packet.proof, 0, _SIG_NONE,
-        )
-        return
+    """One batch frame: its u32 length (back-patched), then the envelope."""
+    record = _envelope(packet)
     length_at = writer.pos
-    writer.u32(0)  # frame length, back-patched below
-    _encode_envelope(writer, packet)
-    writer.patch_u32(length_at, writer.pos - length_at - 4)
+    writer.pos = length_at + 4  # the envelope's encode grows the buffer past it
+    record.encode(writer, packet)
+    _S_U32.pack_into(writer.buf, length_at, writer.pos - length_at - 4)
 
 
-def _encode_envelope(writer: _Writer, packet: Any) -> None:
-    if isinstance(packet, PorData):
-        if _compiled_por_data(packet):
-            writer.pack(
-                _S_POR_DATA, _ENV_POR_DATA, packet.epoch, packet.seq,
-                NONCE_SIZE, packet.nonce, packet.wire_size, _SIG_NONE,
-            )
-        else:
-            writer.u8(_ENV_POR_DATA)
-            writer.i64(packet.epoch)
-            writer.i64(packet.seq)
-            writer.raw(packet.nonce)
-            writer.u32(packet.wire_size)
-            writer.signature(packet.mac)
-        _encode_payload(writer, packet.payload)
-    elif isinstance(packet, PorAck):
-        proof, mac = packet.proof, packet.mac
-        if _compiled_por_ack(packet):
-            writer.pack(
-                _S_POR_ACK, _ENV_POR_ACK, packet.epoch, packet.cum_seq,
-                PROOF_SIZE, proof, 0, _SIG_NONE,
-            )
-        else:
-            writer.u8(_ENV_POR_ACK)
-            writer.i64(packet.epoch)
-            writer.i64(packet.cum_seq)
-            writer.raw(proof)
-            writer.u16(len(packet.missing))
-            for seq in packet.missing:
-                writer.i64(seq)
-            writer.signature(mac)
-    elif isinstance(packet, PorHandshake):
-        writer.u8(_ENV_POR_HANDSHAKE)
-        writer.node_id(packet.sender)
-        writer.raw(packet.dh_public)
-        writer.signature(packet.signature)
-    elif isinstance(packet, _HelloWrapper):
-        writer.u8(_ENV_HELLO)
-        writer.node_id(packet.hello.sender)
-        writer.i64(packet.hello.stamp)
-    elif isinstance(packet, AddrQuery):
-        writer.u8(_ENV_ADDR_QUERY)
-        writer.node_id(packet.sender)
-        writer.i64(packet.nonce)
-        if len(packet.targets) > 0xFFFF:
-            raise WireEncodeError("too many address-query targets")
-        writer.u16(len(packet.targets))
-        for target in packet.targets:
-            writer.node_id(target)
-    elif isinstance(packet, AddrReply):
-        writer.u8(_ENV_ADDR_REPLY)
-        writer.i64(packet.nonce)
-        if len(packet.entries) > 0xFFFF:
-            raise WireEncodeError("too many address-reply entries")
-        writer.u16(len(packet.entries))
-        for node, host, port in packet.entries:
-            writer.node_id(node)
-            writer.text(host)
-            writer.u16(port)
-    elif isinstance(packet, AddrAnnounce):
-        writer.u8(_ENV_ADDR_ANNOUNCE)
-        writer.node_id(packet.sender)
-        writer.text(packet.host)
-        writer.u16(packet.port)
-    else:
-        raise WireEncodeError(
-            f"unsupported link envelope {type(packet).__name__}"
-        )
-
-
-def _por_data(
-    reader: _Reader, memo: Optional[MessageMemo],
-    epoch: int, seq: int, nonce: bytes, wire_size: int, mac: Any,
-) -> PorData:
-    """A PorData whose head was read: decode the payload that follows."""
-    # The payload is the last field of the envelope and the envelope the
-    # last of its frame, so the payload section is the rest.
-    if memo is not None and reader.next_is(_PL_MESSAGE):
-        payload = memo.decode(reader)
-    else:
-        payload = _decode_payload(reader)
-    packet = PorData(epoch, seq, nonce, payload, wire_size)
-    packet.mac = mac
-    return packet
-
-
-def _decode_frames(
-    reader: _Reader, count: int, memo: Optional[MessageMemo]
-) -> List[Any]:
-    """The ``count`` frames of a batch container.  A frame in the compiled
-    PorData/PorAck shape gives its u32 length and its head in one
-    unpack_from; any other frame is read field by field."""
+def _decode_frames(reader: _Reader, count: int) -> List[Any]:
+    """The ``count`` frames of a batch container."""
     frames = []
-    data = reader._data
+    outer = reader._len
     for _ in range(count):
-        pos, end = reader._pos, reader._len
-        tag = data[pos + 4] if pos + 4 < end else None
-        packet = None
-        if tag == _ENV_POR_DATA and pos + _S_FRAMED_POR_DATA.size <= end:
-            (length, _, epoch, seq, nonce_len, nonce, wire_size,
-             mac_kind) = _S_FRAMED_POR_DATA.unpack_from(data, pos)
-            if (
-                nonce_len == NONCE_SIZE and mac_kind == _SIG_NONE
-                and _S_POR_DATA.size <= length <= end - pos - 4
-            ):
-                reader.skip(_S_FRAMED_POR_DATA.size)
-                outer = reader.enter_frame(length - _S_POR_DATA.size)
-                packet = _por_data(reader, memo, epoch, seq, nonce, wire_size, None)
-        elif tag == _ENV_POR_ACK and pos + _S_FRAMED_POR_ACK.size <= end:
-            (length, _, epoch, cum_seq, proof_len, proof, missing,
-             mac_kind) = _S_FRAMED_POR_ACK.unpack_from(data, pos)
-            if (
-                proof_len == PROOF_SIZE and missing == 0 and mac_kind == _SIG_NONE
-                and length == _S_POR_ACK.size
-            ):
-                reader.skip(_S_FRAMED_POR_ACK.size)
-                outer = reader.enter_frame(0)
-                packet = PorAck(epoch, cum_seq, proof)
-        if packet is None:
-            outer = reader.enter_frame(reader.u32())
-            packet = _decode_envelope(reader, memo)
+        length = reader.unpack(_S_U32)
+        if reader._pos + length > outer:
+            raise reader._short(length)
+        reader._len = reader._pos + length  # read within the frame only
+        frames.append(_decode_tagged(reader, _ENVELOPE_BY_TAG, "envelope"))
         if not reader.exhausted:
             raise WireDecodeError("trailing bytes after envelope")
-        reader.leave_frame(outer)
-        frames.append(packet)
+        reader._len = outer
     return frames
 
 
-def _decode_envelope(reader: _Reader, memo: Optional[MessageMemo] = None) -> Any:
-    tag = reader.u8()
-    if tag == _ENV_POR_DATA:
-        head = reader.peek_tagged(_S_POR_DATA)
-        if head is not None and head[3] == NONCE_SIZE and head[6] == _SIG_NONE:
-            reader.skip(_S_POR_DATA.size - 1)
-            _, epoch, seq, _, nonce, wire_size, _ = head
-            mac = None
-        else:
-            epoch = reader.i64()
-            seq = reader.i64()
-            nonce = reader.raw()
-            wire_size = reader.u32()
-            mac = reader.signature()
-        return _por_data(reader, memo, epoch, seq, nonce, wire_size, mac)
-    if tag == _ENV_POR_ACK:
-        head = reader.peek_tagged(_S_POR_ACK)
-        if (
-            head is not None and head[3] == PROOF_SIZE
-            and head[5] == 0 and head[6] == _SIG_NONE
-        ):
-            reader.skip(_S_POR_ACK.size - 1)
-            _, epoch, cum_seq, _, proof, _, _ = head
-            mac = None
-            missing: Tuple[int, ...] = ()
-        else:
-            epoch = reader.i64()
-            cum_seq = reader.i64()
-            proof = reader.raw()
-            count = reader.u16()
-            reader.budget(count, 8, "missing-seq")
-            missing = tuple(reader.i64() for _ in range(count))
-            mac = reader.signature()
-        packet = PorAck(epoch, cum_seq, proof, missing)
-        packet.mac = mac
-        return packet
-    if tag == _ENV_POR_HANDSHAKE:
-        return PorHandshake(reader.node_id(), reader.raw(), reader.signature())
-    if tag == _ENV_HELLO:
-        return _HelloWrapper(Hello(reader.node_id(), reader.i64()))
-    if tag == _ENV_ADDR_QUERY:
-        sender = reader.node_id()
-        nonce = reader.i64()
-        count = reader.u16()
-        reader.budget(count, 3, "address-query target")
-        return AddrQuery(
-            sender, nonce, tuple(reader.node_id() for _ in range(count))
-        )
-    if tag == _ENV_ADDR_REPLY:
-        nonce = reader.i64()
-        count = reader.u16()
-        # A node id (>= 3 bytes), a host text length, and a u16 port.
-        reader.budget(count, 7, "address-reply entry")
-        return AddrReply(
-            nonce,
-            tuple(
-                (reader.node_id(), reader.text(), reader.u16())
-                for _ in range(count)
-            ),
-        )
-    if tag == _ENV_ADDR_ANNOUNCE:
-        return AddrAnnounce(reader.node_id(), reader.text(), reader.u16())
-    raise WireDecodeError(f"unknown envelope tag {tag}")
-
-
-# ----------------------------------------------------------------------
-# Public API
-# ----------------------------------------------------------------------
 def _finish_datagram(writer: _Writer, flags: int) -> bytes:
     """Fill in the reserved header + CRC and copy out the immutable bytes."""
     body_len = writer.pos - HEADER_SIZE
@@ -1574,14 +1266,9 @@ def _finish_datagram(writer: _Writer, flags: int) -> bytes:
         return bytes(view[: writer.pos])
 
 
-def _encode_ids(writer: _Writer, sender: Any, receiver: Any) -> None:
-    if type(sender) is int and type(receiver) is int:
-        writer.pack(_S_INT_IDS, _ID_INT, sender, _ID_INT, receiver)
-    else:
-        writer.node_id(sender)
-        writer.node_id(receiver)
-
-
+# ----------------------------------------------------------------------
+# Public API
+# ----------------------------------------------------------------------
 def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
     """Encode one link packet as a self-delimiting datagram.
 
@@ -1589,11 +1276,12 @@ def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
     link the packet travels on; the receiving transport uses them to
     dispatch to the right PoR endpoint and to drop misdirected traffic.
     """
+    record = _envelope(packet)
     buf = _ENCODE_POOL.acquire()
     try:
         writer = _Writer(buf, start=HEADER_SIZE)
-        _encode_ids(writer, sender, receiver)
-        _encode_envelope(writer, packet)
+        _IDS.encode(writer, (sender, receiver))
+        record.encode(writer, packet)
         return _finish_datagram(writer, 0)
     finally:
         _ENCODE_POOL.release(writer.buf)
@@ -1618,8 +1306,8 @@ def encode_batch_datagram(
     buf = _ENCODE_POOL.acquire()
     try:
         writer = _Writer(buf, start=HEADER_SIZE)
-        _encode_ids(writer, sender, receiver)
-        writer.u16(len(packets))
+        _IDS.encode(writer, (sender, receiver))
+        writer.pack(_S_U16, len(packets))
         for packet in packets:
             _encode_frame(writer, packet)
         return _finish_datagram(writer, FLAG_BATCH)
@@ -1633,7 +1321,7 @@ def split_batch(sender: Any, receiver: Any, packets: Sequence[Any]) -> List[List
     container is a run of its own).  Raises :class:`WireEncodeError` when
     a packet cannot be encoded at all."""
     writer = _Writer()
-    _encode_ids(writer, sender, receiver)
+    _IDS.encode(writer, (sender, receiver))
     budget = MAX_BODY - writer.pos - 2  # the ids and the frame count
     runs: List[List[Any]] = []
     run: List[Any] = []
@@ -1651,18 +1339,12 @@ def split_batch(sender: Any, receiver: Any, packets: Sequence[Any]) -> List[List
 
 
 def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
-    """Decode one datagram; raises :class:`WireDecodeError` on any defect.
-
-    With the receiving node's ``memo``, a flooded data message whose
-    bytes repeat a recently decoded one comes back as that same object
-    (see :class:`MessageMemo`); every check below runs either way.
-
-    Accepts ``bytes``, ``bytearray``, or ``memoryview`` (the batched
-    receive path hands in views of a reusable receive buffer).  Rejects
-    bad magic, unknown versions or flags, truncated bodies, trailing
-    garbage, over-length claims, checksum mismatches (bit flips in
-    flight), and unknown tags — a live node treats all of these as "not
-    our traffic" and drops the datagram.
+    """Decode one datagram (``bytes``, ``bytearray`` or a ``memoryview``
+    of a reusable receive buffer); raises :class:`WireDecodeError` on any
+    defect -- bad magic, version or flags, truncation, trailing garbage,
+    over-length claims, a checksum mismatch, an unknown tag.  With the
+    receiving node's ``memo``, a repeated flooded message comes back as
+    the same object (see :class:`MessageMemo`).
     """
     if isinstance(data, memoryview):
         view = data
@@ -1689,29 +1371,18 @@ def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
         )
     if _crc32(view[HEADER_SIZE:], _crc32(view[:8])) != crc:
         raise WireDecodeError("checksum mismatch (datagram corrupted in flight)")
-    reader = _Reader(view[HEADER_SIZE:])
+    reader = _Reader(view[HEADER_SIZE:], memo)
     try:
-        if (
-            body_len >= _S_INT_IDS.size and view[HEADER_SIZE] == _ID_INT
-            and view[HEADER_SIZE + 9] == _ID_INT
-        ):
-            _, sender, _, receiver = _S_INT_IDS.unpack_from(view, HEADER_SIZE)
-            reader.skip(_S_INT_IDS.size)
-        else:
-            sender = reader.node_id()
-            receiver = reader.node_id()
+        sender, receiver = _IDS.decode(reader)
         if flags & FLAG_BATCH:
-            count = reader.u16()
+            count = reader.unpack(_S_U16)
             if count == 0:
                 raise WireDecodeError("empty batch container")
             # Each frame costs at least a u32 length + a 1-byte tag.
             reader.budget(count, 5, "batch frame")
-            frames = _decode_frames(reader, count, memo)
-            packet = frames[0]
-            packets = tuple(frames)
+            packets = tuple(_decode_frames(reader, count))
         else:
-            packet = _decode_envelope(reader, memo)
-            packets = (packet,)
+            packets = (_decode_tagged(reader, _ENVELOPE_BY_TAG, "envelope"),)
     except WireDecodeError:
         raise
     except (struct.error, IndexError, ValueError, OverflowError) as exc:
@@ -1720,4 +1391,4 @@ def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
         raise WireDecodeError(f"malformed datagram: {exc}") from None
     if not reader.exhausted:
         raise WireDecodeError("trailing bytes after envelope")
-    return Datagram(sender=sender, receiver=receiver, packet=packet, packets=packets)
+    return Datagram(sender=sender, receiver=receiver, packet=packets[0], packets=packets)

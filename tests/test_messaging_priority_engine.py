@@ -1,5 +1,7 @@
 """Unit tests for the Priority engine's forwarding logic."""
 
+import math
+
 import pytest
 
 from repro.dissemination import flood_targets, path_successors, path_targets
@@ -224,3 +226,30 @@ class TestParkedFlooding:
         node.end_wakeup()
         assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 0}
         assert [node.links[n].priority_queue.dropped_expired for n in (3, 4, 5)] == [1, 1, 1]
+
+
+class TestNanExpiration:
+    """A source-signed NaN expiration counts as expired wherever an
+    expiration is compared, so the message is dropped at the first node,
+    as an expired one is, instead of raising from the dedup store's
+    ``floor``."""
+
+    def test_a_nan_expiration_is_dropped_at_the_first_node(self):
+        from repro.topology import global_cloud
+
+        net = OverlayNetwork.build(global_cloud.topology(), FAST)
+        source = net.node(1)
+        sent = []
+        source.cpu.sign = lambda handler, message, neighbor: sent.append(message)
+        source.send_priority(5, expire_after=float("nan"))
+        [message] = sent
+        assert math.isnan(message.expiration) and message.verify(net.pki)
+        neighbor = sorted(source.links)[0]
+        node = net.node(neighbor)
+        node.on_link_deliver(1, message, 100)
+        net.run(1.0)
+        assert all(link.data_transmissions == 0 for link in node.links.values())
+        assert net.delivered_count(1, 5) == 0
+        assert node.priority.messages_delivered == 0
+        assert message.is_expired(net.sim.now)
+        assert not node.links[1].priority_queue.offer(message, net.sim.now)

@@ -72,6 +72,21 @@ class TestMtmwValidation:
         assert result is UpdateResult.UNKNOWN_LINK
         assert result.proves_compromise
 
+    def test_nan_weight_is_below_min_weight(self, mtmw, pki):
+        """NaN compares False with everything: a NaN report must not pass
+        the minimum-weight rule, or, taken first into the max of the two
+        endpoints' reports, it hides the other endpoint's failure report."""
+        update = LinkStateUpdate.create(pki, 1, 1, 2, float("nan"), seqno=1)
+        result = validate_update(update, mtmw, pki)
+        assert result is UpdateResult.BELOW_MIN_WEIGHT
+        assert result.proves_compromise
+
+    def test_nan_report_does_not_mask_the_honest_endpoints_failure(self, state, pki):
+        state.apply_update(LinkStateUpdate.create(pki, 1, 1, 2, float("nan"), seqno=1))
+        assert 1 in state.detected_compromised
+        state.apply_update(LinkStateUpdate.create(pki, 2, 1, 2, FAILED_WEIGHT, seqno=1))
+        assert not state.is_link_usable(1, 2)
+
     def test_bad_signature_not_provable(self, mtmw, pki):
         update = LinkStateUpdate(1, 1, 2, 0.02, 1, signature="junk")
         result = validate_update(update, mtmw, pki)

@@ -429,7 +429,7 @@ def test_nothing_cached_aliases_the_receive_buffer(message):
 
 
 # ----------------------------------------------------------------------
-# Envelope heads: the one-struct path writes and reads the same bytes
+# Envelope heads: the compact path writes and reads the general bytes
 # ----------------------------------------------------------------------
 @given(epoch=I64, seq=I64, wire_size=U32, nonce=st.binary(min_size=8, max_size=8),
        payload=PAYLOADS)
@@ -439,7 +439,7 @@ def test_por_data_head_fast_path_matches_field_path(epoch, seq, wire_size, nonce
         return PorData(epoch, seq, nonce_value, payload, wire_size)
 
     fast = encode_datagram(1, 2, build(nonce))
-    # A ``bytearray`` nonce is not eligible and is written field by field.
+    # A ``bytearray`` nonce has no compact form: the general path writes it.
     assert encode_datagram(1, 2, build(bytearray(nonce))) == fast
     assert_packets_equal(decode_datagram(fast).packet, build(nonce))
     for cut in range(HEADER_SIZE, len(fast)):
@@ -453,7 +453,7 @@ def test_por_ack_head_fast_path_matches_field_path(epoch, cum_seq, proof):
     fast = encode_datagram(1, 2, PorAck(epoch, cum_seq, proof))
     assert encode_datagram(1, 2, PorAck(epoch, cum_seq, bytearray(proof))) == fast
     assert_packets_equal(decode_datagram(fast).packet, PorAck(epoch, cum_seq, proof))
-    # Same sizes but a NACK list or a MAC: the field path, both ways.
+    # Same sizes but a NACK list or an int MAC: both round-trip.
     for other in (PorAck(epoch, cum_seq, proof, (cum_seq,)), PorAck(epoch, cum_seq, proof)):
         if not other.missing:
             other.mac = 7
@@ -466,8 +466,8 @@ def test_por_ack_head_fast_path_matches_field_path(epoch, cum_seq, proof):
 def test_batch_frame_heads_match_the_field_path(
     epoch, seq, wire_size, nonce, cum_seq, proof, payload
 ):
-    """A compiled batch frame packs its length with its head; a frame
-    that is not eligible (``bytearray`` nonce/proof) back-patches it."""
+    """A compact batch frame and one with no compact form (``bytearray``
+    nonce/proof) give the same bytes, length prefix included."""
     def frames(nonce_value, proof_value):
         return [PorData(epoch, seq, nonce_value, payload, wire_size),
                 PorAck(epoch, cum_seq, proof_value)]
@@ -480,11 +480,13 @@ def test_batch_frame_heads_match_the_field_path(
 
 
 # ----------------------------------------------------------------------
-# Compiled payload layouts: the same bytes as the field path
+# One table, two paths: the compact path gives the general path's bytes
 # ----------------------------------------------------------------------
-COMPILED_SIGNATURES = st.builds(SimulatedSignature, signer=I64, tag=I64)
+COMPACT_SIGNATURES = st.one_of(
+    st.none(), st.builds(SimulatedSignature, signer=I64, tag=I64)
+)
 
-COMPILED_MESSAGES = st.builds(
+COMPACT_MESSAGES = st.builds(
     Message,
     source=I64,
     dest=I64,
@@ -501,19 +503,19 @@ COMPILED_MESSAGES = st.builds(
         ).map(tuple),
     ),
     sent_at=FLOATS,
-    payload=st.one_of(st.none(), st.binary(max_size=64)),
-    signature=COMPILED_SIGNATURES,
+    payload=st.one_of(st.none(), st.binary(max_size=64), st.text(max_size=16)),
+    signature=COMPACT_SIGNATURES,
 )
 
-COMPILED_E2E_ACKS = st.builds(
+COMPACT_E2E_ACKS = st.builds(
     E2eAck,
     dest=I64,
     stamp=I64,
     cumulative=st.lists(st.tuples(SHORT_TEXT, I64), max_size=8).map(tuple),
-    signature=COMPILED_SIGNATURES,
+    signature=COMPACT_SIGNATURES,
 )
 
-COMPILED_NEIGHBOR_ACKS = st.builds(
+COMPACT_NEIGHBOR_ACKS = st.builds(
     NeighborAck,
     sender=I64,
     entries=st.lists(
@@ -522,66 +524,75 @@ COMPILED_NEIGHBOR_ACKS = st.builds(
 )
 
 
-def _field_bytes(encode_fields, obj) -> bytes:
+def _section(path, payload):
+    """A payload section through one path -- ``"compact"`` or
+    ``"general"`` -- and the offset its record noted; None when the
+    compact path has no form for the payload's shape."""
+    record = wire._PAYLOAD_BY_TYPE[type(payload)]
     writer = wire._Writer()
-    encode_fields(writer, obj)
-    return bytes(writer.buf[:writer.pos])
+    if path == "general":
+        record.write(writer, payload)
+    else:
+        try:
+            record.pack(writer, payload)
+        except wire._ENCODE_MISMATCH:
+            return None
+    return bytes(writer.buf[:writer.pos]), writer.mark
 
 
-@given(message=COMPILED_MESSAGES)
+# The compact path is generated from the table ("compiled"); the general
+# path walks it field by field.
+@given(message=COMPACT_MESSAGES)
 @settings(max_examples=200)
 def test_compiled_message_matches_the_field_path(message):
-    pieces = wire._compile_message(message)
-    assert pieces is not None
-    assert pieces == wire._encode_message_fields(wire._Writer(), message)
+    compact = _section("compact", message)
+    assert compact is not None
+    assert compact == _section("general", message)
 
 
 @given(message=MESSAGES)
 @settings(max_examples=200)
 def test_compiled_message_covers_its_shape_or_declines(message):
-    pieces = wire._compile_message(message)
-    if pieces is not None:
-        assert pieces == wire._encode_message_fields(wire._Writer(), message)
+    compact = _section("compact", message)
+    if compact is not None:
+        assert compact == _section("general", message)
 
 
-@given(ack=COMPILED_E2E_ACKS)
+@given(ack=COMPACT_E2E_ACKS)
 @settings(max_examples=200)
 def test_compiled_e2e_ack_matches_the_field_path(ack):
-    section = wire._compile_e2e_ack(ack)
-    assert section is not None
-    assert section == _field_bytes(wire._encode_e2e_ack_fields, ack)
+    compact = _section("compact", ack)
+    assert compact is not None
+    assert compact == _section("general", ack)
 
 
-@given(ack=COMPILED_NEIGHBOR_ACKS)
+@given(ack=COMPACT_NEIGHBOR_ACKS)
 @settings(max_examples=200)
 def test_compiled_neighbor_ack_matches_the_field_path(ack):
-    section = wire._compile_neighbor_ack(ack)
-    assert section is not None
-    assert section == _field_bytes(wire._encode_neighbor_ack_fields, ack)
+    compact = _section("compact", ack)
+    assert compact is not None
+    assert compact == _section("general", ack)
 
 
-@given(ack=st.one_of(E2E_ACKS, COMPILED_E2E_ACKS), neighbor=NEIGHBOR_ACKS)
+@given(ack=st.one_of(E2E_ACKS, COMPACT_E2E_ACKS), neighbor=NEIGHBOR_ACKS)
 @settings(max_examples=200)
 def test_compiled_acks_cover_their_shape_or_decline(ack, neighbor):
-    section = wire._compile_e2e_ack(ack)
-    if section is not None:
-        assert section == _field_bytes(wire._encode_e2e_ack_fields, ack)
-    section = wire._compile_neighbor_ack(neighbor)
-    if section is not None:
-        assert section == _field_bytes(wire._encode_neighbor_ack_fields, neighbor)
+    for payload in (ack, neighbor):
+        compact = _section("compact", payload)
+        if compact is not None:
+            assert compact == _section("general", payload)
 
 
-@given(payload=st.one_of(COMPILED_MESSAGES, COMPILED_E2E_ACKS, COMPILED_NEIGHBOR_ACKS))
+@given(payload=st.one_of(COMPACT_MESSAGES, COMPACT_E2E_ACKS, COMPACT_NEIGHBOR_ACKS))
 @settings(max_examples=200)
 def test_compiled_payloads_round_trip_through_the_compiled_readers(payload):
     encoded = encode_datagram(1, 2, _por(payload))
 
-    def field_path_used(*args):
-        raise AssertionError("a compiled shape reached the field-by-field reader")
+    def general_path_used(*args):
+        raise AssertionError("a compact shape reached the general path")
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("node_id", "text", "signature"):
-            patch.setattr(wire._Reader, name, field_path_used)
+        patch.setattr(wire._Record, "read", general_path_used)
         decoded = decode_datagram(encoded).packet.payload
     assert decoded == payload
     assert getattr(decoded, "_wire_cache", None) == getattr(payload, "_wire_cache", None)
@@ -596,8 +607,14 @@ def test_e2e_ack_is_encoded_once_for_every_out_link(monkeypatch):
     ack = E2eAck.create(pki, 9, 4, {1: 40, 3: 7})
     assert ack._wire_cache is None
     compiled = []
-    real = wire._compile_e2e_ack
-    monkeypatch.setattr(wire, "_compile_e2e_ack", lambda a: compiled.append(a) or real(a))
+    real = wire._Record.encode
+
+    def encode(record, writer, obj):
+        if isinstance(obj, E2eAck):
+            compiled.append(obj)
+        real(record, writer, obj)
+
+    monkeypatch.setattr(wire._Record, "encode", encode)
     datagrams = {encode_datagram(9, link, _por(ack)) for link in (1, 2, 3)}
     datagrams |= {encode_batch_datagram(9, 4, [_por(ack), _por(ack)])}
     assert compiled == [ack]

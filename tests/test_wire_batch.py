@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError, WireEncodeError
 from repro.link.por import PorData, _HelloWrapper
-from repro.messaging.message import Hello, Message, Semantics
+from repro.messaging.message import E2eAck, Hello, Message, NeighborAck, Semantics
 from repro.routing.link_state import LinkStateUpdate
 from repro.runtime.transport import AsyncioUdpTransport, UdpSendChannel
 from repro.runtime.wire import (
@@ -261,6 +261,11 @@ WRONGLY_TYPED = {
     "size_bytes": _message(size_bytes=None),
     "weight": LinkStateUpdate(1, 1, 2, None, 1),
     "str_id": _message(source="\ud800"),
+    # The ACK shapes' text fields keep the contract on either path.
+    "e2e_ack_surrogate_source": E2eAck(9, 1, (("\ud800", 1),), SimulatedSignature(9, 1)),
+    "e2e_ack_int_source": E2eAck(9, 1, ((5, 1),), SimulatedSignature(9, 1)),
+    "neighbor_ack_surrogate_source": NeighborAck(5, ((("\ud800", "9"), 1, 2),)),
+    "neighbor_ack_int_dest": NeighborAck(5, ((("3", 9), 1, 2),)),
 }
 
 

@@ -41,6 +41,7 @@ from repro.messaging.message import (
     StateRequest,
 )
 from repro.routing.link_state import LinkStateUpdate
+from repro.runtime import wire
 from repro.runtime.wire import (
     VERSION,
     AddrAnnounce,
@@ -223,6 +224,20 @@ def test_golden_file_matches_the_corpus():
     golden = _load()
     assert golden["version"] == VERSION
     assert sorted(golden["datagrams"]) == sorted(name for name, *_ in ENTRIES)
+
+
+def test_every_table_entry_has_pinned_bytes():
+    """A wire type cannot ship without a corpus entry (and so pinned bytes
+    and, in ``test_wire_hostile.py``, fuzzing)."""
+    carried = set()
+    for _, _, _, packets in ENTRIES:
+        for packet in packets:
+            carried |= {type(packet), type(getattr(packet, "payload", None))}
+    unpinned = [
+        (record.tag, record.cls.__name__)
+        for record in wire._PAYLOADS + wire._ENVELOPES if record.cls not in carried
+    ]
+    assert not unpinned
 
 
 @pytest.mark.parametrize("name,sender,receiver,packets", ENTRIES,

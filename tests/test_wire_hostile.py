@@ -33,6 +33,7 @@ from repro.crypto.simulated import SimulatedSignature
 from repro.errors import WireDecodeError
 from repro.link.por import WINDOW, PorData, _HelloWrapper
 from tests.fixtures import connect_por_pair
+from tests.test_wire_golden import _fields, corpus, encode
 from repro.messaging.message import E2eAck, Hello, Message, NeighborAck, Semantics
 from repro.runtime import wire
 from repro.runtime.transport import AsyncioUdpTransport
@@ -440,11 +441,22 @@ def test_memo_is_bounded_flooded_only_and_dies_with_the_transport():
 
 
 # ----------------------------------------------------------------------
-# Compiled payload readers: a mutated frame decodes as the field path does
+# The compact path: a mutated frame decodes as the general path does
 # ----------------------------------------------------------------------
+#: Where the payload section starts in a classic datagram with int ids
+#: and a SIMULATED-mode PorData: the header, the two ids, then the
+#: envelope's head (tag, epoch, seq, 8-byte nonce, wire_size, no MAC).
+SECTION_AT = wire.HEADER_SIZE + struct.calcsize(">BqBq") + struct.calcsize(">BqqH8sIB")
+
+
+def general_only(monkeypatch):
+    """Send every record of the tables down the general path."""
+    for record in wire._PAYLOADS + wire._ENVELOPES + (wire._IDS,):
+        monkeypatch.setattr(record, "unpack", None)
+
+
 def _compiled_frames():
-    """``(datagram, payload section offset)`` per compiled payload shape
-    (int ids throughout)."""
+    """A datagram per compact payload shape (int ids throughout)."""
     sig = SimulatedSignature(signer=3, tag=-5)
     payloads = [
         Message(source=3, dest=9, seq=7, semantics=Semantics.PRIORITY, priority=2,
@@ -456,13 +468,7 @@ def _compiled_frames():
         E2eAck(9, 4, (("1", 40), ("3", 7)), SimulatedSignature(signer=9, tag=11)),
         NeighborAck(5, ((("3", "9"), 40, 72),)),
     ]
-    frames = []
-    for payload in payloads:
-        datagram = data_datagram_ints(payload)
-        frames.append((
-            datagram, wire.HEADER_SIZE + wire._S_INT_IDS.size + wire._S_POR_DATA.size
-        ))
-    return frames
+    return [data_datagram_ints(payload) for payload in payloads]
 
 
 def data_datagram_ints(payload):
@@ -471,38 +477,30 @@ def data_datagram_ints(payload):
 
 
 def _decoded_view(data):
-    """The decoded datagram as comparable values, or the typed error."""
+    """The decoded datagram as a comparable value, or the typed error."""
     try:
         datagram = decode_datagram(data)
     except WireDecodeError:
         return WireDecodeError
-    packet = datagram.packet
-    payload = packet.payload
     # Field values by repr, so that a mutated NaN compares equal to itself.
-    return repr((
-        datagram.sender, datagram.receiver, type(packet).__name__,
-        packet.epoch, packet.seq, packet.nonce, packet.wire_size, packet.mac,
-        type(payload).__name__,
-        [getattr(payload, f.name) for f in dataclasses.fields(payload) if f.compare],
-        getattr(payload, "_wire_cache", None),
-    ))
+    return repr((_fields(datagram.sender), _fields(datagram.receiver),
+                 [_fields(packet) for packet in datagram.packets]))
 
 
 def test_every_byte_mutation_decodes_as_the_field_path_does(monkeypatch):
     """Every value at every byte of the payload section, CRC resealed so
     the frame reaches the payload decoder."""
     cases = []
-    for frame, section_at in _compiled_frames():
-        assert frame[section_at] in (1, 2, 3)  # the payload tag
-        for position in range(section_at, len(frame)):
+    for frame in _compiled_frames():
+        assert frame[SECTION_AT] in (1, 2, 3)  # the payload tag
+        for position in range(SECTION_AT, len(frame)):
             for value in range(256):
                 if value != frame[position]:
                     mutated = bytearray(frame)
                     mutated[position] = value
                     cases.append(with_crc(mutated))
     compiled = [_decoded_view(data) for data in cases]
-    for name in ("_read_message", "_read_e2e_ack", "_read_neighbor_ack"):
-        monkeypatch.setattr(wire, name, lambda reader: None)
+    general_only(monkeypatch)
     reference = [_decoded_view(data) for data in cases]
     mismatches = [
         (data.hex(), got, want)
@@ -520,12 +518,15 @@ def test_hostile_hop_counts_create_no_layout(monkeypatch):
                       paths=((3, 5, 9),), sent_at=2.5, payload=b"abcd",
                       signature=SimulatedSignature(signer=3, tag=1))
     frame = bytearray(data_datagram_ints(message))
-    head = message._wire_cache[0]
-    hop_count_at = len(frame) - sum(map(len, message._wire_cache)) + wire._S_MSG_HEAD.size
-    assert head[wire._S_MSG_HEAD.size - 1] == 1  # one path, then its hop count
+    # The message head without an expiration: tag, source, dest, seq,
+    # semantics, priority, option flag, size_bytes, flooding, path count;
+    # the first path's hop count follows it.
+    hop_count_at = SECTION_AT + struct.calcsize(">BBqBqqBqBIBH")
+    assert frame[hop_count_at - 2:hop_count_at] == (1).to_bytes(2, "big")  # one path
     assert frame[hop_count_at:hop_count_at + 2] == (3).to_bytes(2, "big")
 
-    layouts = wire._PATH_LAYOUTS
+    paths = wire._MESSAGE.kinds[wire._MESSAGE.names.index("paths")]
+    layouts = paths.elem.blocks
     created = []
 
     class CountingStruct(struct.Struct):
@@ -544,5 +545,58 @@ def test_hostile_hop_counts_create_no_layout(monkeypatch):
             outcomes.add("rejected")
     assert outcomes == {3, "rejected"}
     assert created == []
-    assert wire._PATH_LAYOUTS is layouts
+    assert paths.elem.blocks is layouts
     assert len(layouts) == wire.MAX_COMPILED_HOPS + 1
+
+
+# ----------------------------------------------------------------------
+# Every table entry, fuzzed from the pinned corpus: a new wire type is
+# covered here as soon as it has a corpus entry, with no edit to this file
+# ----------------------------------------------------------------------
+TABLE_ENTRIES = [
+    pytest.param(record, id=f"{record.tag}-{record.cls.__name__}")
+    for record in wire._PAYLOADS + wire._ENVELOPES
+]
+
+
+def _carrier(record):
+    """The first single-packet corpus datagram that carries ``record``'s
+    type, as the envelope or as a PorData's payload."""
+    for _, sender, receiver, packets in corpus():
+        (packet, *rest) = packets
+        if not rest and record.cls in (type(packet), type(getattr(packet, "payload", None))):
+            return encode(sender, receiver, packets)
+    raise AssertionError(f"no corpus datagram carries {record.cls.__name__}")
+
+
+@pytest.mark.parametrize("record", TABLE_ENTRIES)
+def test_every_truncation_of_every_table_entry_is_rejected(record):
+    """Every prefix of the body, with a valid header and CRC, so the cut
+    reaches the field readers of both paths."""
+    body = _carrier(record)[wire.HEADER_SIZE:]
+    for cut in range(len(body)):
+        with pytest.raises(WireDecodeError):
+            decode_datagram(_forge_valid_crc(body[:cut]))
+
+
+@pytest.mark.parametrize("record", TABLE_ENTRIES)
+def test_every_table_entry_mutates_alike_on_both_paths(record, monkeypatch):
+    """Each body byte set to a handful of values, CRC resealed: the
+    compact path decodes what the general path decodes, or rejects it
+    as the general path does."""
+    datagram = _carrier(record)
+    cases = []
+    for position in range(wire.HEADER_SIZE, len(datagram)):
+        old = datagram[position]
+        for value in sorted({0, 1, 2, 0xFF, old ^ 0x01, old ^ 0x80} - {old}):
+            mutated = bytearray(datagram)
+            mutated[position] = value
+            cases.append(with_crc(mutated))
+    compiled = [_decoded_view(data) for data in cases]
+    general_only(monkeypatch)
+    reference = [_decoded_view(data) for data in cases]
+    mismatches = [
+        (data.hex(), got, want)
+        for data, got, want in zip(cases, compiled, reference) if got != want
+    ]
+    assert not mismatches, mismatches[:3]
