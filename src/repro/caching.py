@@ -2,10 +2,11 @@
 
 Used by the route/disjoint-path cache (:mod:`repro.routing.link_state`),
 the path-successor cache (:mod:`repro.dissemination.kpaths`), and the
-signature/MAC verification memos (:mod:`repro.crypto.simulated`,
-:mod:`repro.link.por`).  It lives in its own dependency-free module so
-every layer can import it without cycles (routing imports crypto, which
-could not itself import from routing).
+REAL-mode link-MAC memo (:mod:`repro.link.por`).  SIMULATED signatures
+are not memoised: recomputing a tag is one builtin hash, cheaper than a
+look-up here (DESIGN.md §10).  It lives in its own dependency-free module
+so every layer can import it without cycles (routing imports crypto,
+which could not itself import from routing).
 
 Determinism note: the cache is a plain dict in insertion order; hits and
 evictions depend only on the sequence of ``get``/``put`` calls, never on
@@ -41,7 +42,7 @@ class LruCache(Generic[V]):
         # entry in O(1).  A plain dict's ``next(iter(data))`` degrades
         # linearly with deleted-slot debris once the cache churns at
         # capacity (measured at several microseconds per eviction on a
-        # saturated verification memo); ``popitem(last=False)`` does not.
+        # saturated memo); ``popitem(last=False)`` does not.
         self._data: "OrderedDict[Hashable, V]" = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -24,7 +24,7 @@ from repro.crypto.mac import BatchMacContext
 from repro.crypto.nonces import CumulativeNonceChain, NonceVerifier
 from repro.crypto.pki import Identity, Pki
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.crypto.simulated import SimulatedSignature, SimulatedSigner
+from repro.crypto.simulated import SimulatedSignature
 
 __all__ = [
     "RsaKeyPair",
@@ -36,5 +36,4 @@ __all__ = [
     "Identity",
     "Pki",
     "SimulatedSignature",
-    "SimulatedSigner",
 ]

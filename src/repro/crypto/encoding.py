@@ -15,6 +15,19 @@ from typing import Any
 
 from repro.errors import CryptoError
 
+#: What a signed tuple holds in place of a NaN float.  CPython >= 3.10
+#: hashes NaN by object identity, so a NaN field would make a SIMULATED
+#: tag (a builtin hash of the tuple) depend on which NaN object was
+#: signed: a decoded copy would fail to verify.  A string hashes by value
+#: (alike in every process of a cluster, which pins PYTHONHASHSEED) and
+#: no float field decodes to one.
+NAN_FIELD = "NaN"
+
+
+def nan_free(value: Any) -> Any:
+    """``value``, or :data:`NAN_FIELD` when it is NaN."""
+    return value if value == value else NAN_FIELD
+
 
 def canonical_bytes(value: Any) -> bytes:
     """Encode ``value`` canonically.

@@ -13,7 +13,8 @@ the other public keys."
   runs.
 * ``SIMULATED`` — signatures are integrity tags bound to a per-identity
   secret (:mod:`repro.crypto.simulated`).  Tampering and forgery are still
-  detected; the cost is one builtin-hash call.  Default for simulations.
+  detected; signing and verifying each cost one builtin-hash call over
+  ``(secret, fields)``, with nothing memoised.  Default for simulations.
 * ``NONE`` — signatures are absent and verification always succeeds.
   Used only for Table II(a), which measures goodput with cryptography
   disabled.
@@ -30,7 +31,7 @@ from typing import Any, Dict, Tuple
 
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.rsa import RsaKeyPair, keypair_from_seed
-from repro.crypto.simulated import SimulatedSignature, SimulatedSigner, SimulatedVerifier
+from repro.crypto.simulated import SimulatedSignature
 from repro.errors import CryptoError
 
 ADMIN = "admin"
@@ -42,6 +43,10 @@ class PkiMode(enum.Enum):
     REAL = "real"
     SIMULATED = "simulated"
     NONE = "none"
+
+
+_NONE = PkiMode.NONE
+_SIMULATED = PkiMode.SIMULATED
 
 
 class Identity:
@@ -72,7 +77,6 @@ class Pki:
         self._rsa_bits = rsa_bits
         self._rsa_keys: Dict[Any, RsaKeyPair] = {}
         self._sim_secrets: Dict[Any, int] = {}
-        self._sim_verifier = SimulatedVerifier(self._sim_secrets)
         self._identities: Dict[Any, Identity] = {}
         #: Monotonic key-material generation.  Bumped whenever the set of
         #: valid (identity, key) pairs changes — new registration or key
@@ -82,9 +86,10 @@ class Pki:
         self.epoch = 0
         #: Per-identity rotation counts (feeds key derivation).
         self._rotations: Dict[Any, int] = {}
-        # Crypto-op accounting (attach_metrics); None keeps the hot path
+        # Crypto-op counters (attach_metrics); None keeps the hot path
         # to a single identity check per operation.
-        self._ops: Dict[str, Any] = None  # type: ignore[assignment]
+        self._sign_ops: Any = None
+        self._verify_ops: Any = None
         # The administrator exists in every PKI.
         self.register(ADMIN)
 
@@ -99,10 +104,8 @@ class Pki:
         ``crypto.mac_verify`` counters are registered here too, so every
         report lists them (at zero in NONE mode).
         """
-        self._ops = {
-            "sign": metrics.counter("crypto.sign"),
-            "verify": metrics.counter("crypto.verify"),
-        }
+        self._sign_ops = metrics.counter("crypto.sign")
+        self._verify_ops = metrics.counter("crypto.verify")
         metrics.counter("crypto.mac_sign")
         metrics.counter("crypto.mac_verify")
 
@@ -120,22 +123,19 @@ class Pki:
         # Registration changes verification outcomes (unknown-signer
         # verdicts flip), so cached verdicts from before are stale.
         self.epoch += 1
-        self._sim_verifier.invalidate()
         return identity
 
     def rotate(self, node_id: Any) -> Identity:
         """Replace ``node_id``'s key pair with a freshly derived one.
 
         Signatures produced under the old key no longer verify, and the
-        epoch bump invalidates every cached verdict (per-message caches
-        and the simulated-verifier memo alike).
+        epoch bump invalidates every per-message cached verdict.
         """
         identity = self.identity(node_id)
         rotation = self._rotations.get(node_id, 0) + 1
         self._rotations[node_id] = rotation
         self._install_keys(node_id, rotation=rotation)
         self.epoch += 1
-        self._sim_verifier.invalidate()
         return identity
 
     def _install_keys(self, node_id: Any, rotation: int) -> None:
@@ -180,34 +180,46 @@ class Pki:
         return 0
 
     def _sign(self, node_id: Any, fields: Tuple[Any, ...]):
-        if self.mode is PkiMode.NONE:
+        mode = self.mode
+        if mode is _NONE:
             return None
-        if self._ops is not None:
-            self._ops["sign"].add()
-        if self.mode is PkiMode.REAL:
-            key = self._rsa_keys.get(node_id)
-            if key is None:
-                raise CryptoError(f"no private key for {node_id!r}")
-            return key.sign(canonical_bytes(fields))
-        signer = SimulatedSigner(node_id, self._sim_secrets[node_id])
-        return signer.sign(fields)
+        if self._sign_ops is not None:
+            self._sign_ops.add()
+        if mode is _SIMULATED:
+            return SimulatedSignature(node_id, hash((self._sim_secrets[node_id], fields)))
+        key = self._rsa_keys.get(node_id)
+        if key is None:
+            raise CryptoError(f"no private key for {node_id!r}")
+        return key.sign(canonical_bytes(fields))
 
     def verify(self, signer: Any, fields: Tuple[Any, ...], signature: Any) -> bool:
-        """Check that ``signature`` was produced by ``signer`` over ``fields``."""
-        if self.mode is PkiMode.NONE:
+        """Check that ``signature`` was produced by ``signer`` over ``fields``.
+
+        A SIMULATED check recomputes the tag: one builtin hash, cheaper
+        than any memo of verdicts could look one up (DESIGN.md §10).
+        """
+        mode = self.mode
+        if mode is _NONE:
             return True
-        if self._ops is not None:
-            self._ops["verify"].add()
-        if signer not in self._identities:
-            return False
-        if self.mode is PkiMode.REAL:
-            if not isinstance(signature, bytes):
+        if self._verify_ops is not None:
+            self._verify_ops.add()
+        if mode is _SIMULATED:
+            # Registered identities are exactly those with a secret.
+            secret = self._sim_secrets.get(signer)
+            if (
+                secret is None
+                or not isinstance(signature, SimulatedSignature)
+                or signature.signer != signer
+            ):
                 return False
-            key = self._rsa_keys[signer]
-            return key.public.is_valid(canonical_bytes(fields), signature)
-        if not isinstance(signature, SimulatedSignature):
+            try:
+                return signature.tag == hash((secret, fields))
+            except TypeError:  # an unhashable field: nothing signed it
+                return False
+        if signer not in self._identities or not isinstance(signature, bytes):
             return False
-        return self._sim_verifier.verify(signer, fields, signature)
+        key = self._rsa_keys[signer]
+        return key.public.is_valid(canonical_bytes(fields), signature)
 
     def forge(self, claimed_signer: Any, fields: Tuple[Any, ...]):
         """Produce a *bogus* signature, as a Byzantine node without the

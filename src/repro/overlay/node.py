@@ -531,19 +531,20 @@ class OverlayNode:
         else:
             flooding = method.is_flooding
             paths = None if flooding else self._compute_paths(dest, method.k)
-        message = Message(
-            source=self.node_id,
-            dest=dest,
-            seq=self._priority_seq,
-            semantics=Semantics.PRIORITY,
-            priority=priority if priority is not None else DEFAULT_PRIORITY,
-            expiration=expiration,
-            size_bytes=size_bytes,
-            flooding=flooding,
-            paths=paths,
-            sent_at=self.sim.now,
-            payload=payload,
-        ).sign(self.pki)
+        message = Message.create(
+            self.pki,
+            self.node_id,
+            dest,
+            self._priority_seq,
+            Semantics.PRIORITY,
+            priority if priority is not None else DEFAULT_PRIORITY,
+            expiration,
+            size_bytes,
+            flooding,
+            paths,
+            self.sim.now,
+            payload,
+        )
         self.stats.counter("messages_injected").add()
         self.priority.messages_originated += 1
         self.cpu.sign(self.priority.handle, message, None)
@@ -703,17 +704,18 @@ class OverlayNode:
         if not self.reliable.can_send(dest):
             return False
         method = method or DisseminationMethod.flooding()
-        message = Message(
-            source=self.node_id,
-            dest=dest,
-            seq=self.reliable.next_seq(dest),
-            semantics=Semantics.RELIABLE,
+        message = Message.create(
+            self.pki,
+            self.node_id,
+            dest,
+            self.reliable.next_seq(dest),
+            Semantics.RELIABLE,
             size_bytes=size_bytes,
             flooding=method.is_flooding,
             paths=None if method.is_flooding else self._compute_paths(dest, method.k),
             sent_at=self.sim.now,
             payload=payload,
-        ).sign(self.pki)
+        )
         accepted = self.reliable.try_send(message)
         if accepted:
             self.stats.counter("messages_injected").add()

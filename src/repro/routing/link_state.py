@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.caching import LruCache
+from repro.crypto.encoding import nan_free
 from repro.crypto.pki import Pki
 from repro.topology.graph import NodeId
 
@@ -109,7 +110,7 @@ class LinkStateUpdate:
             str(self.issuer),
             str(self.edge_a),
             str(self.edge_b),
-            self.weight,
+            nan_free(self.weight),
             self.seqno,
         )
         object.__setattr__(self, "_signed_fields_cache", fields)
@@ -125,9 +126,12 @@ class LinkStateUpdate:
         weight: float,
         seqno: int,
     ) -> "LinkStateUpdate":
-        unsigned = cls(issuer, edge_a, edge_b, weight, seqno)
-        signature = pki.identity(issuer).sign(unsigned.signed_fields())
-        return cls(issuer, edge_a, edge_b, weight, seqno, signature)
+        # One construction: the signature, which the signed tuple does not
+        # cover, is filled in before anyone else holds the update.
+        update = cls(issuer, edge_a, edge_b, weight, seqno)
+        signature = pki.identity(issuer).sign(update.signed_fields())
+        object.__setattr__(update, "signature", signature)
+        return update
 
     def verify(self, pki: Pki) -> bool:
         """Check the issuer signature against the PKI."""

@@ -51,8 +51,8 @@ carry.
 Decode checks every length before it slices; encode writes into a pooled
 ``bytearray``.  A ``Message``'s payload section is cached on it as three
 pieces and an ``E2eAck``'s as one, so relays copy bytes, and a per-node
-:class:`MessageMemo` hands back the same ``Message`` for a byte-identical
-flooded copy (DESIGN.md §13).
+:class:`MessageMemo` hands back the same ``Message`` or ``E2eAck`` for a
+byte-identical flooded copy (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ _PL_STATE_REQUEST = 5
 _PL_HELLO = 6
 _PL_MTMW = 7
 _PL_ADMISSION_NACK = 8
+#: The payloads a node's :class:`MessageMemo` recognises when repeated.
+_MEMOISED = frozenset((_PL_MESSAGE, _PL_E2E_ACK))
 
 # Signature kinds.
 _SIG_NONE = 0
@@ -941,7 +943,7 @@ class _PayloadSection(_Kind):
     """A ``PorData``'s payload: one tagged payload record, the same on
     either path.  A message or end-to-end ACK is encoded once, its bytes
     cached on it for every further out-link and relay; a flooded message
-    is looked up in the node's memo first."""
+    or an ACK is looked up in the node's memo first."""
 
     __slots__ = ()
 
@@ -972,7 +974,9 @@ class _PayloadSection(_Kind):
 
     def unpack(self, reader: _Reader, pos: int) -> Tuple[Any, int]:
         reader._pos = pos
-        if reader.memo is not None and pos < reader._len and reader._data[pos] == _PL_MESSAGE:
+        if reader.memo is not None and pos < reader._len and (
+            reader._data[pos] in _MEMOISED
+        ):
             return reader.memo.decode(reader), reader._pos
         return _decode_tagged(reader, _PAYLOAD_BY_TAG, "payload"), reader._pos
 
@@ -1144,6 +1148,7 @@ _PAYLOAD_BY_TYPE = {record.cls: record for record in _PAYLOADS}
 _ENVELOPE_BY_TAG = {record.tag: record for record in _ENVELOPES}
 _ENVELOPE_BY_TYPE = {record.cls: record for record in _ENVELOPES}
 _MESSAGE = _PAYLOAD_BY_TYPE[Message]
+_E2E_ACK = _PAYLOAD_BY_TYPE[E2eAck]
 
 def _unsupported(what: str, obj: Any) -> WireEncodeError:
     return WireEncodeError(f"{what} {type(obj).__name__} is not supported on the live wire")
@@ -1161,15 +1166,17 @@ def _decode_tagged(reader: _Reader, table: Dict[int, _Record], what: str) -> Any
 
 
 class MessageMemo:
-    """One node's memo of the flooded messages it decoded last.
+    """One node's memo of the flooded messages and end-to-end ACKs it
+    decoded last.
 
     Constrained flooding hands a node the same signed message once per
-    in-link, byte for byte.  The decoder looks the payload section up by
-    checksum and, only when the cached pieces *equal* the received bytes,
-    returns the ``Message`` built for the first copy, with the verify
-    verdict it has cached since; any other copy decodes cold.  Owned by
-    one transport, bounded at :data:`SIZE` entries evicted oldest first,
-    and flooded messages only (a K-paths copy would never be hit).
+    in-link, byte for byte, and every node floods every E2E ACK it
+    forwards.  The decoder looks the payload section up by checksum and,
+    only when the cached bytes *equal* the received ones, returns the
+    object built for the first copy, with the verify verdict it has
+    cached since; any other copy decodes cold.  Owned by one transport,
+    bounded at :data:`SIZE` entries evicted oldest first; flooded
+    messages and ACKs only (a K-paths copy would never be hit).
     """
 
     #: Enough for every repeat on the saturated 12-node cloud to hit (one
@@ -1179,40 +1186,53 @@ class MessageMemo:
     __slots__ = ("_by_checksum",)
 
     def __init__(self) -> None:
-        self._by_checksum: Dict[int, Message] = {}
+        self._by_checksum: Dict[int, Any] = {}
 
     def clear(self) -> None:
-        """Forget every message (the owning transport closed)."""
+        """Forget every entry (the owning transport closed)."""
         self._by_checksum.clear()
 
-    def decode(self, reader: _Reader) -> Message:
-        """Decode the data message that fills the rest of ``reader``."""
+    def decode(self, reader: _Reader) -> Any:
+        """Decode the data message or end-to-end ACK that fills the rest
+        of ``reader``."""
         memo = self._by_checksum
         section = reader._data[reader._pos:reader._len]
         checksum = None
-        if memo:  # nothing to recognise while no flooded message was seen
+        if memo:  # nothing to recognise while nothing was memoised
             checksum = _crc32(section)
             known = memo.get(checksum)
-            if known is not None:
-                head, body, tail = known._wire_cache
-                received = bytes(section)
-                if (
-                    len(head) + len(body) + len(tail) == len(received)
-                    and received.startswith(head)
-                    and received.startswith(body, len(head))
-                    and received.endswith(tail)
-                ):
-                    reader._pos = reader._len
-                    return known
-        message = _MESSAGE.decode(reader)
-        if message.flooding and reader.exhausted:
+            if known is not None and _same_section(known._wire_cache, section):
+                reader._pos = reader._len
+                return known
+        if section[0] == _PL_E2E_ACK:
+            payload = _E2E_ACK.decode(reader)
+            flooded = True
+        else:
+            payload = _MESSAGE.decode(reader)
+            flooded = payload.flooding
+        if flooded and reader.exhausted:
             if checksum is None:
                 checksum = _crc32(section)
             memo.pop(checksum, None)  # a colliding entry: newest wins
-            memo[checksum] = message
+            memo[checksum] = payload
             if len(memo) > self.SIZE:
                 del memo[next(iter(memo))]
-        return message
+        return payload
+
+
+def _same_section(cached: Any, section: memoryview) -> bool:
+    """Whether a memoised object's cached section (one ``bytes`` for an
+    ACK, ``(head, body, tail)`` for a message) equals the received one."""
+    if type(cached) is bytes:
+        return cached == section
+    head, body, tail = cached
+    received = bytes(section)
+    return (
+        len(head) + len(body) + len(tail) == len(received)
+        and received.startswith(head)
+        and received.startswith(body, len(head))
+        and received.endswith(tail)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1343,8 +1363,8 @@ def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
     of a reusable receive buffer); raises :class:`WireDecodeError` on any
     defect -- bad magic, version or flags, truncation, trailing garbage,
     over-length claims, a checksum mismatch, an unknown tag.  With the
-    receiving node's ``memo``, a repeated flooded message comes back as
-    the same object (see :class:`MessageMemo`).
+    receiving node's ``memo``, a repeated flooded message or E2E ACK
+    comes back as the same object (see :class:`MessageMemo`).
     """
     if isinstance(data, memoryview):
         view = data

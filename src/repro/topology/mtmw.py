@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, FrozenSet, List, Tuple
 
+from repro.crypto.encoding import nan_free
 from repro.crypto.pki import ADMIN, Pki
 from repro.errors import TopologyError
 from repro.topology.graph import NodeId, Topology, edge_key
@@ -58,9 +59,9 @@ class Mtmw:
         nodes = tuple(sorted((str(n) for n in topology.nodes)))
         edges = tuple(
             sorted(
-                (str(a), str(b), topology.weight(a, b))
+                (str(a), str(b), nan_free(topology.weight(a, b)))
                 if str(a) < str(b)
-                else (str(b), str(a), topology.weight(a, b))
+                else (str(b), str(a), nan_free(topology.weight(a, b)))
                 for a, b in topology.edges()
             )
         )

@@ -374,7 +374,7 @@ def test_deployment_registry_is_the_one_holding_the_pki_counters():
         await deployment.start()
         try:
             assert deployment.stats is deployment.processes[7].stats
-            assert deployment.pki._ops["sign"] is (
+            assert deployment.pki._sign_ops is (
                 deployment.stats.counter("crypto.sign")
             )
         finally:
