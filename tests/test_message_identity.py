@@ -21,7 +21,8 @@ from repro.overlay.network import OverlayNetwork
 from repro.topology import generators
 
 
-def _msg(**overrides) -> Message:
+def _msg(pki=None, **overrides) -> Message:
+    """A message, signed by its source when ``pki`` is given."""
     base = dict(
         source="s",
         dest="d",
@@ -34,7 +35,7 @@ def _msg(**overrides) -> Message:
         sent_at=1.0,
     )
     base.update(overrides)
-    return Message(**base)
+    return Message.create(pki, **base) if pki is not None else Message(**base)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +88,7 @@ def test_tampered_copy_is_unequal_and_reverifies_cold():
 
     pki = Pki(mode=PkiMode.SIMULATED, seed=3)
     pki.register("s")
-    signed = _msg().sign(pki)
+    signed = _msg(pki)
     assert signed.verify(pki) is True
     assert signed.verify(pki) is True  # cached verdict
     tampered = dataclasses.replace(signed, dest="evil")
@@ -133,8 +134,8 @@ def test_flooding_suppresses_duplicate_from_equal_copy():
     a, b, c = sorted(net.topology.nodes)
     receiver = net.node(c)
     message = _msg(
-        source=a, dest=c, flooding=True, expiration=None, sent_at=0.0
-    ).sign(net.pki)
+        net.pki, source=a, dest=c, flooding=True, expiration=None, sent_at=0.0
+    )
     delivered = []
     receiver.delivery_observers.append(lambda m, n: delivered.append(m.seq))
     receiver.priority.handle(message, from_neighbor=a)

@@ -29,18 +29,26 @@ def pki():
     return p
 
 
-def msg(**kwargs):
+def fields(**kwargs):
     defaults = dict(
         source=1, dest=3, seq=7, semantics=Semantics.PRIORITY,
         priority=5, expiration=10.0, size_bytes=800,
     )
     defaults.update(kwargs)
-    return Message(**defaults)
+    return defaults
+
+
+def msg(**kwargs):
+    return Message(**fields(**kwargs))
+
+
+def signed_msg(pki, **kwargs):
+    return Message.create(pki, **fields(**kwargs))
 
 
 class TestMessageSignatures:
     def test_sign_verify_roundtrip(self, pki):
-        signed = msg().sign(pki)
+        signed = signed_msg(pki)
         assert signed.verify(pki)
 
     @pytest.mark.parametrize(
@@ -57,12 +65,12 @@ class TestMessageSignatures:
         ],
     )
     def test_any_field_tamper_breaks_signature(self, pki, field, value):
-        signed = msg().sign(pki)
+        signed = signed_msg(pki)
         tampered = dataclasses.replace(signed, **{field: value})
         assert not tampered.verify(pki)
 
     def test_path_tamper_breaks_signature(self, pki):
-        signed = msg(flooding=False, paths=((1, 2, 3),)).sign(pki)
+        signed = signed_msg(pki, flooding=False, paths=((1, 2, 3),))
         rerouted = dataclasses.replace(signed, paths=((1, 3),))
         assert not rerouted.verify(pki)
 
@@ -73,7 +81,7 @@ class TestMessageSignatures:
         for original, swapped in [
             (b"a", b"b"), (b"a", "a"), ("a", "b"), (b"a", None), (None, b""), (b"", ""),
         ]:
-            signed = msg(payload=original).sign(pki)
+            signed = signed_msg(pki, payload=original)
             assert signed.verify(pki)
             tampered = dataclasses.replace(signed, payload=swapped)
             assert tampered.uid == signed.uid
@@ -86,14 +94,14 @@ class TestMessageSignatures:
         real = Pki(mode=PkiMode.REAL, seed=1, rsa_bits=512)
         real.register(1)
         for payload in (b"bytes", "text", None):
-            signed = msg(payload=payload).sign(real)
+            signed = signed_msg(real, payload=payload)
             assert signed.verify(real)
             assert not dataclasses.replace(signed, payload=b"EVIL").verify(real)
 
     def test_simulator_only_payloads_share_one_marker(self, pki):
         """Objects the live codec cannot carry never cross a real wire;
         they (and ``None``) sign as one fixed marker, never as ``None``."""
-        signed = msg(payload={"report": 1}).sign(pki)
+        signed = signed_msg(pki, payload={"report": 1})
         assert dataclasses.replace(signed, payload=None).verify(pki)
         assert None not in signed.signed_fields()
         assert not dataclasses.replace(signed, size_bytes=801).verify(pki)

@@ -72,11 +72,11 @@ class TestEngineCounters:
     def test_path_violation_counted_on_wrong_predecessor(self):
         """A K-paths message arriving from off-path is not forwarded."""
         net = OverlayNetwork.build(ring(4), FAST)
-        message = Message(
-            source=1, dest=3, seq=1, semantics=Semantics.PRIORITY,
+        message = Message.create(
+            net.pki, source=1, dest=3, seq=1, semantics=Semantics.PRIORITY,
             priority=5, expiration=100.0, flooding=False,
             paths=((1, 2, 3),),
-        ).sign(net.pki)
+        )
         # Inject into node 2 as if it came from node 3: the path says the
         # predecessor must be node 1.  Source-based routing refuses it.
         engine = net.node(2).priority
@@ -187,10 +187,10 @@ class TestParkedFlooding:
 
         net = OverlayNetwork.build(clique(5), FAST)
         node = net.node(2)
-        kpaths = Message(
-            source=1, dest=5, seq=1, semantics=Semantics.PRIORITY, priority=5,
+        kpaths = Message.create(
+            net.pki, source=1, dest=5, seq=1, semantics=Semantics.PRIORITY, priority=5,
             expiration=100.0, flooding=False, paths=((1, 2, 5),),
-        ).sign(net.pki)
+        )
         node.begin_wakeup()
         node.on_link_deliver(1, kpaths, 100)
         assert self.transmissions(node) == {1: 0, 3: 0, 4: 0, 5: 1}

@@ -12,11 +12,13 @@ from repro.topology.generators import ring
 from tests.fixtures import line
 
 
-def rmsg(seq, source=1, dest=3, size=500):
-    return Message(
+def rmsg(seq, source=1, dest=3, size=500, pki=None):
+    """A reliable message, signed by ``source`` when ``pki`` is given."""
+    fields = dict(
         source=source, dest=dest, seq=seq,
         semantics=Semantics.RELIABLE, size_bytes=size,
     )
+    return Message.create(pki, **fields) if pki is not None else Message(**fields)
 
 
 class TestFlowState:
@@ -95,22 +97,22 @@ class TestEnginePaths:
     def test_gap_drop_counted(self):
         net = build_pair()
         engine = net.node(2).reliable
-        engine.handle(rmsg(5).sign(net.pki), from_neighbor=1)
+        engine.handle(rmsg(5, pki=net.pki), from_neighbor=1)
         assert engine.gap_drops == 1
         assert engine.flows[(1, 3)].stored_h == 0
 
     def test_duplicate_drop_counted(self):
         net = build_pair()
         engine = net.node(2).reliable
-        engine.handle(rmsg(1).sign(net.pki), from_neighbor=1)
-        engine.handle(rmsg(1).sign(net.pki), from_neighbor=1)
+        engine.handle(rmsg(1, pki=net.pki), from_neighbor=1)
+        engine.handle(rmsg(1, pki=net.pki), from_neighbor=1)
         assert engine.duplicates_dropped == 1
 
     def test_backpressure_drop_at_intermediate(self):
         net = build_pair(reliable_buffer=2)
         engine = net.node(2).reliable
         for seq in (1, 2, 3):
-            engine.handle(rmsg(seq).sign(net.pki), from_neighbor=1)
+            engine.handle(rmsg(seq, pki=net.pki), from_neighbor=1)
         assert engine.backpressure_drops == 1
         assert engine.flows[(1, 3)].stored_h == 2
 
@@ -118,7 +120,7 @@ class TestEnginePaths:
         net = build_pair(reliable_buffer=2)
         engine = net.node(3).reliable
         for seq in range(1, 11):
-            engine.handle(rmsg(seq).sign(net.pki), from_neighbor=2)
+            engine.handle(rmsg(seq, pki=net.pki), from_neighbor=2)
         assert engine.messages_delivered == 10
         assert engine.flows[(1, 3)].acked == 10
 
@@ -127,7 +129,7 @@ class TestEnginePaths:
         engine = net.node(3).reliable
         engine.generate_e2e_ack()
         assert engine.acks_generated == 0
-        engine.handle(rmsg(1).sign(net.pki), from_neighbor=2)
+        engine.handle(rmsg(1, pki=net.pki), from_neighbor=2)
         engine.generate_e2e_ack()
         assert engine.acks_generated == 1
         engine.generate_e2e_ack()  # no new progress
@@ -146,7 +148,7 @@ class TestEnginePaths:
         net = build_pair()
         node2 = net.node(2)
         engine = node2.reliable
-        engine.handle(rmsg(1).sign(net.pki), from_neighbor=1)
+        engine.handle(rmsg(1, pki=net.pki), from_neighbor=1)
         ack = NeighborAck(3, ((("1", "3"), 1, 65),))
         engine.handle_neighbor_ack(ack, from_neighbor=3)
         cursor = node2.links[3].reliable.cursor((1, 3))
@@ -171,7 +173,7 @@ class TestEnginePaths:
         node2 = net.node(2)
         cursor = node2.links[3].reliable.cursor((1, 3))
         state = node2.reliable.flow_state((1, 3))
-        state.stored[1] = rmsg(1).sign(net.pki)
+        state.stored[1] = rmsg(1, pki=net.pki)
         state.stored_at[1] = 0.0
         state.stored_h = 1
         cursor.sent_h = 1  # claims sent, but nothing ever went out

@@ -400,13 +400,17 @@ def test_replace_and_sign_copies_encode_their_own_fields(message, data):
 
 
 def test_sign_starts_the_wire_cache_cold():
+    """A copy that gains a signature encodes it, not the unsigned
+    original's cached bytes."""
     pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
     pki.register("a")
     unsigned = Message(source="a", dest="b", seq=1, semantics=Semantics.PRIORITY,
                        payload=b"data")
     encode_datagram("a", "b", _por(unsigned))
     assert unsigned._wire_cache is not None
-    signed = unsigned.sign(pki)
+    signed = dataclasses.replace(
+        unsigned, signature=pki.identity("a").sign(unsigned.signed_fields())
+    )
     assert signed._wire_cache is None
     decoded = decode_datagram(encode_datagram("a", "b", _por(signed))).packet.payload
     assert decoded.signature == signed.signature
@@ -635,10 +639,11 @@ def test_signing_builds_one_equal_object():
     pki = Pki(mode=PkiMode.SIMULATED, seed=0, rsa_bits=256)
     pki.register(3)
     pki.register(9)
-    unsigned = Message(source=3, dest=9, seq=1, semantics=Semantics.RELIABLE,
-                       priority=4, expiration=9.5, size_bytes=12, flooding=False,
-                       paths=((3, 5, 9),), sent_at=1.5, payload=b"data")
-    signed = unsigned.sign(pki)
+    fields = dict(source=3, dest=9, seq=1, semantics=Semantics.RELIABLE,
+                  priority=4, expiration=9.5, size_bytes=12, flooding=False,
+                  paths=((3, 5, 9),), sent_at=1.5, payload=b"data")
+    unsigned = Message(**fields)
+    signed = Message.create(pki, **fields)
     assert signed == dataclasses.replace(unsigned, signature=signed.signature)
     assert signed.signed_fields() == unsigned.signed_fields()
     assert signed.verify(pki)
