@@ -18,8 +18,11 @@ from repro.topology.graph import NodeId
 Paths = Sequence[Tuple[NodeId, ...]]
 
 #: Successor-scan memo.  Every message of a flow carries the *same* path
-#: tuple (the route cache hands out shared objects), so the scan result
-#: for a (node, paths, arrival) triple repeats for the flow's lifetime.
+#: tuple at a node -- the route cache hands the source shared objects,
+#: and on the live wire each node's ``MessageMemo`` decodes a flow's
+#: repeated paths bytes into one tuple (``runtime/wire.py``) -- so the
+#: scan result for a (node, paths, arrival) triple repeats for the flow's
+#: lifetime.
 #: Entries are keyed by (node, id(paths), arrival) and store the paths
 #: object itself — see path_successors for why identity keying is both
 #: safe and much cheaper than hashing the nested tuple per decision.
@@ -70,11 +73,12 @@ def path_successors(
     """
     # Memo key: the *identity* of the shared paths tuple, not its value.
     # Hashing the nested tuple on every forwarding decision costs more
-    # than the scan it memoizes; the route cache hands out shared tuple
-    # objects, so identity hits whenever value would.  The cached entry
-    # pins the paths object, which keeps its id stable and makes an id
-    # collision with a different live tuple impossible; the identity
-    # check on hit guards against a stale entry whose pin was evicted.
+    # than the scan it memoizes; the route cache and each node's wire
+    # memo hand out shared tuple objects, so identity hits whenever value
+    # would.  The cached entry pins the paths object, which keeps its id
+    # stable and makes an id collision with a different live tuple
+    # impossible; the identity check on hit guards against a stale entry
+    # whose pin was evicted.
     # Mutable (non-tuple) paths skip the memo: their contents can change
     # under a pinned entry.
     cacheable = type(paths) is tuple

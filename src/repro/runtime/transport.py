@@ -265,9 +265,11 @@ class AsyncioUdpTransport(asyncio.DatagramProtocol):
         self._peers: Dict[Any, Address] = {}
         self._inbound: Dict[Any, UdpReceiveChannel] = {}
         self._socket: Any = None
-        #: This node's memo of recently decoded flooded messages: a
-        #: repeated copy is recognised before it is decoded again.
-        self._decode_memo = MessageMemo()
+        #: This node's memo of the bytes it decodes more than once: a
+        #: flooded message, an E2E ACK, its own K-paths message's second
+        #: copy and a flow's paths are recognised before they are decoded
+        #: again.
+        self._decode_memo = MessageMemo(node_id)
         # Drop accounting (spray-resistance observability).
         self.datagrams_received = 0
         self.bytes_received = 0

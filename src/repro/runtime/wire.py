@@ -52,7 +52,8 @@ Decode checks every length before it slices; encode writes into a pooled
 ``bytearray``.  A ``Message``'s payload section is cached on it as three
 pieces and an ``E2eAck``'s as one, so relays copy bytes, and a per-node
 :class:`MessageMemo` hands back the same ``Message`` or ``E2eAck`` for a
-byte-identical flooded copy (DESIGN.md §13).
+byte-identical repeated copy, and the same paths tuple for a flow's
+repeated paths (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -493,7 +494,7 @@ class _Seq(_Kind):
     count up to :data:`MAX_COMPILED_HOPS`, all built here."""
 
     __slots__ = ("elem", "what", "optional", "blocks", "pack_blocks", "kinds_at",
-                 "elem_type")
+                 "elem_type", "block_sizes")
 
     def __init__(self, elem: _Kind, what: str, optional: bool = False) -> None:
         self.min_size = 2
@@ -508,6 +509,7 @@ class _Seq(_Kind):
             counts = range(MAX_COMPILED_HOPS + 1)
             self.elem_type = form.fits
             self.blocks = tuple(struct.Struct(">H" + form.code * n) for n in counts)
+            self.block_sizes = tuple(block.size for block in self.blocks)
             # The kind byte each count's layout expects before every value;
             # encode writes it (0: an int node id) as a pad byte.
             self.kinds_at = tuple(form.consts * n for n in counts)
@@ -564,16 +566,39 @@ class _Seq(_Kind):
         elem = self.elem
         if count * elem.min_size > reader._len - pos:
             raise _Mismatch
+        if isinstance(elem, _Seq) and elem.blocks is not None:  # paths
+            return elem._unpack_blocks(reader, pos, count)
         items = []
-        data = reader._data
-        blocks = isinstance(elem, _Seq) and elem.blocks is not None  # paths
         for _ in range(count):
-            if blocks:
-                item, pos = elem._unpack_block(reader, pos, (data[pos] << 8) | data[pos + 1])
-            else:
-                item, pos = elem.unpack(reader, pos)
+            item, pos = elem.unpack(reader, pos)
             items.append(item)
         return tuple(items), pos
+
+    def _unpack_blocks(self, reader: _Reader, pos: int, count: int) -> Tuple[Any, int]:
+        """``count`` blocks from ``pos`` (a message's paths, after their
+        count).  Bytes the reader's memo decoded before come back as the
+        tuple they decoded to then."""
+        data = reader._data
+        sizes = self.block_sizes
+        stop = pos
+        for _ in range(count):
+            stop += sizes[(data[stop] << 8) | data[stop + 1]]
+        if stop > reader._len:
+            raise _Mismatch
+        memo = reader.memo
+        if memo is not None:
+            field = bytes(data[pos - 2:stop])  # the count too
+            shared = memo._paths.get(field)
+            if shared is not None:
+                return shared, stop
+        items = []
+        for _ in range(count):
+            item, pos = self._unpack_block(reader, pos, (data[pos] << 8) | data[pos + 1])
+            items.append(item)
+        items = tuple(items)
+        if memo is not None:
+            memo.share_paths(field, items)
+        return items, stop
 
     def pack(self, writer: _Writer, value: Any) -> None:
         if self.blocks is not None and value is not None:
@@ -942,8 +967,8 @@ class _Topology(_Kind):
 class _PayloadSection(_Kind):
     """A ``PorData``'s payload: one tagged payload record, the same on
     either path.  A message or end-to-end ACK is encoded once, its bytes
-    cached on it for every further out-link and relay; a flooded message
-    or an ACK is looked up in the node's memo first."""
+    cached on it for every further out-link and relay; either is looked
+    up in the node's memo first."""
 
     __slots__ = ()
 
@@ -1166,36 +1191,62 @@ def _decode_tagged(reader: _Reader, table: Dict[int, _Record], what: str) -> Any
 
 
 class MessageMemo:
-    """One node's memo of the flooded messages and end-to-end ACKs it
-    decoded last.
+    """One node's memo of the bytes it decodes more than once.
 
     Constrained flooding hands a node the same signed message once per
-    in-link, byte for byte, and every node floods every E2E ACK it
-    forwards.  The decoder looks the payload section up by checksum and,
-    only when the cached bytes *equal* the received ones, returns the
-    object built for the first copy, with the verify verdict it has
-    cached since; any other copy decodes cold.  Owned by one transport,
-    bounded at :data:`SIZE` entries evicted oldest first; flooded
-    messages and ACKs only (a K-paths copy would never be hit).
+    in-link, byte for byte; every node floods every E2E ACK it forwards;
+    and a K-paths message reaches its destination once per path.  The
+    decoder looks the payload section up by checksum and, only when the
+    cached bytes *equal* the received ones, returns the object built for
+    the first copy, with the verify verdict it has cached since; any other
+    copy decodes cold.  Memoised are flooded messages, ACKs, and K-paths
+    messages addressed to this ``node`` over two or more paths; such a
+    message is dropped after its ``len(paths) - 1`` further copies.  A
+    K-paths message passes any other node once and is not memoised.
+
+    Every message of a flow carries the same paths, byte for byte, so a
+    compact paths field is also looked up by its bytes, and decodes to
+    the tuple decoded from those bytes first: one paths object per flow
+    and node, on which ``path_successors``' memo hits
+    (``dissemination/kpaths.py``).  Neither table holds a verdict.  Owned
+    by one transport, bounded at :data:`SIZE` messages and
+    :data:`PATHS_SIZE` path sets, each evicted oldest first, and emptied
+    by :meth:`clear`.
     """
 
     #: Enough for every repeat on the saturated 12-node cloud to hit (one
     #: cold verification per node per message); a constant, not a setting.
     SIZE = 64
+    #: Distinct path sets: a node carries a few per flow through it.
+    PATHS_SIZE = 128
 
-    __slots__ = ("_by_checksum",)
+    __slots__ = ("node", "_by_checksum", "_copies_left", "_paths")
 
-    def __init__(self) -> None:
+    def __init__(self, node: Any = None) -> None:
+        self.node = node
         self._by_checksum: Dict[int, Any] = {}
+        #: Checksum -> copies still to come of a K-paths message for ``node``.
+        self._copies_left: Dict[int, int] = {}
+        self._paths: Dict[bytes, Tuple[Tuple[Any, ...], ...]] = {}
 
     def clear(self) -> None:
         """Forget every entry (the owning transport closed)."""
         self._by_checksum.clear()
+        self._copies_left.clear()
+        self._paths.clear()
+
+    def share_paths(self, field: bytes, paths: Tuple[Tuple[Any, ...], ...]) -> None:
+        """Note that the compact paths field ``field`` decoded to ``paths``."""
+        table = self._paths
+        table[field] = paths
+        if len(table) > self.PATHS_SIZE:
+            del table[next(iter(table))]
 
     def decode(self, reader: _Reader) -> Any:
         """Decode the data message or end-to-end ACK that fills the rest
         of ``reader``."""
         memo = self._by_checksum
+        left = self._copies_left
         section = reader._data[reader._pos:reader._len]
         checksum = None
         if memo:  # nothing to recognise while nothing was memoised
@@ -1203,20 +1254,34 @@ class MessageMemo:
             known = memo.get(checksum)
             if known is not None and _same_section(known._wire_cache, section):
                 reader._pos = reader._len
+                if checksum in left:  # a K-paths copy for this node
+                    if left[checksum] == 1:
+                        del left[checksum], memo[checksum]
+                    else:
+                        left[checksum] -= 1
                 return known
+        copies = None
         if section[0] == _PL_E2E_ACK:
             payload = _E2E_ACK.decode(reader)
-            flooded = True
         else:
             payload = _MESSAGE.decode(reader)
-            flooded = payload.flooding
-        if flooded and reader.exhausted:
+            if not payload.flooding:
+                paths = payload.paths
+                if payload.dest != self.node or paths is None or len(paths) < 2:
+                    return payload
+                copies = len(paths) - 1
+        if reader.exhausted:
             if checksum is None:
                 checksum = _crc32(section)
             memo.pop(checksum, None)  # a colliding entry: newest wins
+            left.pop(checksum, None)
             memo[checksum] = payload
+            if copies is not None:
+                left[checksum] = copies
             if len(memo) > self.SIZE:
-                del memo[next(iter(memo))]
+                oldest = next(iter(memo))
+                del memo[oldest]
+                left.pop(oldest, None)
         return payload
 
 
@@ -1363,8 +1428,8 @@ def decode_datagram(data, memo: Optional[MessageMemo] = None) -> Datagram:
     of a reusable receive buffer); raises :class:`WireDecodeError` on any
     defect -- bad magic, version or flags, truncation, trailing garbage,
     over-length claims, a checksum mismatch, an unknown tag.  With the
-    receiving node's ``memo``, a repeated flooded message or E2E ACK
-    comes back as the same object (see :class:`MessageMemo`).
+    receiving node's ``memo``, a repeated copy comes back as the same
+    object (see :class:`MessageMemo`).
     """
     if isinstance(data, memoryview):
         view = data
