@@ -33,26 +33,25 @@ class CumulativeNonceChain:
 
     The receiver folds each in-order packet's nonce into a running state.
     ``proof()`` returns a short tag that only a party holding every nonce
-    up to the current sequence could have computed.
+    up to the current sequence could have computed.  ``next_seq``, the
+    next in-order sequence number the chain expects, is a plain attribute
+    (the PoR receive reads it per packet); only :meth:`fold` advances it.
     """
+
+    __slots__ = ("_state", "next_seq")
 
     def __init__(self) -> None:
         self._state = hashlib.sha256(b"por-chain-init").digest()
-        self._next_seq = 0
-
-    @property
-    def next_seq(self) -> int:
-        """The next in-order sequence number this chain expects."""
-        return self._next_seq
+        self.next_seq = 0
 
     def fold(self, seq: int, nonce: bytes) -> None:
         """Fold the nonce for ``seq`` (must be the next in-order packet)."""
-        if seq != self._next_seq:
+        if seq != self.next_seq:
             raise ProtocolError(
-                f"nonce fold out of order (expected {self._next_seq}, got {seq})"
+                f"nonce fold out of order (expected {self.next_seq}, got {seq})"
             )
         self._state = _fold(self._state, seq, nonce)
-        self._next_seq += 1
+        self.next_seq = seq + 1
 
     def proof(self) -> bytes:
         """Proof of receipt covering all folded packets."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulatedSignature:
     """A simulated signature: the claimed signer plus an integrity tag.
 

@@ -539,18 +539,25 @@ class PorEndpoint:
 
     def _on_packet(self, packet: Any) -> None:
         # Dispatch in descending traffic order: data, then ACKs, then the
-        # rare out-of-stream kinds.
-        if isinstance(packet, PorData):
-            if self._check_macs and not self._integrity_ok(packet):
-                self.macs_rejected += 1
-                return
-            self._on_data(packet)
-            return
-        if isinstance(packet, PorAck):
-            if self._check_macs and not self._integrity_ok(packet):
-                self.macs_rejected += 1
-                return
-            self._on_ack(packet)
+        # rare out-of-stream kinds.  Data and ACKs pass the integrity
+        # check first: a packet marked corrupted in flight is rejected
+        # uncounted; any other is one logical MAC verify, and under an
+        # active link key its HMAC must check.
+        is_data = isinstance(packet, PorData)
+        if is_data or isinstance(packet, PorAck):
+            if self._check_macs:
+                if packet.corrupted:
+                    self.macs_rejected += 1
+                    return
+                if self._mac_counters is not None:
+                    self._mac_counters[1].add()
+                if self._hmac_active and not self._hmac_ok(packet):
+                    self.macs_rejected += 1
+                    return
+            if is_data:
+                self._on_data(packet)
+            else:
+                self._on_ack(packet)
             return
         if isinstance(packet, _HelloWrapper):
             if self.on_hello is not None:
@@ -559,67 +566,77 @@ class PorEndpoint:
         if isinstance(packet, PorHandshake):
             self._on_handshake(packet)
 
-    def _integrity_ok(self, packet: Any) -> bool:
-        if packet.corrupted:
-            return False
-        if self._mac_counters is not None:
-            self._mac_counters[1].add()
-        if self._hmac_active:
-            # Memoized per (encoding, tag) under the current link key —
-            # retransmissions recheck for a dict hit, not an HMAC.
-            encoded = self._encode_for_mac(packet)
-            key = (encoded, packet.mac)
-            memo = self._mac_memo
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            try:
-                self._mac_ctx.verify(encoded, packet.mac)
-                verdict = True
-            except Exception:
-                verdict = False
-            memo.put(key, verdict)
-            return verdict
-        return True
+    def _hmac_ok(self, packet: Any) -> bool:
+        """Whether ``packet``'s tag checks under the current link key.
+
+        Memoized per (encoding, tag) under the current link key --
+        retransmissions recheck for a dict hit, not an HMAC.
+        """
+        encoded = self._encode_for_mac(packet)
+        key = (encoded, packet.mac)
+        memo = self._mac_memo
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        try:
+            self._mac_ctx.verify(encoded, packet.mac)
+            verdict = True
+        except Exception:
+            verdict = False
+        memo.put(key, verdict)
+        return verdict
 
     def _on_data(self, packet: PorData) -> None:
-        if packet.epoch != self._rx_epoch:
-            if packet.epoch > self._rx_epoch:
-                # Peer restarted: reset receive state for the new epoch.
-                self._rx_epoch = packet.epoch
-                self._chain = CumulativeNonceChain()
-                self._reorder.clear()
-                self._ack_pending = 0
-            else:
-                return  # stale epoch
-        expected = self._chain.next_seq
-        if packet.seq < expected:
-            self.duplicates_dropped += 1
-            self._flush_ack()  # the ACK that would have cleared it was lost
-            return
-        if packet.seq > expected:
-            if packet.seq >= expected + 4 * self._window:
-                # A legitimate sender is bounded by its send window, so a
-                # seq this far ahead is hostile or corrupted input.  It
-                # must not enter the reorder buffer: a giant seq would
-                # stretch the gap scan in _send_ack into an unbounded
-                # synchronous loop (observed as a live-runtime hang when
-                # a bit-flipped datagram slipped past integrity checks).
-                self.out_of_window_dropped += 1
+        """Place one checked data packet; when it is the next in order,
+        fold and deliver it and every buffered packet it frees, then
+        acknowledge.
+
+        The common packet -- the next seq of the current epoch -- skips
+        the placement tests and goes straight to the acceptance loop.
+        """
+        seq = packet.seq
+        if seq != self._chain.next_seq or packet.epoch != self._rx_epoch:
+            if packet.epoch != self._rx_epoch:
+                if packet.epoch > self._rx_epoch:
+                    # Peer restarted: reset receive state for the new epoch.
+                    self._rx_epoch = packet.epoch
+                    self._chain = CumulativeNonceChain()
+                    self._reorder.clear()
+                    self._ack_pending = 0
+                else:
+                    return  # stale epoch
+            expected = self._chain.next_seq
+            if seq < expected:
+                self.duplicates_dropped += 1
+                self._flush_ack()  # the ACK that would have cleared it was lost
                 return
-            if len(self._reorder) < 4 * self._window:
-                self._reorder[packet.seq] = packet
-            # Duplicate cumulative ACK: tells the sender a gap opened so
-            # it can fast-retransmit instead of waiting out the RTO.
-            # Gaps never coalesce — the NACK must go out now.
-            self._flush_ack()
-            return
-        self._accept_in_order(packet)
+            if seq > expected:
+                if seq >= expected + 4 * self._window:
+                    # A legitimate sender is bounded by its send window, so a
+                    # seq this far ahead is hostile or corrupted input.  It
+                    # must not enter the reorder buffer: a giant seq would
+                    # stretch the gap scan in _send_ack into an unbounded
+                    # synchronous loop (observed as a live-runtime hang when
+                    # a bit-flipped datagram slipped past integrity checks).
+                    self.out_of_window_dropped += 1
+                    return
+                if len(self._reorder) < 4 * self._window:
+                    self._reorder[seq] = packet
+                # Duplicate cumulative ACK: tells the sender a gap opened so
+                # it can fast-retransmit instead of waiting out the RTO.
+                # Gaps never coalesce — the NACK must go out now.
+                self._flush_ack()
+                return
+        # In order: accept it and every buffered packet it frees.
         reorder = self._reorder
-        accepted = 1
-        while self._chain.next_seq in reorder:
-            self._accept_in_order(reorder.pop(self._chain.next_seq))
+        accepted = 0
+        while packet is not None:
+            self._chain.fold(packet.seq, packet.nonce)
+            self.data_delivered += 1
+            if self.on_deliver is not None:
+                self.on_deliver(packet.payload, packet.wire_size - self._header_overhead)
             accepted += 1
+            packet = reorder.pop(self._chain.next_seq, None) if reorder else None
         # Delayed ACK: coalesce in-order progress up to ACK_COALESCE
         # packets (bounded by the ACK_DELAY flush timer).  Any remaining
         # gap still ACKs immediately so the sender sees the NACK list.
@@ -631,13 +648,6 @@ class PorEndpoint:
             self.sim.schedule_transient_at(
                 self.sim.now + self._ack_delay, self._ack_timer_fire
             )
-
-    def _accept_in_order(self, packet: PorData) -> None:
-        self._chain.fold(packet.seq, packet.nonce)
-        self.data_delivered += 1
-        if self.on_deliver is not None:
-            payload_size = packet.wire_size - self._header_overhead
-            self.on_deliver(packet.payload, payload_size)
 
     def _ack_timer_fire(self) -> None:
         self._ack_timer_armed = False

@@ -146,6 +146,9 @@ class LinkSender:
         self.invalid_rx = 0
         # Counter handles resolved once; pump() pays integer adds only.
         self._data_tx_counter = node.stats.counter("data_transmissions")
+        #: ``tx.priority`` (messages, bytes) for the direct send, resolved
+        #: on its first use (a link that never sends one creates neither).
+        self._priority_tx_counters: Optional[Tuple[Any, Any]] = None
 
         por.on_deliver = self._on_deliver
         por.on_ready = self.pump
@@ -266,9 +269,11 @@ class LinkSender:
         self.data_transmissions += 1
         self._data_tx_counter.add()
         size = message.wire_size(node.signature_size)
-        tx_messages, tx_bytes = node.stats.tx_counters("priority")
-        tx_messages.add()
-        tx_bytes.add(size)
+        tx = self._priority_tx_counters
+        if tx is None:
+            tx = self._priority_tx_counters = node.stats.tx_counters("priority")
+        tx[0].add()
+        tx[1].add(size)
         por.send(message, size)
         # pump() polls the queue once more only while the link accepts.
         queue.served_directly(message.source, polled_again=por.can_accept())
@@ -740,7 +745,10 @@ class OverlayNode:
     # Receive dispatch
     # ------------------------------------------------------------------
     def on_link_deliver(self, neighbor: NodeId, payload: Any, size: int) -> None:
-        """Entry point for every payload delivered by a PoR link."""
+        """Entry point for every payload delivered by a PoR link.  A data
+        message is verified and handed to its engine here (after the CPU
+        model's charges, when it runs); other frames go to
+        :meth:`_dispatch`."""
         if self.crashed:
             return
         if not self._behavior_passthrough:
@@ -755,35 +763,44 @@ class OverlayNode:
             if not isinstance(payload, Mtmw):
                 self.non_neighbor_rejected += 1
                 return
-        if not self.cpu.enabled:
-            self._dispatch(payload, neighbor)
+        if not isinstance(payload, Message):
+            if not self.cpu.enabled:
+                self._dispatch(payload, neighbor)
+                return
+            handler = self._dispatch
+        elif not self.cpu.enabled:
+            # Data is the hot path: verified and handed to its engine here.
+            if not payload.verify(self.pki):
+                self._note_invalid(neighbor)
+            elif payload.semantics is Semantics.PRIORITY:
+                self.priority.handle(payload, neighbor)
+            else:
+                self.reliable.handle(payload, neighbor)
             return
-        # Duplicate copies take the cheap path: recognized by the dedup
-        # state *before* any expensive work (and before signature
-        # verification — only verified messages populate the dedup state,
-        # so this cannot be used to suppress genuine traffic).
-        if isinstance(payload, Message) and self._is_known_duplicate(payload):
+        elif self._is_known_duplicate(payload):
+            # Duplicate copies take the cheap path: recognized by the
+            # dedup state *before* any expensive work (and before
+            # signature verification — only verified messages populate
+            # the dedup state, so this cannot suppress genuine traffic).
             self.cpu.execute(
                 self.cpu.costs.duplicate_packet, self._dispatch_duplicate, payload, neighbor
             )
             return
-        # Bounded input queues: when the CPU is overloaded, best-effort
-        # (priority) data is dropped rather than queued forever; reliable
-        # data and control traffic are flow-controlled and rate-limited,
-        # so their volume is already bounded.
-        if (
-            isinstance(payload, Message)
-            and payload.semantics is Semantics.PRIORITY
+        elif (
+            payload.semantics is Semantics.PRIORITY
             and self.cpu.backlog() > CPU_DROP_BACKLOG
         ):
+            # Bounded input queues: when the CPU is overloaded, best-effort
+            # (priority) data is dropped rather than queued forever;
+            # reliable data and control traffic are flow-controlled and
+            # rate-limited, so their volume is already bounded.
             self.cpu.overload_drops += 1
             self.stats.counter("cpu_overload_drops").add()
             return
+        else:
+            handler = self._verify_data
         self.cpu.execute(
-            self.cpu.costs.process_packet + self.cpu.costs.hmac,
-            self._dispatch,
-            payload,
-            neighbor,
+            self.cpu.costs.process_packet + self.cpu.costs.hmac, handler, payload, neighbor
         )
 
     def _is_known_duplicate(self, message: Message) -> bool:
@@ -800,22 +817,17 @@ class OverlayNode:
         else:
             self.reliable.note_duplicate(message, neighbor)
 
+    def _verify_data(self, message: Message, neighbor: NodeId) -> None:
+        """The CPU model's packet processing of ``message`` is done:
+        charge its signature check, then handle it."""
+        if not self.crashed:
+            self.cpu.verify(self._handle_data, message, neighbor)
+
     def _dispatch(self, payload: Any, neighbor: NodeId) -> None:
+        """Handle a delivered frame that is not a data message."""
         if self.crashed:
             return
-        if isinstance(payload, Message):
-            # Data is the hot path: with the CPU model disabled, run the
-            # verify-and-handle sequence inline instead of paying two
-            # extra frames (_charge_verify -> _handle_data) per packet.
-            if self.cpu.enabled:
-                self.cpu.verify(self._handle_data, payload, neighbor)
-            elif not payload.verify(self.pki):
-                self._note_invalid(neighbor)
-            elif payload.semantics is Semantics.PRIORITY:
-                self.priority.handle(payload, neighbor)
-            else:
-                self.reliable.handle(payload, neighbor)
-        elif isinstance(payload, NeighborAck):
+        if isinstance(payload, NeighborAck):
             self.reliable.handle_neighbor_ack(payload, neighbor)
         elif isinstance(payload, E2eAck):
             self._charge_verify(self._handle_e2e_ack, payload, neighbor)

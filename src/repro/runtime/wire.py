@@ -32,10 +32,11 @@ One table per wire type.  Each type is declared once, as a
 wire *kind*.  Two paths read the tables and write the same bytes:
 
 * the *general* path writes and reads field by field and carries every
-  shape: str node ids, REAL-mode ``bytes`` signatures and MACs, odd
-  nonce sizes, paths longer than :data:`MAX_COMPILED_HOPS`;
+  shape: str node ids, int signatures, odd nonce sizes, paths longer
+  than :data:`MAX_COMPILED_HOPS`;
 * the *compact* path carries the shapes the live stack sends (int node
-  ids, SIMULATED signatures, the standard nonce and proof sizes): code
+  ids, SIMULATED and REAL-mode ``bytes`` signatures and MACs, the
+  standard nonce and proof sizes): code
   generated from the table at import packs each run of fixed-width
   fields with one ``struct.Struct``.
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 import inspect
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,6 +78,7 @@ from repro.messaging.message import (
     NeighborAck,
     Semantics,
     StateRequest,
+    one_step_code,
 )
 from repro.routing.link_state import LinkStateUpdate
 from repro.topology.graph import Topology
@@ -672,8 +674,10 @@ class _Compiler:
     """Generate a record's functions from its table.
 
     ``make(values)`` builds the object from its field values in wire
-    order (a field its constructor does not take, such as a link
-    envelope's ``mac``, is set afterwards).  The compact ``pack(writer,
+    order: in one step when the class allows (:func:`one_step_code`),
+    else through its constructor (a field the constructor does not take,
+    such as a link envelope's ``mac``, is set afterwards); the compact
+    decode builds its objects the same way.  The compact ``pack(writer,
     obj)`` and ``unpack(reader, pos) -> (obj, pos)`` are the straight-line
     code a hand-written codec would be: one ``pack_into``/``unpack_from``
     per run and form, the expected kind and flag bytes compared inline.
@@ -709,12 +713,27 @@ class _Compiler:
         if record.cls is tuple:
             return [f" obj = ({self.values})"]
         names = record.names
+        built = one_step_code(record.cls, "obj", {
+            name: f"v{index}" for index, name in enumerate(names)
+        }, self.bind)
+        if built is not None:
+            return [" " + built]
         params = [p for p in inspect.signature(record.cls).parameters if p in names]
         args = ", ".join(f"v{names.index(p)}" for p in params)
         return [f" obj = cls({args})"] + [
             f" obj.{name} = v{index}"
             for index, name in enumerate(names) if name not in params
         ]
+
+    def call(self, unpack: Callable[..., Any], target: str, args: List[str]) -> str:
+        """``target = unpack(*args)``; a class that can be is built in one
+        step (:func:`one_step_code`)."""
+        if isinstance(unpack, type) and is_dataclass(unpack):
+            params = [field.name for field in fields(unpack) if field.init]
+            built = one_step_code(unpack, target, dict(zip(params, args)), self.bind)
+            if built is not None:
+                return built
+        return f"{target} = {self.bind(unpack)}({', '.join(args)})"
 
     def fits(self, form: _Form, value: str) -> Optional[str]:
         """The test that ``value`` takes ``form``; None: any value does."""
@@ -801,7 +820,7 @@ class _Compiler:
             elif form.unpack is None:
                 values.append(f"{value} = {names[0]}")
             else:
-                values.append(f"{value} = {self.bind(form.unpack)}({', '.join(names)})")
+                values.append(self.call(form.unpack, value, names))
         lines = []
         if layout.size:
             lines += [
@@ -1040,7 +1059,8 @@ _SIGNATURE = _Union("signature", (
     (_SIG_INT, lambda v: isinstance(v, int), _I64),
 ), _Form("B", (_SIG_NONE,), fits=_NONE),
    _Form("BBqq", (_SIG_SIMULATED, _ID_INT), pack=_simulated_slots,
-         unpack=SimulatedSignature))
+         unpack=SimulatedSignature),
+   _Form("B", (_SIG_BYTES,), fits=bytes, tail=_RAW))
 #: The application payload a message carries: None, bytes, or text.
 _APP_PAYLOAD = _Union("application-payload", (
     (0, lambda v: v is None, None),

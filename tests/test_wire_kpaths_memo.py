@@ -284,6 +284,42 @@ def test_a_checksum_collision_is_not_a_hit_for_a_later_copy():
     assert not decoded.verify(pki)
 
 
+def test_a_real_mode_message_is_decoded_in_one_pass(monkeypatch):
+    """A ``bytes`` signature has a compact form: a REAL-mode K=2 message
+    is read once, its paths through the node's table, and the next
+    message of the flow shares the same paths object."""
+    pki = Pki(mode=PkiMode.REAL, seed=0, rsa_bits=256)
+    for node in (1, 2, 3, 9):
+        pki.register(node)
+    passes = {"paths": 0, "general": 0}
+    unpack_blocks, read = wire._Seq._unpack_blocks, wire._Record.read
+
+    def counted_unpack_blocks(kind, reader, pos, count):
+        passes["paths"] += 1
+        return unpack_blocks(kind, reader, pos, count)
+
+    def counted_read(record, reader):
+        if record is wire._MESSAGE:
+            passes["general"] += 1
+        return read(record, reader)
+
+    monkeypatch.setattr(wire._Seq, "_unpack_blocks", counted_unpack_blocks)
+    monkeypatch.setattr(wire._Record, "read", counted_read)
+    memo = MessageMemo(5)  # a relay
+    paths = ((1, 2, 9), (1, 3, 9))
+    first = kpaths_message(1, paths, dest=9, pki=pki, source=1)
+    assert isinstance(first.signature, bytes)
+    decoded = decode_datagram(data_datagram(first), memo).packet.payload
+    assert passes == {"paths": 1, "general": 0}
+    assert decoded == first and decoded.verify(pki)
+    assert list(memo._paths.values()) == [paths]
+    assert decoded.paths is next(iter(memo._paths.values()))
+    second = decode_datagram(data_datagram(kpaths_message(2, paths, dest=9, pki=pki, source=1)),
+                             memo).packet.payload
+    assert passes == {"paths": 2, "general": 0}
+    assert second.paths is decoded.paths and second.verify(pki)
+
+
 def _section_crc(message, datagram):
     return zlib.crc32(datagram[payload_section_start(message):])
 
